@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -33,15 +32,6 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_USAGE = 64
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation settings shared by every subcommand."""
-
-    subcommand: str
-    output: str | None
-    fmt: str | None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,20 +274,18 @@ def _resolve_output(path: str | None) -> Path | None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(subcommand=args.subcommand, output=args.output,
-                       fmt=getattr(args, "format", None))
     try:
         text = args.handler(args)
     except ValidationError as exc:
-        print(f"aym {config.subcommand}: error: {exc}", file=sys.stderr)
+        print(f"aym {args.subcommand}: error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except SolverError as exc:
-        print(f"aym {config.subcommand}: error: {exc}", file=sys.stderr)
+        print(f"aym {args.subcommand}: error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     except OSError as exc:
-        print(f"aym {config.subcommand}: error: {exc}", file=sys.stderr)
+        print(f"aym {args.subcommand}: error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    destination = _resolve_output(config.output)
+    destination = _resolve_output(args.output)
     if destination is None:
         sys.stdout.write(text)
     else:

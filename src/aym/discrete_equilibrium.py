@@ -9,8 +9,11 @@ Boltzmann-like,
 with multipliers (nu, beta) fixed by the two constraints.  A one-parameter
 generalization n_i = 1/(exp(-nu) exp(beta a_i) - c) interpolates between
 Boltzmann (c = 0), Bose-like (c = 1) and Fermi-like (c = -1) occupation
-forms.  Exact small-instance oracles (full enumeration with big-integer
-weights) cross-check the continuous solutions.
+forms.  One solver serves every c: a monotone 1-D solve for nu nested in
+one for beta.  For c < 0 the occupations are capped at 1/|c|, which makes
+some (n, D) provably infeasible; that is checked before any iteration.
+Exact small-instance oracles (full enumeration with big-integer weights)
+cross-check the continuous solutions.
 
 All functions here are pure; results are deterministic.
 """
@@ -21,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DomainError,
@@ -32,7 +34,6 @@ from .errors import (
 )
 from .model_core import EconomyParams, OccupationVector, integer_lattice, validate
 
-_BISECTION_WIDTH = 1e-8   # coarse bracket width before Newton polish
 _DEFAULT_TOL = 1e-10
 
 
@@ -54,8 +55,9 @@ class Multipliers:
 class EquilibriumSolution:
     """Real-valued equilibrium occupations with constraint residuals.
 
-    residuals = (|sum n_i - n|, |sum a_i n_i - D|); both are below the
-    solver tolerance after a successful solve.
+    residuals = (|sum n_i - n|, |sum a_i n_i - D|); after a successful solve
+    each is at most the solver tolerance or, when that is finer, the float
+    rounding floor stated in the solver's stop rule.
     """
 
     multipliers: Multipliers
@@ -72,99 +74,133 @@ class EquilibriumSolution:
         }
 
 
-def _weighted_mean_var(levels: np.ndarray, beta: float) -> tuple[float, float]:
-    """Mean and variance of the levels under weights exp(-beta * a).
+def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> EquilibriumSolution:
+    """Solve sum n_i = n, sum a_i n_i = D for n_i = 1/(exp(-nu + beta a_i) - c).
 
-    The shift by the max exponent keeps the weights in range for any beta.
+    Two nested 1-D solves, each a Newton iteration kept inside a bracket: a
+    step that leaves the bracket, or fails to halve the previous one,
+    bisects instead.  The inner solve fixes beta and finds nu: sum n_i rises
+    strictly in nu, since dn_i/dnu = w_i = n_i (1 + c n_i) > 0.  The outer
+    solve finds beta: with nu following the inner root, sum a_i n_i falls
+    strictly in beta, with slope minus V = sum w_i (a_i - m_w)^2, m_w the
+    w-weighted mean level.  beta = 0 is tried first, so flat demand returns
+    beta = 0 exactly.
+
+    Exponents are shifted by their maximum: with d_i = beta a_i - min(beta a)
+    and t = nu + max(-beta a), n_i = 1/(exp(d_i - t) - c).  The inner unknown
+    is an offset x from a start t0, n_i = 1/(E_i exp(-x) - c) with
+    E_i = exp(d_i - t0) formed once per beta, so sum n_i can be tuned to the
+    rounding of the sum however large |t| is; t0 = ln n - ln sum exp(-d_i) is
+    the c = 0 root.  For c > 0 with c n >= 1 the inner unknown is ln s
+    instead, up to a shift, where s = -ln c - t > 0 is the distance to the
+    pole and n_i = 1/(c expm1(s + d_i)): near the pole t keeps too few digits
+    of s, while for small c n it is s that loses them.
+
+    Feasibility is settled before iterating.  D/n must lie strictly inside
+    (a_1, a_g), or InfeasibleDemand is raised.  For c < 0 each n_i is below
+    1/|c|, so a solution needs n <= g/|c| and D between the outputs of
+    filling the sectors bottom-up and top-down at 1/|c| workers each;
+    DomainViolation is raised otherwise.  Boundary instances are attempted.
+
+    Stop rule: the solve returns once |sum a_i n_i - D| <= max(tol, floor_D),
+    floor_D = 4 eps (g D + |beta| V), the rounding of the sum plus one ulp
+    of beta times the slope.  At every beta the inner solve runs to
+    |sum n_i - n| <= floor_n = 4 eps g n, the rounding of the sum, whatever
+    tol is: an error left in sum n_i would carry over into sum a_i n_i and
+    pull beta off its root.  The floors follow the current iterate; the
+    reported residuals are the true values.
     """
-    z = -beta * levels
-    z -= z.max()
-    w = np.exp(z)
-    total = w.sum()
-    m = float((levels * w).sum() / total)
-    v = float(((levels - m) ** 2 * w).sum() / total)
-    return m, v
+    params = validate(params)
+    a = np.asarray(params.levels, dtype=float)
+    n, D, g = params.n, params.D, params.g
+    if not math.isfinite(c * n):
+        raise DomainError(f"occupation-form parameter c = {c} must keep c*n finite")
+    if not a[0] < D / n < a[-1]:
+        raise InfeasibleDemand(
+            f"demand per worker {D / n} must lie strictly inside ({a[0]}, {a[-1]})")
+    if c < 0:
+        cap = -1.0 / c
+        # the k-th sector filled takes fill[k] workers (cap = inf, for subnormal c, is fine)
+        fill = np.diff(np.minimum(n, cap * np.arange(1, g + 1)), prepend=0.0)
+        lo, hi = float(a @ fill), float(a[::-1] @ fill)
+        if n > g * cap or not lo <= D <= hi:
+            raise DomainViolation(
+                f"c = {c} caps each occupation at {cap}, so a solution needs n <= {g * cap} "
+                f"and D in [{lo}, {hi}]; got n = {n}, D = {D}")
+    eps = float(np.finfo(float).eps)
+    pole = c > 0 and c * n >= 1
 
+    def root(f, x, lo, hi, what):
+        """Root of the increasing f(x) -> (value, slope, done, result) inside [lo, hi]."""
+        moved, value = math.inf, math.nan
+        for _ in range(max_iter):
+            value, slope, done, result = f(x)
+            if done:
+                return result
+            if value < 0:
+                lo = x
+            else:
+                hi = x
+            new = x - value / slope if slope > 0 else math.nan
+            if math.isfinite(hi - lo):
+                if not (lo < new < hi and abs(new - x) <= 0.5 * abs(moved)):
+                    new = 0.5 * (lo + hi)
+            elif not lo < new < hi:
+                new = x - math.copysign(1.0 + 2.0 * abs(x), value)
+            moved, x = new - x, new
+        raise NoConvergence(max_iter, f"{what} stuck {abs(value):.3g} from its target")
 
-def _occupations_at(levels: np.ndarray, n: float, beta: float) -> tuple[np.ndarray, float]:
-    """Occupations exp(nu - beta*a) with nu chosen so they sum to n exactly."""
-    nu = math.log(n) - float(logsumexp(-beta * levels))
-    occ = np.exp(nu - beta * levels)
-    return occ, nu
+    def inner(beta):
+        z = -beta * a
+        z_max = z.max()
+        d = z_max - z
+        if pole:
+            s0 = math.log1p(g / (c * n))  # every n_i <= n/g at s = s0
+            hi = math.log(s0 / math.log1p(1.0 / (c * n)))  # the top n_i alone is n here
+
+            def occupations(x):
+                s = s0 * math.exp(-x)
+                return 1.0 / (c * np.expm1(s + d)), s, -math.log(c) - s
+        else:
+            t0 = math.log(n) - math.log(float(np.exp(-d).sum()))  # the c = 0 root
+            hi, E = math.inf, np.exp(d - t0)
+
+            def occupations(x):
+                return 1.0 / (E * math.exp(-x) - c), 1.0, t0 + x
+
+        def f(x):
+            occ, dt_dx, t = occupations(x)
+            N = float(occ.sum())
+            w = occ * (1.0 + c * occ)
+            slope = float(w.sum()) * dt_dx
+            return math.log(N / n), slope / N, abs(N - n) <= 4 * eps * g * n, (t - z_max, occ, w)
+
+        return root(f, 0.0, 0.0 if pole else -math.inf, hi, "sum n_i")
+
+    def outer(beta):
+        nu, occ, w = inner(beta)
+        m = float((a * w).sum() / w.sum())
+        V = float(((a - m) ** 2 * w).sum())
+        M = float((a * occ).sum())
+        done = abs(M - D) <= max(tol, 4 * eps * (g * D + abs(beta) * V))
+        return D - M, V, done, (nu, beta, occ, M)
+
+    with np.errstate(over="ignore"):  # exp overflow past the top sector means n_i = 0
+        nu, beta, occ, M = root(outer, 0.0, -math.inf, math.inf, "sum a_i n_i")
+    return EquilibriumSolution(Multipliers(nu, beta, float(c)), tuple(float(x) for x in occ),
+                               (abs(float(occ.sum()) - n), abs(M - D)))
 
 
 def solve_boltzmann(params: EconomyParams, tol: float = _DEFAULT_TOL,
                     max_iter: int = 200) -> EquilibriumSolution:
-    """Solve the two-constraint Boltzmann equilibrium.
+    """Solve the two-constraint Boltzmann equilibrium n_i = exp(nu - beta a_i).
 
-    Reduces to the scalar equation mean_{exp(-beta a)}(a) = D/n, which is
-    strictly decreasing in beta, then recovers nu = ln(n / sum exp(-beta a)).
-    Safeguarded root find: geometric bracket growth, bisection down to a
-    coarse width, Newton polish on the constraint residual.
-
-    Raises InfeasibleDemand when D/n is not strictly inside the level hull
+    The c = 0 case of the nested solve described in _solve.  Raises
+    InfeasibleDemand when D/n is not strictly inside the level hull
     (boundary demand forces a degenerate corner the exponential form cannot
     represent) and NoConvergence if the budget is exhausted.
     """
-    params = validate(params)
-    levels = np.asarray(params.levels, dtype=float)
-    n, D = params.n, params.D
-    target = D / n
-    if not levels[0] < target < levels[-1]:
-        raise InfeasibleDemand(
-            f"demand per worker {target} must lie strictly inside ({levels[0]}, {levels[-1]})")
-
-    iterations = 0
-    scale = 1.0 / float(levels[-1] - levels[0])
-
-    def mean_at(beta: float) -> float:
-        nonlocal iterations
-        iterations += 1
-        return _weighted_mean_var(levels, beta)[0]
-
-    # bracket the root of mean(beta) - target (mean is strictly decreasing)
-    lo, hi = 0.0, 0.0
-    if mean_at(0.0) >= target:
-        hi = scale
-        while mean_at(hi) > target:
-            lo, hi = hi, 2.0 * hi
-            if iterations > max_iter:
-                raise NoConvergence(iterations, "bracket search failed")
-    else:
-        lo = -scale
-        while mean_at(lo) < target:
-            hi, lo = lo, 2.0 * lo
-            if iterations > max_iter:
-                raise NoConvergence(iterations, "bracket search failed")
-
-    while hi - lo > _BISECTION_WIDTH * max(1.0, abs(lo), abs(hi)) and iterations < max_iter:
-        mid = 0.5 * (lo + hi)
-        if mean_at(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-
-    beta = 0.5 * (lo + hi)
-    best: tuple[float, EquilibriumSolution] | None = None
-    for _ in range(max_iter):
-        occ, nu = _occupations_at(levels, n, beta)
-        res = (abs(float(occ.sum()) - n), abs(float((levels * occ).sum()) - D))
-        sol = EquilibriumSolution(Multipliers(nu, beta, 0.0),
-                                  tuple(float(x) for x in occ), res)
-        if best is None or max(res) < max(best[1].residuals):
-            best = (beta, sol)
-        if res[0] < tol and res[1] < tol:
-            return sol
-        m, v = _weighted_mean_var(levels, beta)
-        if v == 0.0:
-            break
-        step = (m - target) / v
-        beta = beta + step
-        if not lo <= beta <= hi:  # keep Newton inside the verified bracket
-            beta = min(max(beta, lo), hi)
-        iterations += 1
-    detail = f"constraint residuals stuck at {best[1].residuals}" if best else "no iterations run"
-    raise NoConvergence(iterations, detail)
+    return _solve(params, 0.0, tol, max_iter)
 
 
 def closed_form_ladder(r: float, n: float, i: int) -> float:
@@ -183,120 +219,16 @@ def ladder_limit_form(r: float, i: int) -> float:
     return (1.0 / r + 1.0 / (r * r)) * math.exp(-i / r)
 
 
-def _generalized_occupations(levels: np.ndarray, nu: float, beta: float,
-                             c: float) -> np.ndarray | None:
-    """Occupations 1/(exp(-nu + beta a) - c), or None if positivity fails.
-
-    Evaluated through u = exp(nu - beta a) as u/(1 - c u), which stays
-    finite when exp(-nu + beta a) overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = np.exp(nu - beta * levels)
-        if not np.all(np.isfinite(u)):
-            return None
-        denom = 1.0 - c * u
-    if not np.all(np.isfinite(denom)) or np.any(denom <= 0.0):
-        return None
-    return u / denom
-
-
-def _generalized_newton(levels, n, D, c, nu, beta, tol, max_iter):
-    """Damped Newton on the residual vector of the generalized occupation form.
-
-    Step-size control keeps every denominator exp(-nu + beta a_i) - c
-    positive.  Returns (nu, beta, occupations, residuals).
-    """
-    nu, beta = float(nu), float(beta)
-    occ = _generalized_occupations(levels, nu, beta, c)
-    if occ is None:
-        raise DomainViolation("initial point violates occupation positivity")
-    for _ in range(max_iter):
-        F = np.array([occ.sum() - n, (levels * occ).sum() - D])
-        if abs(F[0]) < tol and abs(F[1]) < tol:
-            return nu, beta, occ, (abs(float(F[0])), abs(float(F[1])))
-        # d occ_i / d nu = occ_i (1 + c occ_i);  d occ_i / d beta = -a_i * same
-        w = occ * (1.0 + c * occ)
-        J = np.array([
-            [w.sum(), -(levels * w).sum()],
-            [(levels * w).sum(), -(levels * levels * w).sum()],
-        ])
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(max_iter, f"singular Jacobian: {exc}") from exc
-        norm0 = float(np.hypot(*F))
-        s = 1.0
-        moved = False
-        positivity_seen = False
-        while s >= 2.0 ** -40:
-            cand_occ = _generalized_occupations(levels, nu + s * delta[0],
-                                                beta + s * delta[1], c)
-            if cand_occ is not None:
-                positivity_seen = True
-                F2 = np.array([cand_occ.sum() - n, (levels * cand_occ).sum() - D])
-                if float(np.hypot(*F2)) < norm0:
-                    nu, beta = float(nu + s * delta[0]), float(beta + s * delta[1])
-                    occ = cand_occ
-                    moved = True
-                    break
-            s *= 0.5
-        if not moved:
-            if not positivity_seen:
-                raise DomainViolation("no positivity-preserving Newton step exists")
-            raise NoConvergence(max_iter, f"residual stalled at {tuple(abs(F))}")
-    raise NoConvergence(max_iter, "generalized solve budget exhausted")
-
-
 def solve_generalized(params: EconomyParams, c: float, tol: float = _DEFAULT_TOL,
                       max_iter: int = 200) -> EquilibriumSolution:
     """Solve the generalized occupation form n_i = 1/(exp(-nu+beta a_i) - c).
 
-    Starts from the c = 0 Boltzmann solution and continues in c toward the
-    target, halving the increment whenever the damped Newton inner solve
-    loses positivity or stalls.  c = 0 reproduces solve_boltzmann.
-
-    Raises DomainViolation when no positivity-preserving path exists (the
-    solver asserts no feasibility theory for general c) and NoConvergence on
-    a stalled residual.
+    The same nested solve as solve_boltzmann (see _solve), so c = 0
+    reproduces it exactly.  Raises InfeasibleDemand when D/n is not strictly
+    inside the level hull, DomainViolation when c < 0 caps the occupations
+    below what n and D need, and NoConvergence if the budget is exhausted.
     """
-    params = validate(params)
-    base = solve_boltzmann(params, tol=tol, max_iter=max_iter)
-    levels = np.asarray(params.levels, dtype=float)
-    n, D = params.n, params.D
-
-    nu, beta = base.multipliers.nu, base.multipliers.beta
-    if c == 0.0:
-        # still route through the generalized occupation formula so the
-        # algebraic reduction to the Boltzmann form is exercised, not assumed
-        nu, beta, occ, res = _generalized_newton(levels, n, D, 0.0, nu, beta, tol, max_iter)
-        return EquilibriumSolution(Multipliers(nu, beta, 0.0),
-                                   tuple(float(x) for x in occ), res)
-
-    c_cur = 0.0
-    dc = c
-    while c_cur != c:
-        c_try = c_cur + dc
-        if (dc > 0 and c_try > c) or (dc < 0 and c_try < c):
-            c_try = c
-        try:
-            nu, beta, occ, res = _generalized_newton(levels, n, D, c_try, nu, beta, tol, max_iter)
-            c_cur = c_try
-            dc = c - c_cur  # retry the full remaining distance after progress
-        except (DomainViolation, NoConvergence) as exc:
-            dc *= 0.5
-            if abs(dc) < 1e-8 * abs(c):
-                # note: for c < 0 occupations are bounded by 1/|c| each, so
-                # instances with n > g/|c| have no solution at all
-                if isinstance(exc, DomainViolation):
-                    raise DomainViolation(
-                        f"no positivity-preserving path from c=0 to c={c}") from exc
-                raise NoConvergence(
-                    max_iter,
-                    f"continuation stalled at c={c_cur:g} en route to c={c:g}; "
-                    f"the instance may admit no solution there",
-                ) from exc
-    return EquilibriumSolution(Multipliers(nu, beta, c),
-                               tuple(float(x) for x in occ), res)
+    return _solve(params, c, tol, max_iter)
 
 
 def log_multinomial_weight(occupation: OccupationVector) -> float:

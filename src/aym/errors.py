@@ -71,7 +71,11 @@ class NoConvergence(SolverError):
 
 
 class DomainViolation(SolverError):
-    """No positivity-preserving step exists for the generalized equilibrium."""
+    """A generalized (c < 0) equilibrium provably has no solution.
+
+    Occupations are capped at 1/|c|, so n must not exceed g/|c| and D must
+    lie between the bottom-up and the top-down fill of the sectors.
+    """
 
 
 class QuadratureFailure(SolverError):

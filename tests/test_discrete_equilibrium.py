@@ -5,6 +5,7 @@ import pytest
 
 from aym import (
     DomainError,
+    DomainViolation,
     EconomyParams,
     InfeasibleDemand,
     InstanceTooLarge,
@@ -41,6 +42,19 @@ def test_solution_residuals_below_tolerance():
     sol = solve_boltzmann(EconomyParams((1, 2, 5, 7), 40, 130), tol=TOL)
     assert sol.residuals[0] < TOL
     assert sol.residuals[1] < TOL
+
+
+@pytest.mark.parametrize("levels,n,D,c", [
+    ((1, 2, 3), 1e6, 1.7e6, 0.0),         # TOL is below one ulp of n here
+    ((1, 2, 3, 4, 5), 1e5, 300001, 0.0),
+    ((1, 2, 3, 4, 5), 1000, 4800, 1.0),   # paper scale, demand near the top level
+    ((1, 2, 3, 4, 5), 1e12, 1.5e12, 1.0),  # c n = 1e12: beta ~ 1e-11, so its ulp is tiny
+])
+def test_large_instances_converge_to_float_resolution(levels, n, D, c):
+    params = EconomyParams(levels, n, D)
+    sol = solve_boltzmann(params, tol=TOL) if c == 0 else solve_generalized(params, c, tol=TOL)
+    assert sol.residuals[0] <= max(TOL, 1e-12 * n)
+    assert sol.residuals[1] <= max(TOL, 1e-12 * D)
 
 
 def test_boundary_demand_rejected_by_solver():
@@ -134,8 +148,8 @@ def test_generalized_fermi_like_satisfies_constraints():
 
 
 def test_generalized_bose_like_needs_continuation():
-    # Boltzmann occupations ~75 violate positivity at c=1, so the solver must
-    # walk c upward rather than step directly
+    # the Boltzmann multipliers (occupations ~75) lie beyond the c=1 pole, so
+    # the solve cannot simply start from the c=0 solution
     sol = solve_generalized(EconomyParams((0, 1), 100, 25), c=1.0)
     assert sol.occupations == pytest.approx((75.0, 25.0), rel=1e-9)
     assert max(sol.residuals) < 1e-10
@@ -143,10 +157,22 @@ def test_generalized_bose_like_needs_continuation():
     assert math.exp(-nu) - 1.0 > 0  # denominator positivity at the solution
 
 
-def test_generalized_without_solution_raises():
+@pytest.mark.parametrize("levels,n,D,c,error", [
     # for c = -10, occupations are bounded by 1/|c| each, so sum < 3/10 < n
-    with pytest.raises(SolverError):
-        solve_generalized(EconomyParams((1, 2, 3), 3, 6), c=-10.0)
+    ((1, 2, 3), 3, 6, -10.0, SolverError),
+    ((1, 2, 3, 4), 10, 25, -0.5, DomainViolation),   # n > g/|c|
+    ((1, 2, 3), 1.5, 1.75, -1.0, DomainViolation),   # D below the bottom-up fill 2
+    ((1, 2, 3, 4), 2.5, 9, -1.0, DomainViolation),   # D above the top-down fill 8
+], ids=["sum-bound", "crowded", "below-fill", "above-fill"])
+def test_generalized_without_solution_raises(levels, n, D, c, error):
+    with pytest.raises(error):
+        solve_generalized(EconomyParams(levels, n, D), c=c)
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, 1e308])
+def test_generalized_rejects_non_finite_c_times_n(c):
+    with pytest.raises(DomainError):
+        solve_generalized(EconomyParams((1, 2, 3), 100, 250), c=c)
 
 
 @pytest.mark.parametrize("counts,expected", [
