@@ -157,15 +157,19 @@ def test_generalized_bose_like_needs_continuation():
     assert math.exp(-nu) - 1.0 > 0  # denominator positivity at the solution
 
 
-@pytest.mark.parametrize("levels,n,D,c,error", [
+def test_generalized_without_solution_raises():
     # for c = -10, occupations are bounded by 1/|c| each, so sum < 3/10 < n
-    ((1, 2, 3), 3, 6, -10.0, SolverError),
-    ((1, 2, 3, 4), 10, 25, -0.5, DomainViolation),   # n > g/|c|
-    ((1, 2, 3), 1.5, 1.75, -1.0, DomainViolation),   # D below the bottom-up fill 2
-    ((1, 2, 3, 4), 2.5, 9, -1.0, DomainViolation),   # D above the top-down fill 8
-], ids=["sum-bound", "crowded", "below-fill", "above-fill"])
-def test_generalized_without_solution_raises(levels, n, D, c, error):
-    with pytest.raises(error):
+    with pytest.raises(SolverError):
+        solve_generalized(EconomyParams((1, 2, 3), 3, 6), c=-10.0)
+
+
+@pytest.mark.parametrize("levels,n,D,c", [
+    ((1, 2, 3, 4), 10, 25, -0.5),   # n > g/|c|
+    ((1, 2, 3), 1.5, 1.75, -1.0),   # D below the bottom-up fill 2
+    ((1, 2, 3, 4), 2.5, 9, -1.0),   # D above the top-down fill 8
+], ids=["crowded", "below-fill", "above-fill"])
+def test_generalized_infeasible_fermi_shapes_raise(levels, n, D, c):
+    with pytest.raises(DomainViolation):
         solve_generalized(EconomyParams(levels, n, D), c=c)
 
 
