@@ -96,11 +96,12 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     pole and n_i = 1/(c expm1(s + d_i)): near the pole t keeps too few digits
     of s, while for small c n it is s that loses them.
 
-    Feasibility is settled before iterating.  D/n must lie strictly inside
-    (a_1, a_g), or InfeasibleDemand is raised.  For c < 0 each n_i is below
-    1/|c|, so a solution needs n <= g/|c| and D between the outputs of
-    filling the sectors bottom-up and top-down at 1/|c| workers each;
-    DomainViolation is raised otherwise.  Boundary instances are attempted.
+    Feasibility is settled before iterating.  c n^2 must be finite
+    (DomainError) and D/n strictly inside (a_1, a_g) (InfeasibleDemand).
+    For c < 0 each n_i is below 1/|c|, so a solution needs n <= g/|c| and
+    D between the outputs of filling the sectors bottom-up and top-down at
+    1/|c| workers each; DomainViolation is raised otherwise.  Boundary
+    instances are attempted.
 
     Stop rule: the solve returns once |sum a_i n_i - D| <= max(tol, floor_D),
     floor_D = 4 eps (g D + |beta| V), the rounding of the sum plus one ulp
@@ -113,8 +114,8 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     params = validate(params)
     a = np.asarray(params.levels, dtype=float)
     n, D, g = params.n, params.D, params.g
-    if not math.isfinite(c * n):
-        raise DomainError(f"occupation-form parameter c = {c} must keep c*n finite")
+    if not math.isfinite(c * n * n):  # w_i = n_i + c n_i^2 must stay finite
+        raise DomainError(f"occupation-form parameter c = {c} must keep c*n*n finite")
     if not a[0] < D / n < a[-1]:
         raise InfeasibleDemand(
             f"demand per worker {D / n} must lie strictly inside ({a[0]}, {a[-1]})")
@@ -248,6 +249,59 @@ def _exact_multinomial(counts: tuple[int, ...]) -> int:
     return weight
 
 
+def count_feasible(units: tuple[int, ...], n: int, demand: int, cap: int):
+    """(min(count, cap), first) for the allocations with sum n_i = n, sum units_i n_i = demand.
+
+    The walk fixes the top sector's occupancy first; node counts are memoised
+    and stop summing at cap >= 1.  first(limit) lists the first `limit`
+    allocations in walk order.
+    """
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def occupancies(idx: int, workers: int, dem: int) -> range:
+        ui, u_lo, u_hi = units[idx], units[0], units[idx - 1]
+        # occupancy k of sector idx must leave a demand the lower sectors can meet:
+        #   (workers-k)*u_lo <= dem - k*ui <= (workers-k)*u_hi
+        k_hi = min(workers, (dem - workers * u_lo) // (ui - u_lo))
+        k_lo = max(0, -((-(dem - workers * u_hi)) // (ui - u_hi)))  # ceil division
+        return range(k_lo, k_hi + 1)
+
+    def count(idx: int, workers: int, dem: int) -> int:
+        if idx == 0:
+            return int(units[0] * workers == dem)
+        total = memo.get((idx, workers, dem))
+        if total is None:
+            total = 0
+            for k in occupancies(idx, workers, dem):
+                total = min(cap, total + count(idx - 1, workers - k, dem - k * units[idx]))
+                if total == cap:
+                    break
+            memo[idx, workers, dem] = total
+        return total
+
+    def first(limit: int) -> list[tuple[int, ...]]:
+        found, prefix = [], [0] * len(units)
+
+        def descend(idx: int, workers: int, dem: int) -> bool:
+            """Fill sectors idx..0 along nodes that count some; False once limit are found."""
+            if idx == 0:
+                prefix[0] = workers
+                found.append(tuple(prefix))
+                return len(found) < limit
+            for k in occupancies(idx, workers, dem):
+                if count(idx - 1, workers - k, dem - k * units[idx]):
+                    prefix[idx] = k
+                    if not descend(idx - 1, workers - k, dem - k * units[idx]):
+                        return False
+            return True
+
+        if count(len(units) - 1, n, demand):
+            descend(len(units) - 1, n, demand)
+        return found
+
+    return count(len(units) - 1, n, demand), first
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     """All integer occupation vectors meeting both constraints.
@@ -267,7 +321,8 @@ def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> Enu
     """Exhaustively list integer allocations with sum n_i = n, sum a_i n_i = D.
 
     Levels and D must sit on a common integer lattice; n must be integral.
-    Raises InstanceTooLarge past max_vectors feasible vectors.  Determinism:
+    Raises InstanceTooLarge past max_vectors feasible vectors, counted before
+    any is built (see count_feasible).  Determinism:
     vectors are emitted in lexicographically increasing order of counts.
     """
     if params.n != int(params.n) or params.n < 0:
@@ -283,31 +338,11 @@ def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> Enu
     units_all, _ = integer_lattice((*params.levels, params.D))
     units, demand = units_all[:-1], units_all[-1]
 
-    found: list[tuple[int, ...]] = []
-    prefix: list[int] = [0] * params.g
-
-    def descend(idx: int, workers: int, dem: int):
-        if idx == 0:
-            if units[0] * workers == dem:
-                prefix[0] = workers
-                found.append(tuple(prefix))
-                if len(found) > max_vectors:
-                    raise InstanceTooLarge(
-                        f"more than {max_vectors} feasible vectors; raise the cap to enumerate")
-            return
-        ui, u_lo, u_hi = units[idx], units[0], units[idx - 1]
-        # occupancy k of sector idx must leave a demand the lower sectors can meet:
-        #   (workers-k)*u_lo <= dem - k*ui <= (workers-k)*u_hi
-        k_hi = min(workers, (dem - workers * u_lo) // (ui - u_lo))
-        k_lo = max(0, -((-(dem - workers * u_hi)) // (ui - u_hi)))  # ceil division
-        for k in range(k_lo, k_hi + 1):
-            prefix[idx] = k
-            descend(idx - 1, workers - k, dem - k * ui)
-        prefix[idx] = 0
-
-    descend(params.g - 1, n, demand)
-    found.sort()
-    vectors = tuple(OccupationVector(counts) for counts in found)
+    count, first = count_feasible(units, n, demand, max(max_vectors, 0) + 1)
+    if count > max_vectors:
+        raise InstanceTooLarge(
+            f"more than {max_vectors} feasible vectors; raise the cap to enumerate")
+    vectors = tuple(OccupationVector(counts) for counts in sorted(first(count)))
     weights = tuple(_exact_multinomial(v.counts) for v in vectors)
     log_weights = tuple(log_multinomial_weight(v) for v in vectors)
     argmax = None

@@ -1,17 +1,20 @@
 """Metropolis sampling of occupation vectors on the conservation surface.
 
 Target law: the multinomial weight n!/prod(n_i!) restricted to integer
-allocations with both sums conserved.  Proposals move one worker up k rungs
-and another worker down k rungs, so worker count and total output are
-conserved exactly at every step.  A proposal is a uniformly chosen triple
-(up-source i, down-source j, rung distance k) from the feasible set of the
-current state; triples whose net effect is a no-op (two workers swapping
-sectors) are excluded.  Because the feasible-triple count varies between
-states, the acceptance ratio carries the reverse/forward proposal
+allocations with both sums conserved.  A pair move sends one worker from
+sector i up to i+k and another from j down to j-k; the move table holds the
+quadruples (i, i+k, j, j-k) that conserve demand, built once per chain,
+without the no-op swaps j = i+k.  A proposal is a uniform choice among the
+moves feasible in the current state (counts[i], counts[j] > 0, and
+counts[i] >= 2 when i = j), so the acceptance ratio carries the proposal
 probabilities:
 
     A(x -> y) = min(1, [w(y) q(y -> x)] / [w(x) q(x -> y)])
-    q(x -> y) = #(triples of x producing y) / #(triples of x)
+    q(x -> y) = #(moves of x producing y) / #(feasible moves of x)
+
+Irreducibility: a memoised walk counts the feasible set up to just past
+max_enumeration without listing it; if the count fits, a search over the
+moves from the start state (moves never leave the set) must reach it all.
 
 Chains are deterministic given (params, config): the generator is
 numpy's PCG64, recorded in the summary as "numpy:PCG64".
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoFeasibleState, InstanceTooLarge
+from .errors import DomainError, NoFeasibleState
 from .model_core import EconomyParams, OccupationVector, integer_lattice, validate
-from .discrete_equilibrium import enumerate_feasible, log_multinomial_weight
+from .discrete_equilibrium import count_feasible, log_multinomial_weight
 
 RNG_ALGORITHM = "numpy:PCG64"
 
@@ -64,8 +67,8 @@ class SampleSummary:
 
     visit_frequencies maps occupation tuples to empirical probabilities
     (they sum to 1); irreducibility is "verified" / "failed" when the
-    instance was small enough to enumerate and check connectivity,
-    "unchecked" otherwise (an honest warning flag, not an error).
+    feasible set has at most max_enumeration states, "unchecked" when it has
+    more (an honest warning flag: connectivity was not tested, not failed).
     """
 
     visit_frequencies: dict[tuple[int, ...], float]
@@ -94,36 +97,25 @@ class SampleSummary:
         return "\n".join(lines) + "\n"
 
 
-def _move_candidates(counts: tuple[int, ...], units: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Candidate states from all feasible non-identity triples, one per triple.
+def _move_table(units: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """Index quadruples (i, i+k, j, j-k) of the demand-conserving moves, no-op swaps left out."""
+    g = len(units)
+    return tuple((i, i + k, j, j - k)
+                 for i in range(g) for k in range(1, g - i) for j in range(k, g)
+                 if j != i + k and units[j] - units[j - k] == units[i + k] - units[i])
 
-    Duplicates are intentional: a candidate reachable through several
-    triples has proportionally higher proposal probability.
-    """
-    g = len(counts)
+
+def _moves(counts: tuple[int, ...], table) -> list[tuple[int, ...]]:
+    """The state each feasible move leads to; a state reached by m moves appears m times."""
     out = []
-    scratch = list(counts)
-    for i in range(g):
-        if counts[i] == 0:
-            continue
-        for k in range(1, g - i):
-            rise = units[i + k] - units[i]
-            for j in range(k, g):
-                if counts[j] == 0:
-                    continue
-                if units[j] - units[j - k] != rise:
-                    continue  # demand not conserved on a non-uniform lattice
-                scratch[i] -= 1
-                scratch[i + k] += 1
-                scratch[j] -= 1
-                scratch[j - k] += 1
-                cand = tuple(scratch)
-                scratch[i] += 1
-                scratch[i + k] -= 1
-                scratch[j] += 1
-                scratch[j - k] -= 1
-                if min(cand) >= 0 and cand != counts:
-                    out.append(cand)
+    for i, up, j, down in table:
+        if counts[i] and counts[j] and (i != j or counts[i] >= 2):
+            cand = list(counts)
+            cand[i] -= 1
+            cand[up] += 1
+            cand[j] -= 1
+            cand[down] += 1
+            out.append(tuple(cand))
     return out
 
 
@@ -132,54 +124,28 @@ def propose_pair_move(state: OccupationVector, levels, rng) -> OccupationVector:
     units, _ = integer_lattice(levels)
     if len(units) != len(state.counts):
         raise DomainError("levels and state must have equal length")
-    cands = _move_candidates(state.counts, units)
+    cands = _moves(state.counts, _move_table(units))
     if not cands:
         return state
     return OccupationVector(cands[int(rng.integers(len(cands)))])
 
 
-def _first_feasible(units: tuple[int, ...], n: int, demand: int) -> tuple[int, ...] | None:
-    """First integer allocation meeting both constraints, by backtracking."""
-    g = len(units)
-    prefix = [0] * g
-
-    def descend(idx: int, workers: int, dem: int) -> bool:
-        if idx == 0:
-            if units[0] * workers == dem:
-                prefix[0] = workers
-                return True
-            return False
-        ui, u_lo, u_hi = units[idx], units[0], units[idx - 1]
-        k_hi = min(workers, (dem - workers * u_lo) // (ui - u_lo))
-        k_lo = max(0, -((-(dem - workers * u_hi)) // (ui - u_hi)))
-        for k in range(k_lo, k_hi + 1):
-            prefix[idx] = k
-            if descend(idx - 1, workers - k, dem - k * ui):
-                return True
-        prefix[idx] = 0
-        return False
-
-    if descend(g - 1, n, demand):
-        return tuple(prefix)
-    return None
-
-
-def _check_irreducibility(params: EconomyParams, units, start: tuple[int, ...],
-                          max_enumeration: int) -> str:
-    try:
-        enumeration = enumerate_feasible(params, max_vectors=max_enumeration)
-    except InstanceTooLarge:
-        return IRREDUCIBILITY_UNCHECKED
-    all_states = {v.counts for v in enumeration.vectors}
+def _start_and_irreducibility(units, n: int, demand: int, table, max_enumeration: int):
+    """The first feasible state in walk order and the chain's irreducibility label."""
+    count, first = count_feasible(units, n, demand, max(max_enumeration, 0) + 1)
+    if count == 0:
+        raise NoFeasibleState("no integer allocation satisfies both constraints")
+    start = first(1)[0]
+    if count > max_enumeration:
+        return start, IRREDUCIBILITY_UNCHECKED
     seen = {start}
     frontier = [start]
     while frontier:
-        state = frontier.pop()
-        for cand in _move_candidates(state, units):
+        for cand in _moves(frontier.pop(), table):
             if cand not in seen:
                 seen.add(cand)
                 frontier.append(cand)
-    return IRREDUCIBILITY_VERIFIED if seen == all_states else IRREDUCIBILITY_FAILED
+    return start, IRREDUCIBILITY_VERIFIED if len(seen) == count else IRREDUCIBILITY_FAILED
 
 
 def run_chain(params: EconomyParams, config: ChainConfig,
@@ -197,10 +163,8 @@ def run_chain(params: EconomyParams, config: ChainConfig,
     units_all, _ = integer_lattice((*params.levels, params.D))
     units, demand = units_all[:-1], units_all[-1]
 
-    start = _first_feasible(units, n, demand)
-    if start is None:
-        raise NoFeasibleState("no integer allocation satisfies both constraints")
-    irreducibility = _check_irreducibility(params, units, start, max_enumeration)
+    table = _move_table(units)
+    start, irreducibility = _start_and_irreducibility(units, n, demand, table, max_enumeration)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
@@ -210,7 +174,7 @@ def run_chain(params: EconomyParams, config: ChainConfig,
     def info(state: tuple[int, ...]):
         entry = cache.get(state)
         if entry is None:
-            cands = _move_candidates(state, units)
+            cands = _moves(state, table)
             entry = (cands, Counter(cands), log_multinomial_weight(OccupationVector(state)))
             if len(cache) < _STATE_CACHE_CAP:
                 cache[state] = entry

@@ -89,7 +89,7 @@ def test_criterion_03_sampler_correctness():
 def test_criterion_04_c_zero_reduction():
     tol = 1e-10
     rng = np.random.default_rng(20240801)
-    worst = 0.0
+    worst = worst_form = worst_near = 0.0
     for _ in range(20):
         g = int(rng.integers(2, 7))
         levels = tuple(sorted(rng.uniform(0.5, 10.0, g)))
@@ -103,7 +103,18 @@ def test_criterion_04_c_zero_reduction():
         generalized = solve_generalized(params, c=0.0, tol=tol)
         worst = max(worst, max(abs(x - y) for x, y in
                                zip(boltzmann.occupations, generalized.occupations)))
+        # independent of the solver: the Boltzmann form from the returned multipliers ...
+        nu, beta = generalized.multipliers.nu, generalized.multipliers.beta
+        worst_form = max(worst_form, max(abs(x / math.exp(nu - beta * a) - 1.0)
+                                         for x, a in zip(generalized.occupations, levels)))
+        # ... and continuity in c: c = +-1e-9 moves each occupation by O(|c| n^2)
+        for c in (1e-9, -1e-9):
+            near = solve_generalized(params, c=c, tol=tol)
+            worst_near = max(worst_near, max(abs(x - y) for x, y in zip(
+                near.occupations, generalized.occupations)) / (abs(c) * n * n))
     _check("4 c=0 reduction", worst <= 10.0 * tol, f"worst componentwise gap {worst:.2e}")
+    _check("4 c=0 Boltzmann form", worst_form <= 1e-9, f"worst relative gap {worst_form:.2e}")
+    _check("4 c=0 continuity", worst_near <= 1.0, f"worst gap / (|c| n^2) {worst_near:.2e}")
 
 
 def test_criterion_05_fisher_three_form_agreement():

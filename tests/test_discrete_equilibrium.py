@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,15 @@ def test_generalized_c_zero_matches_boltzmann_componentwise():
         a = solve_boltzmann(params, tol=TOL)
         b = solve_generalized(params, c=0.0, tol=TOL)
         assert max(abs(x - y) for x, y in zip(a.occupations, b.occupations)) <= 10 * TOL
+        # a and b come from one code path, so also check b against the form itself
+        nu, beta = b.multipliers.nu, b.multipliers.beta
+        for x, level in zip(b.occupations, levels):
+            assert x == pytest.approx(math.exp(nu - beta * level), rel=1e-9)
+        # and against its neighbours in c, which move each n_i by O(|c| n^2)
+        for c in (1e-9, -1e-9):
+            near = solve_generalized(params, c=c, tol=TOL)
+            gap = max(abs(x - y) for x, y in zip(near.occupations, b.occupations))
+            assert gap <= abs(c) * n * n
 
 
 def test_generalized_fermi_like_satisfies_constraints():
@@ -173,10 +183,18 @@ def test_generalized_infeasible_fermi_shapes_raise(levels, n, D, c):
         solve_generalized(EconomyParams(levels, n, D), c=c)
 
 
-@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, 1e308])
-def test_generalized_rejects_non_finite_c_times_n(c):
-    with pytest.raises(DomainError):
-        solve_generalized(EconomyParams((1, 2, 3), 100, 250), c=c)
+@pytest.mark.parametrize("levels,n,D,c", [
+    pytest.param((1, 2, 3), 100, 250, math.inf, id="inf"),
+    pytest.param((1, 2, 3), 100, 250, -math.inf, id="-inf"),
+    pytest.param((1, 2, 3), 100, 250, math.nan, id="nan"),
+    pytest.param((1, 2, 3), 100, 250, 1e308, id="1e+308"),
+    pytest.param((1, 2, 3, 4, 5), 1e7, 1.5e7, 1e300, id="c-n-squared-overflows"),
+])
+def test_generalized_rejects_non_finite_c_times_n(levels, n, D, c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected up front, before numpy can overflow
+        with pytest.raises(DomainError):
+            solve_generalized(EconomyParams(levels, n, D), c=c)
 
 
 @pytest.mark.parametrize("counts,expected", [

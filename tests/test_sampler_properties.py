@@ -1,0 +1,109 @@
+"""Property tests of the chain's irreducibility label on small lattices.
+
+The expected label is computed here from the enumerated feasible set and a
+breadth-first search over pair moves written out from their definition:
+one worker moves up k sectors, another down k sectors, and demand is
+conserved.  The cap is tried just below, at and just above the count.
+"""
+
+import itertools
+from collections import deque
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aym import (
+    ChainConfig,
+    EconomyParams,
+    NoFeasibleState,
+    enumerate_feasible,
+    make_ladder,
+    run_chain,
+)
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@st.composite
+def lattice_instances(draw):
+    """(levels, n, D) on a uniform, a named non-uniform or a random integer lattice.
+
+    Three or more sectors, since two sectors fix the allocation; the lattice
+    is scaled by 1, 1/2 or 1/4 and D lies in the middle 80% of the hull.
+    """
+    kind = draw(st.sampled_from(["uniform", "non-uniform", "random"]))
+    if kind == "uniform":
+        start, step = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        units = [start + step * i for i in range(draw(st.integers(3, 5)))]
+    elif kind == "non-uniform":
+        units = draw(st.sampled_from([(1, 2, 4), (1, 3, 4), (1, 2, 3, 5), (1, 2, 4, 7, 8)]))
+    else:
+        units = sorted(draw(st.sets(st.integers(0, 9), min_size=3, max_size=5)))
+    n = draw(st.integers(3, 10))
+    lo, hi = units[0] * n, units[-1] * n
+    demand = max(1, lo + (hi - lo) * draw(st.integers(10, 90)) // 100)
+    scale = draw(st.sampled_from([1.0, 0.5, 0.25]))
+    return tuple(u * scale for u in units), n, demand * scale
+
+
+def brute_force_fibre(levels, n, D):
+    """Every allocation of n workers over the sectors, by stars and bars, that meets D."""
+    g = len(levels)
+    fibre = set()
+    for bars in itertools.combinations(range(n + g - 1), g - 1):
+        edges = (-1, *bars, n + g - 1)
+        counts = tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
+        if sum(a * c for a, c in zip(levels, counts)) == D:
+            fibre.add(counts)
+    return fibre
+
+
+def neighbours(counts, levels):
+    g = len(counts)
+    for i, j in itertools.product(range(g), repeat=2):
+        for k in range(1, g):
+            if i + k >= g or j - k < 0 or levels[i + k] - levels[i] != levels[j] - levels[j - k]:
+                continue
+            moved = list(counts)
+            moved[i] -= 1
+            moved[i + k] += 1
+            moved[j] -= 1
+            moved[j - k] += 1
+            if min(moved) >= 0 and tuple(moved) != counts:
+                yield tuple(moved)
+
+
+def expected_label(fibre, start, levels):
+    seen, queue = {start}, deque([start])
+    while queue:
+        for nxt in neighbours(queue.popleft(), levels):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return "verified" if seen == fibre else "failed"
+
+
+@PROPERTY_SETTINGS
+@given(lattice_instances())
+def test_irreducibility_label_matches_enumeration_and_search(instance):
+    levels, n, D = instance
+    params = EconomyParams(levels, n, D)
+    fibre = {v.counts for v in enumerate_feasible(params).vectors}
+    assert fibre == brute_force_fibre(levels, n, D)
+    if not fibre:
+        with pytest.raises(NoFeasibleState):
+            run_chain(params, ChainConfig(steps=1))
+        return
+    count = len(fibre)
+    for cap in (count - 1, count, count + 1):
+        summary = run_chain(params, ChainConfig(steps=1), max_enumeration=cap)
+        (visited,) = summary.visit_frequencies  # one step from the start, same component
+        assert visited in fibre
+        want = "unchecked" if cap < count else expected_label(fibre, visited, levels)
+        assert summary.irreducibility == want, (cap, count)
+
+
+def test_large_ladder_is_unchecked():
+    summary = run_chain(make_ladder(1.0, 10, 60, 180), ChainConfig(steps=1))
+    assert summary.irreducibility == "unchecked"
