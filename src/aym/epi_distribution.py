@@ -25,6 +25,11 @@ import numpy as np
 from .errors import DomainError
 
 
+def _like_input(x, val):
+    """val as a Python float when the input x is a scalar or 0-d array, else as is."""
+    return float(val) if np.ndim(x) == 0 else val
+
+
 @dataclass(frozen=True)
 class EpiDistribution:
     """Shifted-exponential productivity law.
@@ -56,14 +61,14 @@ class EpiDistribution:
         s = self.scale
         with np.errstate(over="ignore"):
             val = np.where(a_arr >= self.a0, np.exp(-(a_arr - self.a0) / s) / s, 0.0)
-        return float(val) if np.isscalar(a) or a_arr.ndim == 0 else val
+        return _like_input(a_arr, val)
 
     def tail(self, a):
         """P(A > a); equal to 1 below a0."""
         a_arr = np.asarray(a, dtype=float)
         with np.errstate(over="ignore"):
             val = np.where(a_arr >= self.a0, np.exp(-(a_arr - self.a0) / self.scale), 1.0)
-        return float(val) if np.isscalar(a) or a_arr.ndim == 0 else val
+        return _like_input(a_arr, val)
 
     def amplitude(self, x_a, clipped: bool = True):
         """Probability amplitude at displacement x_a (positive branch).
@@ -81,7 +86,7 @@ class EpiDistribution:
             q = 2.0 / math.sqrt(s) * np.exp(-(x + s) / (2.0 * s))
             if clipped:
                 q = np.where(x >= self.x_min, q, 0.0)
-        return float(q) if np.isscalar(x_a) or x.ndim == 0 else q
+        return _like_input(x, q)
 
     def moments(self) -> tuple[float, float]:
         """(mean, variance) = (D/n, (D/n - a0)^2)."""

@@ -104,6 +104,21 @@ def test_compare_tv_column_scales(capsys):
     assert 8.0 <= tvs[1] / tvs[2] <= 12.0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--r", "inf"],
+    ["--r", "nan"],
+    ["--r", "1e17"],
+    ["--r", "1e20"],
+    ["--r", "10", "--i-max", "0"],
+    ["--r", "10", "--i-max", "-3"],
+], ids=["r-inf", "r-nan", "r-1e17", "r-1e20", "i-max-zero", "i-max-negative"])
+def test_compare_bad_input_exits_2(capsys, flags):
+    code, out, err = _run(capsys, ["compare", *flags])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_epi_curve_values(capsys):
     code, out, _ = _run(capsys, ["epi", "--mean-demand", "135", "--a0", "0",
                                  "--grid", "0,135"])

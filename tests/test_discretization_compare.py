@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,6 +24,33 @@ TV_GOLDEN = {
     1000.0: 0.00018404708778072093,
 }
 LADDER_ASYMPTOTIC_GAP_R100 = 0.027165828250976055  # max over i <= 100
+
+# (r, i_max) pairs that must raise DomainError, never an untyped exception
+BAD_COMPARE_INPUTS = {
+    "r-inf": (math.inf, None),
+    "r-nan": (math.nan, None),
+    "r-1e17": (1e17, None),  # r/(r-1) rounds to 1 in float64
+    "r-1e20": (1e20, None),
+    "i-max-zero": (10.0, 0),
+    "i-max-negative": (10.0, -3),
+}
+
+
+def tv_decimal(r, idx):
+    """0.5 sum_{i<=idx} |P_epi(i) - P_aym(i)| from geometric partial sums at 50 digits.
+
+    P_epi(i) = (1-q1) q1^(i-1), q1 = exp(-1/(r-1)); P_aym(i) = (1-q2) q2^(i-1),
+    q2 = (r-1)/r.  The sum of the differences over i <= k is q2^k - q1^k, and
+    the differences are >= 0 exactly up to the crossing index k.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = Decimal(r)
+        q1 = (-1 / (r - 1)).exp()
+        q2 = (r - 1) / r
+        crossing = 1 + ((1 - q1) / (1 - q2)).ln() / (q2 / q1).ln()
+        k = min(idx, int(crossing))
+        return (q2 ** k - q1 ** k) - (q2 ** idx - q1 ** idx) / 2
 
 
 def test_binned_ladder_values():
@@ -130,6 +158,33 @@ def test_asymptotic_ladder_gap_profile():
 @pytest.mark.parametrize("r,golden", sorted(TV_GOLDEN.items()))
 def test_tv_distance_golden_values(r, golden):
     assert compare(r).tv_distance == pytest.approx(golden, rel=1e-9)
+
+
+@pytest.mark.parametrize("r", [1e4, 1e5, 1e6, 1e8, 1e12])
+def test_tv_distance_matches_decimal_reference(r):
+    m = compare(r)
+    expected = tv_decimal(r, m.truncation_index)
+    assert abs(Decimal(m.tv_distance) - expected) <= Decimal("1e-12") * expected
+
+
+def test_compare_far_beyond_array_sizes():
+    # 3.5e13 sectors: an array per pmf would need 276 TB
+    m = compare(1e12)
+    assert m.truncation_index == truncation_index(1e12) > 3e13
+    assert m.epi_tail_mass <= 1e-15
+    # q2 = (r-1)/r is rounded once to float64 and raised to the power idx, which
+    # lifts the reported aym tail 0.08% above the 1e-15 target at this r
+    assert m.aym_tail_mass <= 1.001e-15
+    assert 0.0 < m.max_abs < m.tv_distance < 1e-12
+    assert math.isfinite(m.max_rel)
+
+
+@pytest.mark.parametrize("r,i_max", list(BAD_COMPARE_INPUTS.values()), ids=list(BAD_COMPARE_INPUTS))
+def test_compare_rejects_bad_input(r, i_max):
+    with pytest.raises(DomainError):
+        truncation_index(r, i_max)
+    with pytest.raises(DomainError):
+        compare(r, i_max)
 
 
 def test_tv_distance_scales_inversely_with_r():
