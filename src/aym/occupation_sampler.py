@@ -4,13 +4,21 @@ Target law: the multinomial weight n!/prod(n_i!) restricted to integer
 allocations with both sums conserved.  A pair move sends one worker from
 sector i up to i+k and another from j down to j-k; the move table holds the
 quadruples (i, i+k, j, j-k) that conserve demand, built once per chain,
-without the no-op swaps j = i+k.  A proposal is a uniform choice among the
-moves feasible in the current state (counts[i], counts[j] > 0, and
-counts[i] >= 2 when i = j), so the acceptance ratio carries the proposal
-probabilities:
+without the no-op swaps j = i+k.
 
-    A(x -> y) = min(1, [w(y) q(y -> x)] / [w(x) q(x -> y)])
-    q(x -> y) = #(moves of x producing y) / #(feasible moves of x)
+Each step draws one entry of the table uniformly, whatever the state.  A
+move that would empty a sector (counts[i] = 0, counts[j] = 0, or i = j with
+counts[i] < 2) leaves the chain where it is; any other is accepted with
+probability min(1, w(y)/w(x)).  The table is closed under the reversal
+(i, up, j, down) -> (down, j, up, i), which undoes the move, so for every
+pair x != y the moves taking x to y and those taking y to x are equally many:
+the proposal is symmetric and needs no Hastings correction.  The weight ratio
+is an exact ratio of integers,
+
+    w(y)/w(x) = counts[i] (counts[j] - [i = j])
+                / ((counts[i+k] + 1) (counts[j-k] + 1 + [i+k = j-k])),
+
+whose numerator is 0 exactly when the move would empty a sector.
 
 Irreducibility: a memoised walk counts the feasible set up to just past
 max_enumeration without listing it; if the count fits, a search over the
@@ -22,7 +30,6 @@ numpy's PCG64, recorded in the summary as "numpy:PCG64".
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,11 +37,9 @@ import numpy as np
 
 from .errors import DomainError, NoFeasibleState
 from .model_core import EconomyParams, OccupationVector, integer_lattice, validate
-from .discrete_equilibrium import count_feasible, log_multinomial_weight
+from .discrete_equilibrium import count_feasible
 
 RNG_ALGORITHM = "numpy:PCG64"
-
-_STATE_CACHE_CAP = 200_000  # per-chain cache of move sets, keyed by state
 
 IRREDUCIBILITY_VERIFIED = "verified"
 IRREDUCIBILITY_FAILED = "failed"
@@ -69,6 +74,8 @@ class SampleSummary:
     (they sum to 1); irreducibility is "verified" / "failed" when the
     feasible set has at most max_enumeration states, "unchecked" when it has
     more (an honest warning flag: connectivity was not tested, not failed).
+    acceptance_rate is accepted moves per step (0.0 when the move table is
+    empty); a step whose drawn move would empty a sector counts as rejected.
     """
 
     visit_frequencies: dict[tuple[int, ...], float]
@@ -167,48 +174,30 @@ def run_chain(params: EconomyParams, config: ChainConfig,
     start, irreducibility = _start_and_irreducibility(units, n, demand, table, max_enumeration)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-
-    # per-state cache: (candidates, multiplicity of each candidate, log weight)
-    cache: dict[tuple[int, ...], tuple[list, Counter, float]] = {}
-
-    def info(state: tuple[int, ...]):
-        entry = cache.get(state)
-        if entry is None:
-            cands = _moves(state, table)
-            entry = (cands, Counter(cands), log_multinomial_weight(OccupationVector(state)))
-            if len(cache) < _STATE_CACHE_CAP:
-                cache[state] = entry
-        return entry
-
-    state = start
+    state = list(start)
     visits: Counter = Counter()
-    mean_acc = np.zeros(params.g)
     accepted = 0
-    proposals = 0
-    recorded = 0
     for step in range(config.steps):
-        cands, mult, logw = info(state)
-        if cands:
-            proposals += 1
-            cand = cands[int(rng.integers(len(cands)))]
-            c_cands, c_mult, c_logw = info(cand)
-            log_ratio = ((c_logw - logw)
-                         + math.log(c_mult[state]) - math.log(len(c_cands))
-                         - math.log(mult[cand]) + math.log(len(cands)))
-            if log_ratio >= 0.0 or rng.random() < math.exp(log_ratio):
-                state = cand
+        if table:
+            i, up, j, down = table[int(rng.integers(len(table)))]
+            num = state[i] * (state[j] - (i == j))
+            den = (state[up] + 1) * (state[down] + 1 + (up == down))
+            if num and (num >= den or rng.random() * den < num):
+                state[i] -= 1
+                state[up] += 1
+                state[j] -= 1
+                state[down] += 1
                 accepted += 1
-        assert sum(state) == n and sum(u * c for u, c in zip(units, state)) == demand
         if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
-            visits[state] += 1
-            mean_acc += state
-            recorded += 1
+            visits[tuple(state)] += 1
 
+    recorded = sum(visits.values())
     freqs = {s: cnt / recorded for s, cnt in visits.items()}
     return SampleSummary(
         visit_frequencies=freqs,
-        mean_occupation=tuple(float(x) for x in mean_acc / recorded),
-        acceptance_rate=accepted / proposals if proposals else 0.0,
+        mean_occupation=tuple(sum(cnt * s[k] for s, cnt in visits.items()) / recorded
+                              for k in range(params.g)),
+        acceptance_rate=accepted / config.steps,
         sample_count=recorded,
         rng_algorithm=RNG_ALGORITHM,
         irreducibility=irreducibility,

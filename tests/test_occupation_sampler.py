@@ -1,4 +1,6 @@
 import math
+import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from aym import (
     NoFeasibleState,
     OccupationVector,
     enumerate_feasible,
+    make_ladder,
     merge_summaries,
     propose_pair_move,
     run_chain,
@@ -18,6 +21,7 @@ from aym import (
 
 ORACLE_PARAMS = EconomyParams((1, 2, 3), 4, 8)
 ORACLE_FREQS = {(0, 4, 0): 1 / 19, (1, 2, 1): 12 / 19, (2, 0, 2): 6 / 19}
+SMALL_LADDER_PARAMS = EconomyParams((1, 2, 3, 4, 5), 7, 17)
 
 
 def _rng(seed=0):
@@ -90,10 +94,61 @@ def test_chain_chi_square_below_99th_percentile():
     assert chi2 < stats.chi2.ppf(0.99, df=len(ORACLE_FREQS) - 1)
 
 
-def test_every_visited_state_is_feasible():
-    summary = run_chain(ORACLE_PARAMS, ChainConfig(steps=5_000, seed=9))
-    feasible = {v.counts for v in enumerate_feasible(ORACLE_PARAMS).vectors}
-    assert set(summary.visit_frequencies) <= feasible
+@pytest.mark.parametrize("params, steps, enumerable", [
+    pytest.param(ORACLE_PARAMS, 5_000, True, id="oracle"),
+    pytest.param(SMALL_LADDER_PARAMS, 5_000, True, id="small_ladder"),
+    pytest.param(EconomyParams((0, 1, 2, 3), 5, 6), 5_000, True, id="zero_floor"),
+    pytest.param(EconomyParams((0.5, 1.0, 1.5), 4, 4.0), 5_000, True, id="half_lattice"),
+    pytest.param(make_ladder(1.0, 10, 60, 180), 2_000, False, id="ladder_g10"),
+])
+def test_every_visited_state_is_feasible(params, steps, enumerable):
+    # thin 1 and no burn-in: every state the chain passes through is recorded
+    summary = run_chain(params, ChainConfig(steps=steps, seed=9))
+    for state in summary.visit_frequencies:
+        assert min(state) >= 0 and sum(state) == params.n
+        assert sum(Fraction(a) * k for a, k in zip(params.levels, state)) == Fraction(params.D)
+    if enumerable:
+        feasible = {v.counts for v in enumerate_feasible(params).vectors}
+        assert set(summary.visit_frequencies) <= feasible
+
+
+def test_small_ladder_frequencies_match_enumeration():
+    """Twelve chains pooled against the exact weights of the 19-state 1..5 / 7 / 17 ladder.
+
+    Successive states of a chain are correlated, so the standard error of a
+    pooled frequency comes from its spread between the chains, never below
+    the independent-sample value.  Each deviation is read with Student's t at
+    11 degrees of freedom, and the smallest two-sided p over the states is
+    Sidak-corrected, so the family fails as rarely as one 3-sigma deviation
+    (0.27%).  The chi-square (every state is expected at least 5 times) is
+    divided by the median variance inflation and must stay below its 0.99
+    quantile.
+    """
+    exact = enumerate_feasible(SMALL_LADDER_PARAMS)
+    weight_sum = sum(exact.weights)
+    law = {v.counts: w / weight_sum for v, w in zip(exact.vectors, exact.weights)}
+    assert len(law) == 19
+    chains = [run_chain(SMALL_LADDER_PARAMS,
+                        ChainConfig(steps=5_000, burn_in=1_500, seed=seed, thin=7))
+              for seed in range(12)]
+    k = len(chains)
+    total = sum(c.sample_count for c in chains)
+    assert total == k * chains[0].sample_count
+    assert all(set(c.visit_frequencies) <= set(law) for c in chains)
+
+    worst_p, inflation, chi2 = 1.0, [], 0.0
+    for state, p in law.items():
+        freqs = [c.visit_frequencies.get(state, 0.0) for c in chains]
+        pooled = statistics.fmean(freqs)
+        iid_var = p * (1 - p) / total
+        var = max(iid_var, statistics.variance(freqs) / k)
+        worst_p = min(worst_p, 2 * stats.t.sf(abs(pooled - p) / math.sqrt(var), k - 1))
+        assert p * total >= 5  # every state is its own chi-square cell
+        chi2 += (pooled - p) ** 2 * total / p
+        inflation.append(var / iid_var)
+    one_three_sigma = 2 * stats.norm.sf(3.0)
+    assert worst_p > -math.expm1(math.log1p(-one_three_sigma) / len(law))
+    assert chi2 / statistics.median(inflation) < stats.chi2.ppf(0.99, df=len(law) - 1)
 
 
 def test_single_state_instance_has_frequency_one():

@@ -1,13 +1,16 @@
 """Chain summaries and sampler/enumeration CLI output, pinned byte for byte.
 
-golden_chains.json was recorded at commit cc6e6b5, whose sampler rebuilt
-each state's candidate list by scanning every (i, k, j) triple, found its
-start state by backtracking and labelled irreducibility by enumerating the
-feasible set.  The cases cover the 1,2,3 / 4 / 8 oracle (also with the
-enumeration cap below and at its 3 states), the 1..5 / 7 / 17 small
-ladder, a zero bottom level, a half-unit lattice, non-uniform lattices,
-the disconnected 1,3,4 instance, a single sector and the g=10, n=60, D=180
-ladder whose feasible set is far past the cap.
+The chain summaries and the two `aym sample` outputs in golden_chains.json
+were recorded by the commit that followed af1732e, whose sampler draws one
+entry of the fixed move table uniformly each step, stays put when the move
+would empty a sector and otherwise accepts with the exact integer weight
+ratio.  The `disconnected` and `one_sector` chains (whose move tables are
+empty) and both `aym enumerate` outputs are unchanged since commit cc6e6b5.
+The cases cover the 1,2,3 / 4 / 8 oracle (also with the enumeration cap
+below and at its 3 states), the 1..5 / 7 / 17 small ladder, a zero bottom
+level, a half-unit lattice, non-uniform lattices, the disconnected 1,3,4
+instance, a single sector and the g=10, n=60, D=180 ladder whose feasible
+set is far past the cap.
 """
 
 import json

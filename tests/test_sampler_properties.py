@@ -1,4 +1,4 @@
-"""Property tests of the chain's irreducibility label on small lattices.
+"""Property tests of the chain's move table and irreducibility label on small lattices.
 
 The expected label is computed here from the enumerated feasible set and a
 breadth-first search over pair moves written out from their definition:
@@ -18,9 +18,11 @@ from aym import (
     EconomyParams,
     NoFeasibleState,
     enumerate_feasible,
+    integer_lattice,
     make_ladder,
     run_chain,
 )
+from aym.occupation_sampler import _move_table
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -102,6 +104,23 @@ def test_irreducibility_label_matches_enumeration_and_search(instance):
         assert visited in fibre
         want = "unchecked" if cap < count else expected_label(fibre, visited, levels)
         assert summary.irreducibility == want, (cap, count)
+
+
+@PROPERTY_SETTINGS
+@given(lattice_instances())
+def test_move_table_is_closed_under_reversal(instance):
+    # the chain draws table entries uniformly and accepts with w(y)/w(x) alone,
+    # which needs every move to be undone by exactly one other table entry
+    levels, _, _ = instance
+    units, _ = integer_lattice(levels)
+    table = _move_table(units)
+    entries = set(table)
+    assert len(entries) == len(table)
+    for i, up, j, down in table:
+        assert up - i == j - down > 0
+        assert units[up] - units[i] == units[j] - units[down]
+        assert j != up
+        assert (down, j, up, i) in entries
 
 
 def test_large_ladder_is_unchecked():
