@@ -241,7 +241,7 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("fit", help="fit D/n to a cumulative tail CSV (JSON)")
     sub.add_argument("--data", required=True, metavar="PATH", help="CSV with header a,p_gt")
     sub.add_argument("--a0", type=float, default=0.0, help="fixed minimal productivity")
-    sub.add_argument("--fit-a0", action="store_true", help="fit a0 as well (bounded search)")
+    sub.add_argument("--fit-a0", action="store_true", help="fit a0 as well (closed-form line fit)")
     sub.add_argument("--min-p-gt", type=float, default=1e-6,
                      help="drop points with p_gt below this")
     sub.set_defaults(handler=_cmd_fit)

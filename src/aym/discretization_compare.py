@@ -95,13 +95,13 @@ class ComparisonMetrics:
 def truncation_index(r: float, i_max: int | None = None) -> int:
     """Smallest index whose analytic tails are both below the 1e-15 threshold."""
     _check_r(r)
-    ratio = r / (r - 1.0)
-    if ratio == 1.0:
+    if r / (r - 1.0) == 1.0:
         raise DomainError(f"demand ratio {r} is too large: r/(r-1) rounds to 1 in float64 "
                           "(r must stay below about 9e15)")
     cut = -math.log(_TAIL_THRESHOLD)
     idx_epi = math.ceil(cut * (r - 1.0))
-    idx_aym = math.ceil(cut / math.log(ratio))
+    # log(r/(r-1)) through log1p: rounding the ratio first loses digits from r ~ 1e6
+    idx_aym = math.ceil(cut / math.log1p(1.0 / (r - 1.0)))
     idx = max(idx_epi, idx_aym, 1)
     if i_max is not None:
         if int(i_max) < 1:
@@ -181,7 +181,7 @@ def compare(r: float, i_max: int | None = None) -> ComparisonMetrics:
         max_rel=max_rel,
         truncation_index=idx,
         epi_tail_mass=float(math.exp(-idx / (r - 1.0))),
-        aym_tail_mass=float(((r - 1.0) / r) ** idx),
+        aym_tail_mass=math.exp(-idx * math.log1p(u)),
     )
 
 

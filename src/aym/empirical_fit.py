@@ -6,8 +6,9 @@ tail is a straight line through zero at a = a0,
 
     ln P(>a) = -(a - a0) / (D/n - a0),
 
-so fitting reduces to a closed-form zero-intercept slope in log space; when
-a0 is free a bounded scalar search wraps the closed-form inner fit.
+so fitting reduces to a closed-form zero-intercept slope in log space.  With
+a0 free the model is the weighted line ln P = slope*a + b with a0 = -b/slope,
+also in closed form, clamped to [0, smallest cut].
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .epi_distribution import make
 from .errors import (
@@ -148,27 +148,24 @@ def save_csv(dataset: TailDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _slope_fit(cuts: np.ndarray, log_p: np.ndarray, weights: np.ndarray,
-               a0: float) -> tuple[float, float, int]:
-    """Zero-intercept weighted LS slope of log_p against (a - a0).
-
-    Points at or below a0 are excluded (the model tail is 1 there).
-    Returns (slope, rss, points_used); slope is NaN when underdetermined.
-    """
-    u = cuts - a0
-    keep = u > 0
-    u, y, w = u[keep], log_p[keep], weights[keep]
-    denom = float((w * u * u).sum())
-    if denom == 0.0 or keep.sum() < 1:
-        return math.nan, math.inf, int(keep.sum())
-    slope = float((w * u * y).sum()) / denom
-    rss = float((w * (y - slope * u) ** 2).sum())
-    return slope, rss, int(keep.sum())
+def _slope_fit(u: np.ndarray, log_p: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """Zero-intercept weighted LS (slope, rss) of log_p on u = a - a0; slope NaN if unpinned."""
+    denom = float((weights * u * u).sum())
+    if denom == 0.0:
+        return math.nan, math.inf
+    slope = float((weights * u * log_p).sum()) / denom
+    return slope, float((weights * (log_p - slope * u) ** 2).sum())
 
 
 def fit_tail(data: TailDataset, a0_fixed: float | None = None,
              min_p_gt: float = DEFAULT_MIN_P_GT) -> FitResult:
     """Least-squares fit of D/n (optionally a0) on the log tail.
+
+    Points at or below a fixed a0 are excluded (the model tail is 1 there).
+    A free a0 is the weighted line's root clamped to [0, smallest cut]: there
+    every ln p <= 0 and a - a0 >= 0, so the RSS profile has no interior
+    maximum and the clamp is exact.  At the smallest cut the lowest point
+    stays in with a - a0 = 0 (the limit from the left).
 
     Raises DegenerateFit when the data cannot pin a positive decay scale
     (constant tails, fewer than two usable points, non-decreasing logs).
@@ -187,24 +184,28 @@ def fit_tail(data: TailDataset, a0_fixed: float | None = None,
     if a0_fixed is not None:
         if a0_fixed < 0:
             raise DomainError("a0 must be non-negative")
-        slope, rss, used = _slope_fit(cuts, log_p, weights, a0_fixed)
-        return _result_from_slope(slope, rss, used, a0_fixed)
+        above = cuts > a0_fixed
+        slope, rss = _slope_fit(cuts[above] - a0_fixed, log_p[above], weights[above])
+        return _result_from_slope(slope, rss, int(above.sum()), a0_fixed)
 
     hi = float(cuts.min())
     if hi <= 0:
         return fit_tail(data, a0_fixed=0.0, min_p_gt=min_p_gt)
 
-    def objective(a0: float) -> float:
-        slope, rss, _ = _slope_fit(cuts, log_p, weights, a0)
-        if not math.isfinite(slope) or slope >= 0:
-            return math.inf
-        return rss
-
-    best = minimize_scalar(objective, bounds=(0.0, hi), method="bounded",
-                           options={"xatol": 1e-10 * max(1.0, hi)})
-    a0 = float(best.x)
-    slope, rss, used = _slope_fit(cuts, log_p, weights, a0)
-    return _result_from_slope(slope, rss, used, a0)
+    total = float(weights.sum())
+    if total == 0.0:
+        raise DegenerateFit("all weights are zero")
+    a_mean = float((weights * cuts).sum()) / total
+    y_mean = float((weights * log_p).sum()) / total
+    spread = float((weights * (cuts - a_mean) ** 2).sum())
+    if spread == 0.0:
+        raise DegenerateFit("a free a0 needs weight on at least two distinct cuts")
+    line_slope = float((weights * (cuts - a_mean) * log_p).sum()) / spread
+    # root of the line: a0 = a_mean - y_mean/slope, +inf as the slope rises to 0
+    a0 = a_mean - y_mean / line_slope if line_slope < 0 else math.inf
+    a0 = min(max(a0, 0.0), hi)
+    slope, rss = _slope_fit(cuts - a0, log_p, weights)
+    return _result_from_slope(slope, rss, len(cuts), a0)
 
 
 def _result_from_slope(slope: float, rss: float, used: int, a0: float) -> FitResult:

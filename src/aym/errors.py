@@ -79,4 +79,4 @@ class DomainViolation(SolverError):
 
 
 class QuadratureFailure(SolverError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A quadrature value is not finite or its error estimate fails the gate."""

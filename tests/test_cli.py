@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from aym.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+BUNDLED_CSV = REPO / "data" / "synthetic_worker_tails.csv"
 
 
 def _run(capsys, argv):
@@ -94,6 +101,21 @@ def test_verify_table_format(capsys):
     assert len(lines) == 11
 
 
+# 1e200 underflows every integrand to 0 without NaN; the other three overflow or
+# underflow into NaN or inf, which must surface as a solver failure, not as JSON
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mean,expected", [("1e200", 0), ("1e-300", 3), ("1e300", 3),
+                                           ("1e308", 3)])
+def test_verify_extreme_means(capsys, mean, expected):
+    code, out, err = _run(capsys, ["verify", "--mean-demand", mean, "--a0", "0"])
+    assert code == expected
+    if expected == 0:
+        assert all(math.isfinite(v) for v in json.loads(out).values())
+    else:
+        assert out == ""
+        assert "error:" in err
+
+
 def test_compare_tv_column_scales(capsys):
     code, out, _ = _run(capsys, ["compare", "--r", "10,100,1000"])
     assert code == 0
@@ -176,6 +198,17 @@ def test_fit_recovers_scale(capsys, tmp_path):
     assert payload["points_used"] == 6
 
 
+def test_fit_free_a0_on_bundled_tails(capsys):
+    # the fixture is the exact law with D/n = 135, a0 = 0
+    code, out, _ = _run(capsys, ["fit", "--data", str(BUNDLED_CSV), "--fit-a0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["a0"] == pytest.approx(0.0, abs=1e-9)
+    assert payload["d_over_n"] == pytest.approx(135.0, rel=1e-9)
+    assert payload["rss_log"] < 1e-20
+    assert payload["points_used"] == 16
+
+
 def test_fit_missing_file_exits_2(capsys):
     code, _, err = _run(capsys, ["fit", "--data", "/nonexistent/tail.csv"])
     assert code == 2
@@ -231,3 +264,36 @@ def test_help_lists_flags(capsys):
     assert info.value.code == 0
     text = capsys.readouterr().out
     assert "--levels" in text and "--tol" in text and "--output" in text
+
+
+SCIPY_FREE_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy or its submodules now fails
+from aym.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    data = str(BUNDLED_CSV)
+    invocations = [
+        ["solve", "--levels", "1,2,3", "--n", "3", "--D", "6"],
+        ["generalized", "--levels", "0,1", "--n", "100", "--D", "25", "--c", "0.5"],
+        ["epi", "--mean-demand", "135", "--grid", "0,135"],
+        ["verify", "--mean-demand", "135", "--a0", "1"],
+        ["compare", "--r", "10,1e6"],
+        ["sample", "--levels", "1,2,3", "--n", "4", "--D", "8", "--steps", "500"],
+        ["enumerate", "--levels", "1,2,3", "--n", "4", "--D", "8"],
+        ["fit", "--data", data, "--fit-a0"],
+        ["overlay", "--data", data, "--d-over-n", "135", "--grid", "135"],
+    ]
+    argvs = [argv + ["--output", str(tmp_path / f"{argv[0]}.out")] for argv in invocations]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(invocations)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{argv[0]}.out" for argv in invocations)

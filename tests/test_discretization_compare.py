@@ -172,11 +172,18 @@ def test_compare_far_beyond_array_sizes():
     m = compare(1e12)
     assert m.truncation_index == truncation_index(1e12) > 3e13
     assert m.epi_tail_mass <= 1e-15
-    # q2 = (r-1)/r is rounded once to float64 and raised to the power idx, which
-    # lifts the reported aym tail 0.08% above the 1e-15 target at this r
-    assert m.aym_tail_mass <= 1.001e-15
+    assert m.aym_tail_mass <= 1e-15
     assert 0.0 < m.max_abs < m.tv_distance < 1e-12
     assert math.isfinite(m.max_rel)
+
+
+@pytest.mark.parametrize("r", [1e4, 3.3e5, 1e6, 2.7e7, 1e8, 1e9, 4.4e10, 1e11, 1e12])
+def test_aym_truncation_sits_17_to_18_sectors_above_epi(r):
+    # cut/log(1 + 1/(r-1)) = cut (r - 1) + cut/2 - O(1/r) with cut/2 = 17.3, so
+    # the aym index exceeds the epi index by 17 or 18 at every r
+    cut = -math.log(1e-15)
+    idx_epi = math.ceil(cut * (r - 1.0))
+    assert 17 <= truncation_index(r) - idx_epi <= 18
 
 
 @pytest.mark.parametrize("r,i_max", list(BAD_COMPARE_INPUTS.values()), ids=list(BAD_COMPARE_INPUTS))

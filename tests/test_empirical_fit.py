@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aym import (
     DegenerateFit,
@@ -152,6 +154,41 @@ def test_fit_with_free_support_minimum():
     result = fit_tail(data)
     assert result.a0 == pytest.approx(truth_a0, abs=1e-5)
     assert result.d_over_n == pytest.approx(truth_mean, rel=1e-6)
+
+
+def _grid_rss(cuts, log_p, weights, a0_grid):
+    """Zero-intercept RSS at each trial a0, every cut above it."""
+    u = cuts[None, :] - a0_grid[:, None]
+    slope = (weights * u * log_p).sum(axis=1) / (weights * u * u).sum(axis=1)
+    return (weights * (log_p - slope[:, None] * u) ** 2).sum(axis=1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(mean_gap=st.floats(0.5, 1e3), a0_share=st.floats(0.0, 0.95),
+       spans=st.lists(st.floats(0.01, 10.0), min_size=2, max_size=15, unique=True),
+       noisy=st.booleans(), weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_free_a0_rss_is_minimal_over_a_grid(mean_gap, a0_share, spans, noisy, weighted, seed):
+    # exact tails, or tails with 5% log-normal noise made non-increasing again
+    a0_true = a0_share * mean_gap / (1.0 - a0_share)
+    cuts = a0_true + mean_gap * np.sort(np.asarray(spans))
+    rng = np.random.default_rng(seed)
+    p = np.exp(-(cuts - a0_true) / mean_gap)
+    if noisy:
+        p = np.minimum(np.minimum.accumulate(p * np.exp(rng.normal(0.0, 0.05, p.size))), 1.0)
+    weights = rng.uniform(0.1, 2.0, p.size) if weighted else np.ones(p.size)
+    data = TailDataset(tuple(cuts), tuple(p), tuple(weights) if weighted else None)
+    try:
+        result = fit_tail(data)
+    except DegenerateFit:
+        assert p.max() == p.min()  # noise flattened the whole tail
+        return
+    hi = float(cuts.min())
+    assert 0.0 <= result.a0 <= hi
+    log_p = np.log(p)
+    grid = _grid_rss(cuts, log_p, weights, np.linspace(0.0, hi, 1000, endpoint=False))
+    # slack for float rounding only: relative 1e-12, absolute 1e-20 of sum w ln^2 p
+    slack = 1e-12 * grid.min() + 1e-20 * float((weights * log_p ** 2).sum())
+    assert result.rss_log <= grid.min() + slack
 
 
 def test_fit_robust_to_lognormal_noise():

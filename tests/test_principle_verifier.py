@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from aym import (
     DomainError,
     NumericsConfig,
+    QuadratureFailure,
     boundary_constant,
     boundary_identity_residual,
     euler_lagrange_residual,
@@ -17,6 +19,7 @@ from aym import (
     structural_principle,
     verify_all,
 )
+from aym.principle_verifier import _quad
 
 FAMILY = [make(2.0, 0.0), make(2.0, 1.0), make(135.0, 0.0), make(135.0, 1.0),
           make(1000.0, 0.0), make(1000.0, 1.0)]
@@ -182,3 +185,28 @@ def test_explicit_steps_are_honored():
 def test_derivative_mode_validation():
     with pytest.raises(DomainError):
         generating_equation_residual(make(2.0, 0.0), derivative="bogus")
+
+
+# integral_0^inf e^{-t} (1 + e^{-delta t}) dt = 1 + 1/(1 + delta): the verifier's
+# integrands are such sums, with |delta| of the order of the relative FD step
+@pytest.mark.parametrize("delta", [0.0, 1e-4, -1e-4, 1e-3, 0.25, -0.25])
+@pytest.mark.parametrize("lo,scale", [(0.0, 1.0), (1.0, 0.5), (-134.0, 135.0), (2.5, 997.5)])
+def test_quad_matches_exponential_sums(lo, scale, delta):
+    def f(a):
+        t = (a - lo) / scale
+        return np.exp(-t) * (1.0 + np.exp(-delta * t))
+
+    exact = scale * (1.0 + 1.0 / (1.0 + delta))
+    assert _quad(f, lo, scale, 1e-12) == pytest.approx(exact, rel=1e-13)
+
+
+def test_quad_gate_rejects_kinked_integrand():
+    # |t - 1| has a kink inside the span: the 48- and 96-point values differ
+    # by about 1e-3 relative, far above the 1e-6 gate
+    with pytest.raises(QuadratureFailure):
+        _quad(lambda a: np.exp(-a) * np.abs(a - 1.0), 0.0, 1.0, 1e-12)
+
+
+def test_quad_rejects_non_finite_values():
+    with pytest.raises(QuadratureFailure):
+        _quad(lambda a: np.exp(-a) / (a - a), 0.0, 1.0, 1e-12)
