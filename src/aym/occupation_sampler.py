@@ -20,18 +20,30 @@ is an exact ratio of integers,
 
 whose numerator is 0 exactly when the move would empty a sector.
 
-Irreducibility: a memoised walk counts the feasible set up to just past
+Irreducibility: count_feasible counts the feasible set up to just past
 max_enumeration without listing it; if the count fits, a search over the
 moves from the start state (moves never leave the set) must reach it all.
+The search keys a state by its digits in base n+1, so a move adds a fixed
+delta to the key.
 
-Chains are deterministic given (params, config): the generator is
-numpy's PCG64, recorded in the summary as "numpy:PCG64".
+Chains are deterministic given (params, config): the generator is numpy's
+PCG64 seeded with config.seed, recorded in the summary as "numpy:PCG64".
+Pcg64Draws reads its raw 64-bit words in blocks and decodes them exactly as
+numpy.random.Generator does.  A step takes the table index as
+integers(len(table)), a 32-bit half word: the low half of a fresh word, or
+the high half kept from the word before, and one more half per Lemire
+rejection.  Only a move with 0 < w(y)/w(x) < 1 then takes random(), one
+whole word, which leaves a kept half for the next step.  These are the
+words the per-step Generator.integers and Generator.random calls took, so
+every chain is the one those calls gave.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,6 +56,58 @@ RNG_ALGORITHM = "numpy:PCG64"
 IRREDUCIBILITY_VERIFIED = "verified"
 IRREDUCIBILITY_FAILED = "failed"
 IRREDUCIBILITY_UNCHECKED = "unchecked"
+
+_RAW_BLOCK = 1024  # PCG64 words drawn at a time; a chain holds one decoded block
+
+
+class Pcg64Draws:
+    """Generator(PCG64(seed)).integers(m) and .random() for one bound m, from raw words.
+
+    integers() and random() return what numpy's Generator returns for the
+    same interleaving of integers(m) and random() calls.  The words come from
+    PCG64.random_raw in fixed-size blocks, so memory does not grow with the
+    number of draws, and each block is decoded the way numpy decodes a word
+    (Lemire, ACM TOMACS 29(1), 2019):
+
+    * integers(m) takes 32-bit halves in stream order: the low half of a
+      fresh word, then its high half on the next call.  A half u is rejected,
+      and the next half taken, while (u*m) mod 2**32 < (2**32 - m) mod m;
+      otherwise the draw is (u*m) >> 32.  When m == 1 nothing is drawn.
+    * random() takes the next whole word w as (w >> 11) * 2**-53 and leaves a
+      kept high half for the next integers(m).
+    """
+
+    def __init__(self, seed: int, m: int):
+        if not 1 <= m < 2 ** 32:
+            raise DomainError(f"integers bound must be in [1, 2**32), got {m}")
+        self._bitgen = np.random.PCG64(seed)
+        self._m = np.uint64(m)
+        self._threshold = np.uint64((2 ** 32 - m) % m)
+        # both read one iterator of decoded words; the generator behind
+        # integers() holds a word's high half until its next call
+        words = chain.from_iterable(iter(self._block, None))
+        self.random = map(itemgetter(2), words).__next__
+        self.integers = (repeat(0) if m == 1 else self._halves(words)).__next__
+
+    def _block(self):
+        """(low-half draw, high-half draw, uniform) per raw word; a rejected half reads -1."""
+        words = self._bitgen.random_raw(_RAW_BLOCK)
+        mask, draws = np.uint64(0xFFFF_FFFF), []
+        for half in (words & mask, words >> np.uint64(32)):
+            scaled = half * self._m
+            draw = (scaled >> np.uint64(32)).astype(np.int64)
+            draw[(scaled & mask) < self._threshold] = -1
+            draws.append(draw.tolist())
+        uniforms = ((words >> np.uint64(11)) * 2.0 ** -53).tolist()
+        return zip(*draws, uniforms)
+
+    @staticmethod
+    def _halves(words):
+        for low, high, _ in words:
+            if low >= 0:
+                yield low
+            if high >= 0:
+                yield high
 
 
 @dataclass(frozen=True)
@@ -145,13 +209,25 @@ def _start_and_irreducibility(units, n: int, demand: int, table, max_enumeration
     start = first(1)[0]
     if count > max_enumeration:
         return start, IRREDUCIBILITY_UNCHECKED
-    seen = {start}
-    frontier = [start]
+    # a state is keyed by its digits in base n+1, so a move adds one fixed delta
+    # to the key, and a state gets a list of its own only when first reached
+    place = [(n + 1) ** k for k in range(len(units))]
+    steps = [(i, up, j, down, place[up] + place[down] - place[i] - place[j])
+             for i, up, j, down in table]
+    key = sum(c * p for c, p in zip(start, place))
+    seen = {key}
+    frontier = [(list(start), key)]
     while frontier:
-        for cand in _moves(frontier.pop(), table):
-            if cand not in seen:
-                seen.add(cand)
-                frontier.append(cand)
+        state, key = frontier.pop()
+        for i, up, j, down, delta in steps:
+            if state[i] and state[j] and (i != j or state[i] >= 2) and key + delta not in seen:
+                seen.add(key + delta)
+                moved = state.copy()
+                moved[i] -= 1
+                moved[up] += 1
+                moved[j] -= 1
+                moved[down] += 1
+                frontier.append((moved, key + delta))
     return start, IRREDUCIBILITY_VERIFIED if len(seen) == count else IRREDUCIBILITY_FAILED
 
 
@@ -173,23 +249,28 @@ def run_chain(params: EconomyParams, config: ChainConfig,
     table = _move_table(units)
     start, irreducibility = _start_and_irreducibility(units, n, demand, table, max_enumeration)
 
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    state = list(start)
     visits: Counter = Counter()
     accepted = 0
-    for step in range(config.steps):
-        if table:
-            i, up, j, down = table[int(rng.integers(len(table)))]
+    if not table:
+        visits[start] = len(range(config.burn_in, config.steps, config.thin))
+    else:
+        draws = Pcg64Draws(config.seed, len(table))
+        index, uniform = draws.integers, draws.random
+        state = list(start)
+        record, thin = config.burn_in, config.thin
+        for step in range(config.steps):
+            i, up, j, down = table[index()]
             num = state[i] * (state[j] - (i == j))
             den = (state[up] + 1) * (state[down] + 1 + (up == down))
-            if num and (num >= den or rng.random() * den < num):
+            if num and (num >= den or uniform() * den < num):
                 state[i] -= 1
                 state[up] += 1
                 state[j] -= 1
                 state[down] += 1
                 accepted += 1
-        if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
-            visits[tuple(state)] += 1
+            if step == record:
+                visits[tuple(state)] += 1
+                record += thin
 
     recorded = sum(visits.values())
     freqs = {s: cnt / recorded for s, cnt in visits.items()}

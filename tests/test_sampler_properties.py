@@ -1,9 +1,10 @@
-"""Property tests of the chain's move table and irreducibility label on small lattices.
+"""Property tests of the feasible-set count, the chain's move table and its irreducibility label.
 
-The expected label is computed here from the enumerated feasible set and a
-breadth-first search over pair moves written out from their definition:
-one worker moves up k sectors, another down k sectors, and demand is
-conserved.  The cap is tried just below, at and just above the count.
+The fibre (the feasible set) is listed here by stars and bars.  The
+expected label is computed from it and a breadth-first search over pair
+moves written out from their definition: one worker moves up k sectors,
+another down k sectors, and demand is conserved.  The caps are tried just
+below, at and just above the count.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from aym import (
     make_ladder,
     run_chain,
 )
+from aym.discrete_equilibrium import count_feasible
 from aym.occupation_sampler import _move_table
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -104,6 +106,38 @@ def test_irreducibility_label_matches_enumeration_and_search(instance):
         assert visited in fibre
         want = "unchecked" if cap < count else expected_label(fibre, visited, levels)
         assert summary.irreducibility == want, (cap, count)
+
+
+@PROPERTY_SETTINGS
+@given(lattice_instances())
+def test_count_feasible_matches_the_fibre(instance):
+    levels, n, D = instance
+    fibre = brute_force_fibre(levels, n, D)
+    listing = [v.counts for v in enumerate_feasible(EconomyParams(levels, n, D)).vectors]
+    units_all, _ = integer_lattice((*levels, D))
+    count = len(fibre)
+    for cap in (1, count - 1, count, count + 1, 10 ** 30):
+        if cap < 1:
+            continue
+        capped, first = count_feasible(units_all[:-1], n, units_all[-1], cap)
+        assert capped == min(count, cap), cap
+        if fibre:
+            # the walk fixes the top sector first, so it starts at the
+            # reversed-lexicographic minimum
+            assert first(1) == [min(fibre, key=lambda s: s[::-1])], cap
+        assert sorted(first(count)) == listing, cap
+
+
+@pytest.mark.parametrize("units", [(3,), (1, 2), (0, 2, 3), (1, 3, 4, 6)])
+def test_count_feasible_on_every_demand(units):
+    # one and two sectors, no workers, and demands outside the hull
+    for n in range(5):
+        for demand in range(-1, units[-1] * n + 2):
+            fibre = brute_force_fibre(units, n, demand)
+            for cap in (1, 10 ** 30):
+                capped, first = count_feasible(units, n, demand, cap)
+                assert capped == min(len(fibre), cap), (n, demand, cap)
+                assert sorted(first(len(fibre))) == sorted(fibre), (n, demand, cap)
 
 
 @PROPERTY_SETTINGS
