@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -99,6 +100,8 @@ def _grid_from_args(args) -> list[float]:
         else:
             step = (stop - start) / (count - 1) if count > 1 else 0.0
             grid.extend(start + j * step for j in range(count))
+    if not all(map(math.isfinite, grid)):
+        raise DomainError(f"grid cuts must be finite, got {grid}")
     return sorted(set(grid))
 
 

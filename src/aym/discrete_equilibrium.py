@@ -264,70 +264,66 @@ def count_feasible(units: tuple[int, ...], n: int, demand: int, cap: int):
     [0, workers].  So a sector-2 node counts the w of an arithmetic
     progression inside its bounds, and the sums start at sector 3.
 
-    first(limit) lists the first `limit` allocations in walk order,
-    remembering which nodes are dead ends.  It tries occupancies from 0 up, so
-    it asks for children by falling w, against the order of the sums: on the
-    g=10, n=60 ladder first(1) extends diagonals the capped count never
-    reached and costs more than the count.
+    first(limit) lists the first `limit` allocations in walk order: a node's
+    children by falling w (occupancy from 0 up), entering those a second
+    walker at cap 1 finds feasible, so a diagonal is extended only up to its
+    first feasible child; dead ends are remembered.  On the g=10 ladder
+    first(1) costs about 0.2 ms at n=60 and n=400, a tenth of the count.
     """
-    diagonals: dict[tuple[int, int], tuple] = {}
     u_0 = units[0]
     if len(units) > 2:
         # the w with (u_1 - u_0) | c + w*(u_2 - u_0) are w = w_c mod period
         period = (units[1] - u_0) // math.gcd(units[2] - u_0, units[1] - u_0)
         inverse = pow((units[2] - u_0) * period // (units[1] - u_0), -1, period)
 
-    def occupancies(idx: int, workers: int, dem: int) -> range:
-        ui, u_hi = units[idx], units[idx - 1]
-        # occupancy k of sector idx must leave a demand the lower sectors can meet:
-        #   (workers-k)*u_0 <= dem - k*ui <= (workers-k)*u_hi
-        k_hi = min(workers, (dem - workers * u_0) // (ui - u_0))
-        k_lo = max(0, -((-(dem - workers * u_hi)) // (ui - u_hi)))  # ceil division
-        return range(k_lo, k_hi + 1)
+    def bounds(idx: int, c: int) -> tuple[int, int]:
+        """(w_lo, w_top): w workers below can meet c + w*units[idx] iff w_lo <= w <= w_top."""
+        return max(0, -(c // (units[idx] - u_0))), (-c) // (units[idx] - units[idx - 1])
 
-    def diagonal(idx: int, c: int) -> tuple:
-        """(w_lo, w_top, sums): children w run from w_lo to min(workers, w_top).
+    def walker(cap: int):
+        """The node count, memoised per diagonal and saturating at cap."""
+        diagonals: dict[tuple[int, int], tuple] = {}
 
-        At sector 2, sums is the residue w_c of the progression (None when
-        it is empty); above, the running sums built so far.
-        """
-        ui = units[idx]
-        # the w workers left below must meet c + w*ui with levels u_0..u_{idx-1}
-        w_lo, w_top = max(0, -(c // (ui - u_0))), (-c) // (ui - units[idx - 1])
-        if idx > 2:
-            sums = []
-        else:
-            step, rem = divmod(c * period, units[1] - u_0)
-            sums = None if rem else -step * inverse % period
-        diagonals[idx, c] = w_lo, w_top, sums
-        return w_lo, w_top, sums
+        def diagonal(idx: int, c: int) -> tuple:
+            """(w_lo, w_top, sums): the running sums built so far or, at sector 2,
+            the residue w_c of the progression (None when it is empty)."""
+            if idx > 2:
+                sums = []
+            else:
+                step, rem = divmod(c * period, units[1] - u_0)
+                sums = None if rem else -step * inverse % period
+            diagonals[idx, c] = entry = (*bounds(idx, c), sums)
+            return entry
 
-    def count(idx: int, workers: int, dem: int) -> int:
-        if idx == 0:
-            return int(u_0 * workers == dem)
-        if idx == 1:
-            top, rem = divmod(dem - u_0 * workers, units[1] - u_0)
-            return int(rem == 0 and 0 <= top <= workers)
-        c = dem - workers * units[idx]
-        w_lo, w_top, sums = diagonals.get((idx, c)) or diagonal(idx, c)
-        w_hi = workers if workers < w_top else w_top
-        if w_hi < w_lo or sums is None:
-            return 0
-        if idx == 2:
-            return min(cap, (w_hi - sums) // period - (w_lo - 1 - sums) // period)
-        if w_hi - w_lo < len(sums):
-            return sums[w_hi - w_lo]
-        total = sums[-1] if sums else 0
-        for w in range(w_lo + len(sums), w_hi + 1):
-            if total == cap:
-                break
-            total = min(cap, total + count(idx - 1, w, c + w * units[idx]))
-            sums.append(total)
-        return total
+        def count(idx: int, workers: int, dem: int) -> int:
+            if idx == 0:
+                return int(u_0 * workers == dem)
+            if idx == 1:
+                top, rem = divmod(dem - u_0 * workers, units[1] - u_0)
+                return int(rem == 0 and 0 <= top <= workers)
+            c = dem - workers * units[idx]
+            w_lo, w_top, sums = diagonals.get((idx, c)) or diagonal(idx, c)
+            w_hi = workers if workers < w_top else w_top
+            if w_hi < w_lo or sums is None:
+                return 0
+            if idx == 2:
+                return min(cap, (w_hi - sums) // period - (w_lo - 1 - sums) // period)
+            if w_hi - w_lo < len(sums):
+                return sums[w_hi - w_lo]
+            total = sums[-1] if sums else 0
+            for w in range(w_lo + len(sums), w_hi + 1):
+                if total == cap:
+                    break
+                total = min(cap, total + count(idx - 1, w, c + w * units[idx]))
+                sums.append(total)
+            return total
+
+        return count
 
     def first(limit: int) -> list[tuple[int, ...]]:
         found, prefix = [], [0] * len(units)
         dead_ends: dict[tuple[int, int, int], bool] = {}
+        feasible = walker(1)
 
         def descend(idx: int, workers: int, dem: int) -> bool:
             """Fill sectors idx..0 along nodes that count some; False once limit are found."""
@@ -335,22 +331,24 @@ def count_feasible(units: tuple[int, ...], n: int, demand: int, cap: int):
                 prefix[0] = workers
                 found.append(tuple(prefix))
                 return len(found) < limit
-            for k in occupancies(idx, workers, dem):
-                child = (idx - 1, workers - k, dem - k * units[idx])
+            c = dem - workers * units[idx]
+            w_lo, w_top = bounds(idx, c)
+            for w in range(min(workers, w_top), w_lo - 1, -1):
+                child = (idx - 1, w, c + w * units[idx])
                 dead = dead_ends.get(child)
                 if dead is None:
-                    dead = dead_ends[child] = not count(*child)
+                    dead = dead_ends[child] = not feasible(*child)
                 if not dead:
-                    prefix[idx] = k
+                    prefix[idx] = workers - w
                     if not descend(*child):
                         return False
             return True
 
-        if count(len(units) - 1, n, demand):
+        if feasible(len(units) - 1, n, demand):
             descend(len(units) - 1, n, demand)
         return found
 
-    return count(len(units) - 1, n, demand), first
+    return walker(cap)(len(units) - 1, n, demand), first
 
 
 @dataclass(frozen=True)

@@ -101,8 +101,11 @@ def truncation_index(r: float, i_max: int | None = None) -> int:
     cut = -math.log(_TAIL_THRESHOLD)
     idx_epi = math.ceil(cut * (r - 1.0))
     # log(r/(r-1)) through log1p: rounding the ratio first loses digits from r ~ 1e6
-    idx_aym = math.ceil(cut / math.log1p(1.0 / (r - 1.0)))
-    idx = max(idx_epi, idx_aym, 1)
+    log_ratio = math.log1p(1.0 / (r - 1.0))
+    idx = max(idx_epi, math.ceil(cut / log_ratio), 1)
+    # the closed forms round; step on until both tails, as compare() reports them, are below
+    while max(math.exp(-idx / (r - 1.0)), math.exp(-idx * log_ratio)) > _TAIL_THRESHOLD:
+        idx += 1
     if i_max is not None:
         if int(i_max) < 1:
             raise DomainError(f"i_max must be at least 1, got {i_max}")

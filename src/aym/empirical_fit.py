@@ -116,6 +116,8 @@ def load_csv(path) -> TailDataset:
                 values = [float(p) for p in parts]
             except ValueError:
                 raise ParseError(lineno, f"non-numeric value in {line!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError(lineno, f"non-finite value in {line!r}")
             a, p = values[0], values[1]
             if not 0.0 < p <= 1.0:
                 raise ParseError(lineno, f"p_gt must lie in (0, 1], got {p}")

@@ -120,8 +120,8 @@ def make(mean_demand: float, a0: float = 0.0) -> EpiDistribution:
     """
     if a0 < 0:
         raise DomainError("minimal productivity a0 must be non-negative")
-    if not mean_demand > a0:
-        raise DomainError(f"mean demand {mean_demand} must exceed a0 = {a0}")
+    if not a0 < mean_demand < math.inf:
+        raise DomainError(f"mean demand {mean_demand} must be finite and exceed a0 = {a0}")
     return EpiDistribution(float(mean_demand), float(a0), 1.0 / (2.0 * (mean_demand - a0)))
 
 

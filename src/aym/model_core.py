@@ -84,8 +84,9 @@ def validate(params: EconomyParams) -> EconomyParams:
     for lo, hi in zip(params.levels, params.levels[1:]):
         if not lo < hi:
             raise NonMonotoneLevels(f"levels must be strictly increasing, got {lo} before {hi}")
-    if params.levels[0] < 0:
-        raise DomainError("productivity levels must be non-negative")
+    if not 0 <= params.levels[0] <= params.levels[-1] < math.inf:
+        raise DomainError("levels must be non-negative and finite, "
+                          f"got {params.levels[0]} to {params.levels[-1]}")
     if not (params.n > 0 and math.isfinite(params.n)):
         raise DomainError(f"worker count must be positive and finite, got {params.n}")
     if not (params.D > 0 and math.isfinite(params.D)):
@@ -93,8 +94,8 @@ def validate(params: EconomyParams) -> EconomyParams:
     lo, hi = params.levels[0] * params.n, params.levels[-1] * params.n
     if not (lo <= params.D <= hi):
         raise InfeasibleDemand(f"demand {params.D} outside feasible hull [{lo}, {hi}]")
-    if params.a0 < 0:
-        raise DomainError("minimal productivity a0 must be non-negative")
+    if not 0 <= params.a0 < math.inf:
+        raise DomainError(f"minimal productivity a0 must be finite and >= 0, got {params.a0}")
     return params
 
 

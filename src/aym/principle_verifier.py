@@ -196,13 +196,8 @@ def regularity_residual(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUM
                      magnitude=1.0 / dist.scale ** 2))
 
 
-def structural_principle(dist: EpiDistribution,
-                         cfg: NumericsConfig = DEFAULT_NUMERICS) -> tuple[float, float]:
-    """Structural functional Q and the balance residual |I + Q|.
-
-    Q = (1/2) integral (q d^2q/dtheta^2 - (dq/dtheta)^2) da; the capacity I
-    is taken from the metric form.  Expected Q = -I.
-    """
+def _structural_q(dist: EpiDistribution, cfg: NumericsConfig) -> float:
+    """Q = (1/2) integral (q d^2q/dtheta^2 - (dq/dtheta)^2) da."""
     h = cfg.step_theta(dist)
     up, down = make(dist.mean_demand + h, dist.a0), make(dist.mean_demand - h, dist.a0)
 
@@ -213,24 +208,30 @@ def structural_principle(dist: EpiDistribution,
         dq = (qp - qm) / (2.0 * h)
         return 0.5 * (q0 * d2q - dq * dq)
 
-    q_value = _quad(integrand, dist.a0, dist.scale, cfg.quadrature_tol)
-    capacity = fisher_metric_form(dist, cfg)
-    return q_value, abs(capacity + q_value)
+    return _quad(integrand, dist.a0, dist.scale, cfg.quadrature_tol)
 
 
-def _grid_q(dist: EpiDistribution, cfg: NumericsConfig):
+def structural_principle(dist: EpiDistribution,
+                         cfg: NumericsConfig = DEFAULT_NUMERICS) -> tuple[float, float]:
+    """Structural functional Q and the balance residual |I + Q|.
+
+    Q = (1/2) integral (q d^2q/dtheta^2 - (dq/dtheta)^2) da; the capacity I
+    is taken from the metric form.  Expected Q = -I.
+    """
+    q_value = _structural_q(dist, cfg)
+    return q_value, abs(fisher_metric_form(dist, cfg) + q_value)
+
+
+def _grid(dist: EpiDistribution, cfg: NumericsConfig, derivative: str, h: float):
+    """(x, q, q'') on the grid; q'' analytic or by central differences of step h."""
     x = cfg.x_grid(dist)
-    return x, dist.amplitude(x, clipped=False)
-
-
-def _second_derivative(dist: EpiDistribution, x: np.ndarray, q: np.ndarray,
-                       derivative: str, h: float) -> np.ndarray:
+    q = dist.amplitude(x, clipped=False)
     if derivative == "analytic":
-        return dist.alpha ** 2 * q
+        return x, q, dist.alpha ** 2 * q
     if derivative == "fd":
         up = dist.amplitude(x + h, clipped=False)
         down = dist.amplitude(x - h, clipped=False)
-        return (up - 2.0 * q + down) / (h * h)
+        return x, q, (up - 2.0 * q + down) / (h * h)
     raise DomainError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
 
 
@@ -239,9 +240,7 @@ def pointwise_information_density(dist: EpiDistribution,
                                   derivative: str = "analytic",
                                   step: float | None = None) -> float:
     """max |k(x)| with k = -(1/2) q q'' + (1/4) q^2 * 2 alpha^2; identically 0."""
-    x, q = _grid_q(dist, cfg)
-    h = step if step is not None else cfg.step_x(dist)
-    d2q = _second_derivative(dist, x, q, derivative, h)
+    _, q, d2q = _grid(dist, cfg, derivative, step if step is not None else cfg.step_x(dist))
     k = -0.5 * q * d2q + 0.25 * q * q * (2.0 * dist.alpha ** 2)
     return float(np.abs(k).max())
 
@@ -251,9 +250,7 @@ def generating_equation_residual(dist: EpiDistribution,
                                  derivative: str = "fd",
                                  step: float | None = None) -> float:
     """max |q'' - alpha^2 q| over the grid; 0 analytically, O(h^2) under FD."""
-    x, q = _grid_q(dist, cfg)
-    h = step if step is not None else cfg.step_x(dist)
-    d2q = _second_derivative(dist, x, q, derivative, h)
+    _, q, d2q = _grid(dist, cfg, derivative, step if step is not None else cfg.step_x(dist))
     return float(np.abs(d2q - dist.alpha ** 2 * q).max())
 
 
@@ -269,12 +266,11 @@ def euler_lagrange_residual(dist: EpiDistribution,
     residual for the trial amplitude q*(1 + eps*x), which grows linearly in
     eps (the solution is the unique zero of the functional derivative).
     """
-    x, q = _grid_q(dist, cfg)
+    if perturbation == 0.0:
+        return generating_equation_residual(dist, cfg, derivative, step)
     h = step if step is not None else cfg.step_x(dist)
+    x, q, _ = _grid(dist, cfg, derivative, h)
     eps = perturbation
-    if eps == 0.0:
-        d2q = _second_derivative(dist, x, q, derivative, h)
-        return float(np.abs(d2q - dist.alpha ** 2 * q).max())
     trial = q * (1.0 + eps * x)
     if derivative == "analytic":
         # (q (1+eps x))'' = q''(1+eps x) + 2 eps q' with q' = -alpha q
@@ -293,9 +289,7 @@ def qtilde_recovered(dist: EpiDistribution,
 
     Returns (mean, standard deviation); constant 2*alpha^2 on the solution.
     """
-    x, q = _grid_q(dist, cfg)
-    h = cfg.step_x(dist)
-    d2q = _second_derivative(dist, x, q, derivative, h)
+    _, q, d2q = _grid(dist, cfg, derivative, cfg.step_x(dist))
     profile = 2.0 * d2q / q
     return float(profile.mean()), float(profile.std())
 
@@ -334,17 +328,18 @@ def boundary_identity_residual(dist: EpiDistribution,
 
 def verify_all(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> PrincipleReport:
     """Evaluate every identity and assemble the report (kappa fixed at 1)."""
-    q_value, q_residual = structural_principle(dist, cfg)
+    capacity, q_value = fisher_metric_form(dist, cfg), _structural_q(dist, cfg)
+    generating = generating_equation_residual(dist, cfg, derivative="fd")
     qtilde_mean, _ = qtilde_recovered(dist, cfg, derivative="analytic")
     return PrincipleReport(
-        fisher_metric=fisher_metric_form(dist, cfg),
+        fisher_metric=capacity,
         fisher_statistical=fisher_statistical(dist, cfg),
         fisher_kinematical=fisher_kinematical(dist, cfg),
         structural_Q=q_value,
-        structural_residual=q_residual,
+        structural_residual=abs(capacity + q_value),
         epi_residual_pointwise=pointwise_information_density(dist, cfg, derivative="analytic"),
-        generating_residual=generating_equation_residual(dist, cfg, derivative="fd"),
-        euler_lagrange_residual=euler_lagrange_residual(dist, cfg, derivative="fd"),
+        generating_residual=generating,
+        euler_lagrange_residual=generating,  # the same equation at the solution
         qtilde_value=qtilde_mean,
         boundary_constant=boundary_constant(dist),
         kappa=1.0,

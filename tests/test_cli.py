@@ -141,6 +141,32 @@ def test_compare_bad_input_exits_2(capsys, flags):
     assert "error:" in err
 
 
+INF_CUT_CSV = "a,p_gt\n1,0.5\ninf,0.1\n"
+
+
+@pytest.mark.parametrize("argv,csv", [
+    (["solve", "--levels", "1,inf", "--n", "3", "--D", "4"], None),
+    (["solve", "--levels", "1,2,3", "--n", "3", "--D", "6", "--a0", "nan"], None),
+    (["solve", "--levels", "1,2,3", "--n", "3", "--D", "6", "--a0", "inf"], None),
+    (["epi", "--mean-demand", "inf", "--grid", "1,2"], None),
+    (["overlay", "--d-over-n", "inf", "--grid", "1,2"], None),
+    (["verify", "--mean-demand", "inf"], None),
+    (["epi", "--mean-demand", "2", "--grid", "nan,1"], None),
+    (["overlay", "--d-over-n", "2", "--data", "{csv}"], INF_CUT_CSV),
+    (["fit", "--fit-a0", "--data", "{csv}"], INF_CUT_CSV),
+    (["fit", "--data", "{csv}"], "a,p_gt,w\n1,0.5,1\n2,0.1,nan\n"),
+], ids=["levels-inf", "a0-nan", "a0-inf", "epi-mean-inf", "overlay-mean-inf", "verify-mean-inf",
+        "epi-grid-nan", "overlay-csv-inf-cut", "fit-csv-inf-cut", "fit-csv-nan-weight"])
+def test_non_finite_input_exits_2(capsys, tmp_path, argv, csv):
+    if csv is not None:
+        (tmp_path / "tails.csv").write_text(csv, encoding="utf-8")
+        argv = [str(tmp_path / "tails.csv") if arg == "{csv}" else arg for arg in argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 2, err
+    assert out == ""
+    assert "error:" in err
+
+
 def test_epi_curve_values(capsys):
     code, out, _ = _run(capsys, ["epi", "--mean-demand", "135", "--a0", "0",
                                  "--grid", "0,135"])

@@ -177,6 +177,19 @@ def test_compare_far_beyond_array_sizes():
     assert math.isfinite(m.max_rel)
 
 
+def test_reported_tails_stay_below_threshold_at_large_r():
+    # past r ~ 7e9 the closed-form index can fall up to ~50 sectors short; the
+    # tails compare() reports must still be <= 1e-15, and small r must keep it
+    for r in np.geomspace(1e11, 8e15, 300):
+        m = compare(float(r))
+        assert m.epi_tail_mass <= 1e-15 and m.aym_tail_mass <= 1e-15, r
+    cut = -math.log(1e-15)
+    for r in np.geomspace(1.001, 1e7, 300):
+        r = float(r)
+        closed = max(math.ceil(cut * (r - 1.0)), math.ceil(cut / math.log1p(1.0 / (r - 1.0))), 1)
+        assert truncation_index(r) == closed, r
+
+
 @pytest.mark.parametrize("r", [1e4, 3.3e5, 1e6, 2.7e7, 1e8, 1e9, 4.4e10, 1e11, 1e12])
 def test_aym_truncation_sits_17_to_18_sectors_above_epi(r):
     # cut/log(1 + 1/(r-1)) = cut (r - 1) + cut/2 - O(1/r) with cut/2 = 17.3, so

@@ -152,6 +152,8 @@ def test_report_assembles_all_fields():
     assert report.epi_residual_pointwise < 1e-12
     assert report.qtilde_value == pytest.approx(2.0 * dist.alpha ** 2, rel=1e-10)
     assert report.boundary_constant == pytest.approx(8.0 * dist.alpha ** 2, rel=1e-10)
+    assert report.structural_residual == abs(report.fisher_metric + report.structural_Q)
+    assert report.euler_lagrange_residual == generating_equation_residual(dist, derivative="fd")
     payload = report.to_json_dict()
     assert list(payload) == [
         "fisher_metric", "fisher_statistical", "fisher_kinematical",
