@@ -5,91 +5,65 @@ occupations), exact enumeration and Metropolis cross-checks, the continuous
 information-theoretic productivity law with a numerical verifier for the
 information principles that generate it, sector-binned comparison of the
 two formulations, and tail fitting against empirical cumulative data.
+
+Each public name loads its module on first use (PEP 562), so ``import aym``
+alone imports no numpy, and a cold ``python -m aym`` run loads only the
+modules its subcommand needs.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AymError,
-    DegenerateFit,
-    DomainError,
-    DomainViolation,
-    EmptyDataset,
-    EmptyLadder,
-    InfeasibleDemand,
-    InstanceTooLarge,
-    MonotonicityError,
-    NoConvergence,
-    NoFeasibleState,
-    NonMonotoneLevels,
-    ParseError,
-    QuadratureFailure,
-    SolverError,
-    ValidationError,
-)
-from .model_core import (
-    EconomyParams,
-    LadderRatio,
-    OccupationVector,
-    integer_lattice,
-    ladder_ratio,
-    make_ladder,
-    params_from_json,
-    params_to_json,
-    validate,
-)
-from .discrete_equilibrium import (
-    EnumerationResult,
-    EquilibriumSolution,
-    Multipliers,
-    StirlingReport,
-    closed_form_ladder,
-    enumerate_feasible,
-    ladder_limit_form,
-    log_multinomial_weight,
-    solve_boltzmann,
-    solve_generalized,
-    stirling_consistency,
-)
-from .occupation_sampler import (
-    ChainConfig,
-    SampleSummary,
-    merge_summaries,
-    propose_pair_move,
-    run_chain,
-)
-from .epi_distribution import Displacement, EpiDistribution, curve_csv, make
-from .principle_verifier import (
-    NumericsConfig,
-    PrincipleReport,
-    boundary_constant,
-    boundary_identity_residual,
-    euler_lagrange_residual,
-    fisher_kinematical,
-    fisher_metric_form,
-    fisher_statistical,
-    generating_equation_residual,
-    pointwise_information_density,
-    qtilde_recovered,
-    regularity_residual,
-    structural_principle,
-    verify_all,
-)
-from .discretization_compare import (
-    ComparisonMetrics,
-    asymptotic_ladder_pmf,
-    asymptotic_zero_min_pmf,
-    aym_ladder_pmf,
-    compare,
-    compare_sweep_csv,
-    epi_binned_ladder,
-    epi_binned_zero_min,
-)
-from .empirical_fit import (
-    FitResult,
-    TailDataset,
-    emit_overlay,
-    fit_tail,
-    load_csv,
-    save_csv,
-)
+_EXPORTS = {
+    "errors": (
+        "AymError", "DegenerateFit", "DomainError", "DomainViolation", "EmptyDataset",
+        "EmptyLadder", "InfeasibleDemand", "InstanceTooLarge", "MonotonicityError",
+        "NoConvergence", "NoFeasibleState", "NonMonotoneLevels", "ParseError", "QuadratureFailure",
+        "SolverError", "ValidationError",
+    ),
+    "model_core": (
+        "EconomyParams", "LadderRatio", "OccupationVector", "integer_lattice", "ladder_ratio",
+        "make_ladder", "params_from_json", "params_to_json", "validate",
+    ),
+    "discrete_equilibrium": (
+        "EnumerationResult", "EquilibriumSolution", "Multipliers", "StirlingReport",
+        "closed_form_ladder", "enumerate_feasible", "ladder_limit_form", "log_multinomial_weight",
+        "solve_boltzmann", "solve_generalized", "stirling_consistency",
+    ),
+    "occupation_sampler": (
+        "ChainConfig", "SampleSummary", "merge_summaries", "propose_pair_move", "run_chain",
+    ),
+    "epi_distribution": ("Displacement", "EpiDistribution", "curve_csv", "make"),
+    "principle_verifier": (
+        "NumericsConfig", "PrincipleReport", "boundary_constant", "boundary_identity_residual",
+        "euler_lagrange_residual", "fisher_kinematical", "fisher_metric_form",
+        "fisher_statistical", "generating_equation_residual", "pointwise_information_density",
+        "qtilde_recovered", "regularity_residual", "structural_principle", "verify_all",
+    ),
+    "discretization_compare": (
+        "ComparisonMetrics", "asymptotic_ladder_pmf", "asymptotic_zero_min_pmf", "aym_ladder_pmf",
+        "compare", "compare_sweep_csv", "epi_binned_ladder", "epi_binned_zero_min",
+    ),
+    "empirical_fit": (
+        "FitResult", "TailDataset", "emit_overlay", "fit_tail", "load_csv", "save_csv",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Import a public name's module (or a submodule) on first access."""
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -17,14 +17,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .discrete_equilibrium import enumerate_feasible, solve_boltzmann, solve_generalized
-from .discretization_compare import compare_sweep_csv
-from .empirical_fit import emit_overlay, fit_tail, load_csv
-from .epi_distribution import curve_csv, make
 from .errors import DomainError, SolverError, ValidationError
 from .model_core import EconomyParams, params_from_json
-from .occupation_sampler import ChainConfig, run_chain
-from .principle_verifier import NumericsConfig, verify_all
+
+# Each handler imports its own numeric modules, so --version, --help and a
+# malformed flag load no numpy, and a subcommand loads only what it runs.
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "AYM_OUTPUT_DIR"
@@ -106,22 +103,27 @@ def _grid_from_args(args) -> list[float]:
 
 
 def _cmd_solve(args) -> str:
+    from .discrete_equilibrium import solve_boltzmann
     solution = solve_boltzmann(_economy_from_args(args), tol=args.tol)
     return _json_text({"schema_version": SCHEMA_VERSION, **solution.to_json_dict()})
 
 
 def _cmd_generalized(args) -> str:
+    from .discrete_equilibrium import solve_generalized
     solution = solve_generalized(_economy_from_args(args), c=args.c, tol=args.tol)
     return _json_text({"schema_version": SCHEMA_VERSION, **solution.to_json_dict()})
 
 
 def _cmd_epi(args) -> str:
+    from .epi_distribution import curve_csv, make
     dist = make(args.mean_demand, args.a0)
     grid = _grid_from_args(args)
     return curve_csv(dist, grid)
 
 
 def _cmd_verify(args) -> str:
+    from .epi_distribution import make
+    from .principle_verifier import NumericsConfig, verify_all
     cfg = NumericsConfig(
         fd_step_theta=args.fd_step_theta,
         fd_step_x=args.fd_step_x,
@@ -139,10 +141,12 @@ def _cmd_verify(args) -> str:
 
 
 def _cmd_compare(args) -> str:
+    from .discretization_compare import compare_sweep_csv
     return compare_sweep_csv(args.r, args.i_max)
 
 
 def _cmd_sample(args) -> str:
+    from .occupation_sampler import ChainConfig, run_chain
     config = ChainConfig(steps=args.steps, burn_in=args.burn_in,
                          seed=args.seed, thin=args.thin)
     summary = run_chain(_economy_from_args(args), config)
@@ -152,6 +156,7 @@ def _cmd_sample(args) -> str:
 
 
 def _cmd_enumerate(args) -> str:
+    from .discrete_equilibrium import enumerate_feasible
     result = enumerate_feasible(_economy_from_args(args), max_vectors=args.cap)
     if args.format == "csv":
         lines = ["state,weight,log_weight"]
@@ -171,6 +176,7 @@ def _cmd_enumerate(args) -> str:
 
 
 def _cmd_fit(args) -> str:
+    from .empirical_fit import fit_tail, load_csv
     data = load_csv(args.data)
     a0_fixed = None if args.fit_a0 else args.a0
     result = fit_tail(data, a0_fixed=a0_fixed, min_p_gt=args.min_p_gt)
@@ -178,6 +184,7 @@ def _cmd_fit(args) -> str:
 
 
 def _cmd_overlay(args) -> str:
+    from .empirical_fit import emit_overlay, load_csv
     data = load_csv(args.data) if args.data is not None else None
     grid = _grid_from_args(args)
     return emit_overlay(data, args.d_over_n, args.a0, grid)
@@ -277,8 +284,12 @@ def _resolve_output(path: str | None) -> Path | None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    destination = _resolve_output(args.output)
     try:
         text = args.handler(args)
+        if destination is not None:
+            destination.parent.mkdir(parents=True, exist_ok=True)
+            destination.write_text(text, encoding="utf-8")
     except ValidationError as exc:
         print(f"aym {args.subcommand}: error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -288,16 +299,19 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"aym {args.subcommand}: error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    destination = _resolve_output(args.output)
     if destination is None:
         sys.stdout.write(text)
-    else:
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        destination.write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
 def run() -> None:
+    """Entry point of ``python -m aym`` and the ``aym`` console script."""
+    # numpy's OpenBLAS starts a thread pool sized to the cores at import, and
+    # its spinning threads cost a cold run about as much CPU as the import
+    # itself; aym's largest BLAS call is a 96-point dot product, which the pool
+    # never speeds up.  This runs before any numpy import, and setdefault
+    # leaves a value the user set alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -96,8 +96,9 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     pole and n_i = 1/(c expm1(s + d_i)): near the pole t keeps too few digits
     of s, while for small c n it is s that loses them.
 
-    Feasibility is settled before iterating.  c n^2 must be finite
-    (DomainError) and D/n strictly inside (a_1, a_g) (InfeasibleDemand).
+    Feasibility is settled before iterating.  tol must be finite and
+    non-negative and c n^2 finite (DomainError); tol = 0 asks for the float
+    floor below.  D/n must lie strictly inside (a_1, a_g) (InfeasibleDemand).
     For c < 0 each n_i is below 1/|c|, so a solution needs n <= g/|c| and
     D between the outputs of filling the sectors bottom-up and top-down at
     1/|c| workers each; DomainViolation is raised otherwise.  Boundary
@@ -111,6 +112,8 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     pull beta off its root.  The floors follow the current iterate; the
     reported residuals are the true values.
     """
+    if not 0 <= tol < math.inf:  # max(nan, floor) is nan, which no residual meets
+        raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
     params = validate(params)
     a = np.asarray(params.levels, dtype=float)
     n, D, g = params.n, params.D, params.g
@@ -371,9 +374,12 @@ def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> Enu
 
     Levels and D must sit on a common integer lattice; n must be integral.
     Raises InstanceTooLarge past max_vectors feasible vectors, counted before
-    any is built (see count_feasible).  Determinism:
-    vectors are emitted in lexicographically increasing order of counts.
+    any is built (see count_feasible), and DomainError for a negative cap.
+    Determinism: vectors are emitted in lexicographically increasing order
+    of counts.
     """
+    if max_vectors < 0:
+        raise DomainError(f"enumeration cap must be non-negative, got {max_vectors}")
     if params.n != int(params.n) or params.n < 0:
         raise DomainError(f"enumeration needs an integral non-negative n, got {params.n}")
     n = int(params.n)
@@ -387,7 +393,7 @@ def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> Enu
     units_all, _ = integer_lattice((*params.levels, params.D))
     units, demand = units_all[:-1], units_all[-1]
 
-    count, first = count_feasible(units, n, demand, max(max_vectors, 0) + 1)
+    count, first = count_feasible(units, n, demand, max_vectors + 1)
     if count > max_vectors:
         raise InstanceTooLarge(
             f"more than {max_vectors} feasible vectors; raise the cap to enumerate")

@@ -253,6 +253,34 @@ def test_overlay_model_columns(capsys):
     assert float(cells[4]) == pytest.approx(math.exp(-135.0 / 170.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("target", [
+    "{file}/result.json",
+    pytest.param("/dev/full", marks=pytest.mark.skipif(not Path("/dev/full").exists(),
+                                                        reason="no /dev/full")),
+], ids=["parent-is-a-file", "disk-full"])
+def test_unwritable_output_exits_2(capsys, tmp_path, target):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["solve", "--levels", "1,2,3", "--n", "3", "--D", "6",
+                                   "--output", target.format(file=blocker)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("aym solve: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--levels", "1,2,3", "--n", "3", "--D", "5", "--tol", "nan"],
+    ["solve", "--levels", "1,2,3", "--n", "3", "--D", "5", "--tol", "inf"],
+    ["generalized", "--levels", "1,2,3", "--n", "3", "--D", "5", "--c", "1", "--tol", "-1"],
+    ["enumerate", "--levels", "1,2,3", "--n", "4", "--D", "8", "--cap", "-3"],
+], ids=["tol-nan", "tol-inf", "tol-negative", "cap-negative"])
+def test_bad_tolerance_or_cap_exits_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2, err
+    assert out == ""
+    assert "must be" in err
+
+
 def test_output_file_and_determinism(capsys, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for path in (out1, out2):
@@ -292,6 +320,19 @@ def test_help_lists_flags(capsys):
     assert "--levels" in text and "--tol" in text and "--output" in text
 
 
+def _python(code, *args, **env_overrides):
+    """Run ``python -c code args`` on this checkout's sources; None unsets a variable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    for key, value in env_overrides.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 SCIPY_FREE_RUN = """
 import json, sys
 sys.modules["scipy"] = None  # any import of scipy or its submodules now fails
@@ -314,12 +355,88 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         ["overlay", "--data", data, "--d-over-n", "135", "--grid", "135"],
     ]
     argvs = [argv + ["--output", str(tmp_path / f"{argv[0]}.out")] for argv in invocations]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _python(SCIPY_FREE_RUN, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0] * len(invocations)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"{argv[0]}.out" for argv in invocations)
+
+
+# the package's 73 public names; a lazy export table that drops one breaks `from aym import`
+PUBLIC_NAMES = sorted("""
+AymError ChainConfig ComparisonMetrics DegenerateFit Displacement DomainError
+DomainViolation EconomyParams EmptyDataset EmptyLadder EnumerationResult EpiDistribution
+EquilibriumSolution FitResult InfeasibleDemand InstanceTooLarge LadderRatio
+MonotonicityError Multipliers NoConvergence NoFeasibleState NonMonotoneLevels
+NumericsConfig OccupationVector ParseError PrincipleReport QuadratureFailure
+SampleSummary SolverError StirlingReport TailDataset ValidationError
+asymptotic_ladder_pmf asymptotic_zero_min_pmf aym_ladder_pmf boundary_constant
+boundary_identity_residual closed_form_ladder compare compare_sweep_csv curve_csv
+emit_overlay enumerate_feasible epi_binned_ladder epi_binned_zero_min
+euler_lagrange_residual fisher_kinematical fisher_metric_form fisher_statistical
+fit_tail generating_equation_residual integer_lattice ladder_limit_form ladder_ratio
+load_csv log_multinomial_weight make make_ladder merge_summaries params_from_json
+params_to_json pointwise_information_density propose_pair_move qtilde_recovered
+regularity_residual run_chain save_csv solve_boltzmann solve_generalized
+stirling_consistency structural_principle validate verify_all
+""".split())
+
+NUMPY_FREE_RUN = """
+import json, os, sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+environ = dict(os.environ)
+import aym
+from aym.cli import main
+codes = []
+for argv in (["--version"], ["--help"], ["solve", "--bogus"]):
+    try:
+        main(argv)
+    except SystemExit as exc:
+        codes.append(exc.code)
+try:
+    aym.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({"codes": codes, "all": sorted(aym.__all__), "missing": missing,
+                  "environ_unchanged": dict(os.environ) == environ}))
+"""
+
+
+def test_import_and_usage_paths_load_no_numpy():
+    proc = _python(NUMPY_FREE_RUN)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().split("\n")[-1])
+    assert report["codes"] == [0, 0, 64]
+    assert report["all"] == PUBLIC_NAMES
+    assert "no_such_name" in report["missing"]
+    assert report["environ_unchanged"]
+
+
+def test_every_public_name_resolves():
+    import aym
+
+    assert len(PUBLIC_NAMES) == 73
+    assert all(getattr(aym, name) is not None for name in PUBLIC_NAMES)
+    assert sorted(aym.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(aym))
+    assert aym.solve_boltzmann is aym.discrete_equilibrium.solve_boltzmann
+    assert not hasattr(aym, "no_such_name")
+
+
+RUN_ENV_PROBE = """
+import json, os, sys
+import aym.cli
+def probe(argv=None):
+    print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules]))
+    return 0
+aym.cli.main = probe
+aym.cli.run()
+"""
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")], ids=["unset", "user-set"])
+def test_run_limits_blas_threads_before_numpy(preset, expected):
+    proc = _python(RUN_ENV_PROBE, OPENBLAS_NUM_THREADS=preset)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [expected, False]

@@ -246,6 +246,28 @@ def test_enumeration_respects_cap():
         enumerate_feasible(EconomyParams((1, 2, 3), 100, 200), max_vectors=10)
 
 
+def test_negative_enumeration_cap_is_domain_error():
+    with pytest.raises(DomainError, match="cap"):
+        enumerate_feasible(EconomyParams((1, 2, 3), 4, 8), max_vectors=-3)
+    # a zero cap is valid: any feasible vector is one too many, none is fine
+    with pytest.raises(InstanceTooLarge):
+        enumerate_feasible(EconomyParams((1, 2, 3), 4, 8), max_vectors=0)
+    assert enumerate_feasible(EconomyParams((2, 4), 3, 7), max_vectors=0).vectors == ()
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, -0.5])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+def test_bad_tolerance_is_domain_error(tol, c):
+    # max(nan, floor) is nan, so an unchecked nan would iterate until NoConvergence
+    with pytest.raises(DomainError, match="tolerance"):
+        solve_generalized(EconomyParams((1, 2, 3), 3, 5), c=c, tol=tol)
+
+
+def test_zero_tolerance_means_the_float_floor():
+    sol = solve_boltzmann(EconomyParams((1, 2, 5, 7), 40, 130), tol=0.0)
+    assert max(sol.residuals) < 1e-12
+
+
 def test_enumeration_counts_conserve_constraints():
     params = EconomyParams((1, 2, 4), 12, 30)
     result = enumerate_feasible(params)
