@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DomainError, SolverError, ValidationError
-from .model_core import EconomyParams, params_from_json
+from .model_core import MAX_GRID_POINTS, EconomyParams, params_from_json
 
 # Each handler imports its own numeric modules, so --version, --help and a
 # malformed flag load no numpy, and a subcommand loads only what it runs.
@@ -51,7 +51,8 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """A JSON report: schema_version first, then the payload's keys."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
 
 
 def _add_economy_flags(sub):
@@ -90,8 +91,8 @@ def _grid_from_args(args) -> list[float]:
             start, stop, count = float(args.linspace[0]), float(args.linspace[1]), int(args.linspace[2])
         except ValueError:
             raise DomainError(f"--linspace expects start stop count, got {args.linspace}")
-        if count < 0:
-            raise DomainError("--linspace count must be non-negative")
+        if not 0 <= count <= MAX_GRID_POINTS:
+            raise DomainError(f"--linspace count must be in [0, {MAX_GRID_POINTS}], got {count}")
         if count == 1:
             grid.append(start)
         else:
@@ -105,13 +106,13 @@ def _grid_from_args(args) -> list[float]:
 def _cmd_solve(args) -> str:
     from .discrete_equilibrium import solve_boltzmann
     solution = solve_boltzmann(_economy_from_args(args), tol=args.tol)
-    return _json_text({"schema_version": SCHEMA_VERSION, **solution.to_json_dict()})
+    return _json_text(solution.to_json_dict())
 
 
 def _cmd_generalized(args) -> str:
     from .discrete_equilibrium import solve_generalized
     solution = solve_generalized(_economy_from_args(args), c=args.c, tol=args.tol)
-    return _json_text({"schema_version": SCHEMA_VERSION, **solution.to_json_dict()})
+    return _json_text(solution.to_json_dict())
 
 
 def _cmd_epi(args) -> str:
@@ -137,7 +138,7 @@ def _cmd_verify(args) -> str:
         width = max(len(k) for k in payload)
         lines = [f"{k.ljust(width)}  {v:.12e}" for k, v in payload.items()]
         return "\n".join(lines) + "\n"
-    return _json_text({"schema_version": SCHEMA_VERSION, **payload})
+    return _json_text(payload)
 
 
 def _cmd_compare(args) -> str:
@@ -152,7 +153,7 @@ def _cmd_sample(args) -> str:
     summary = run_chain(_economy_from_args(args), config)
     if args.format == "csv":
         return summary.to_csv()
-    return _json_text({"schema_version": SCHEMA_VERSION, **summary.to_json_dict()})
+    return _json_text(summary.to_json_dict())
 
 
 def _cmd_enumerate(args) -> str:
@@ -164,7 +165,6 @@ def _cmd_enumerate(args) -> str:
             lines.append(f"{';'.join(map(str, vec.counts))},{w},{lw:.17g}")
         return "\n".join(lines) + "\n"
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "count": len(result.vectors),
         "argmax": list(result.argmax.counts) if result.argmax is not None else None,
         "vectors": [
@@ -180,7 +180,7 @@ def _cmd_fit(args) -> str:
     data = load_csv(args.data)
     a0_fixed = None if args.fit_a0 else args.a0
     result = fit_tail(data, a0_fixed=a0_fixed, min_p_gt=args.min_p_gt)
-    return _json_text({"schema_version": SCHEMA_VERSION, **result.to_json_dict()})
+    return _json_text(result.to_json_dict())
 
 
 def _cmd_overlay(args) -> str:

@@ -252,6 +252,20 @@ def _exact_multinomial(counts: tuple[int, ...]) -> int:
     return weight
 
 
+def lattice_fibre(params: EconomyParams) -> tuple[tuple[int, ...], int, int]:
+    """(units, n, demand): a valid instance with integral n on its integer lattice.
+
+    units are the levels and demand is D, all in the lattice unit of
+    (levels, D), so the fibre is sum n_i = n, sum units_i n_i = demand.
+    Raises DomainError for a non-integral n or values on no common lattice.
+    """
+    validate(params)
+    if params.n != int(params.n):
+        raise DomainError(f"the integer fibre needs an integral worker count, got {params.n}")
+    *units, demand = integer_lattice((*params.levels, params.D))[0]
+    return tuple(units), int(params.n), demand
+
+
 def count_feasible(units: tuple[int, ...], n: int, demand: int, cap: int):
     """(min(count, cap), first) for the allocations with sum n_i = n, sum units_i n_i = demand.
 
@@ -380,18 +394,13 @@ def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> Enu
     """
     if max_vectors < 0:
         raise DomainError(f"enumeration cap must be non-negative, got {max_vectors}")
-    if params.n != int(params.n) or params.n < 0:
-        raise DomainError(f"enumeration needs an integral non-negative n, got {params.n}")
-    n = int(params.n)
-    if n == 0:
+    if params.n == 0:
         # empty economy: a single empty allocation iff there is no demand
         if params.D == 0:
             empty = OccupationVector((0,) * params.g)
             return EnumerationResult((empty,), (1,), (0.0,), empty)
         return EnumerationResult((), (), (), None)
-    validate(params)
-    units_all, _ = integer_lattice((*params.levels, params.D))
-    units, demand = units_all[:-1], units_all[-1]
+    units, n, demand = lattice_fibre(params)
 
     count, first = count_feasible(units, n, demand, max_vectors + 1)
     if count > max_vectors:

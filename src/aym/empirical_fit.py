@@ -14,7 +14,7 @@ also in closed form, clamped to [0, smallest cut].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,12 +73,7 @@ class FitResult:
     points_used: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "d_over_n": self.d_over_n,
-            "a0": self.a0,
-            "rss_log": self.rss_log,
-            "points_used": self.points_used,
-        }
+        return asdict(self)
 
 
 def load_csv(path) -> TailDataset:

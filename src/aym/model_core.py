@@ -27,6 +27,10 @@ from .errors import (
     NonMonotoneLevels,
 )
 
+# largest evaluation grid a caller may request: the verifier's grid_points and
+# a CLI --linspace count; a grid this size costs a few hundred MB at most
+MAX_GRID_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class EconomyParams:
@@ -186,27 +190,17 @@ def integer_lattice(values: Sequence[float], rel_tol: float = 1e-9,
         if abs(float(f) - x) > rel_tol * max(1.0, abs(x)):
             raise DomainError(f"value {x} is not on a recognizable integer lattice")
         fracs.append(f)
-    unit = Fraction(0)
-    for f in fracs:
-        unit = _fraction_gcd(unit, f)
-    if unit == 0:
+    # the unit is the gcd of the numerators over the common denominator
+    denominator = math.lcm(*(f.denominator for f in fracs))
+    scaled = [f.numerator * (denominator // f.denominator) for f in fracs]
+    step = math.gcd(*scaled)
+    if step == 0:
         raise DomainError("cannot derive a lattice unit from all-zero values")
-    units = tuple(int(f / unit) for f in fracs)
+    units = tuple(k // step for k in scaled)
     if max(abs(u) for u in units) > max_multiple:
         raise DomainError(
             f"values share no common unit within {max_multiple} lattice steps")
-    return units, float(unit)
-
-
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if b == 0:
-        return abs(a)
-    if a == 0:
-        return abs(b)
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
+    return units, float(Fraction(step, denominator))
 
 
 # --- JSON interchange (field names are part of the CLI contract) ---

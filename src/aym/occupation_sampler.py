@@ -48,8 +48,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, NoFeasibleState
-from .model_core import EconomyParams, OccupationVector, integer_lattice, validate
-from .discrete_equilibrium import count_feasible
+from .model_core import EconomyParams, OccupationVector, integer_lattice
+from .discrete_equilibrium import count_feasible, lattice_fibre
 
 RNG_ALGORITHM = "numpy:PCG64"
 
@@ -176,34 +176,33 @@ def _move_table(units: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]
                  if j != i + k and units[j] - units[j - k] == units[i + k] - units[i])
 
 
-def _moves(counts: tuple[int, ...], table) -> list[tuple[int, ...]]:
-    """The state each feasible move leads to; a state reached by m moves appears m times."""
-    out = []
-    for i, up, j, down in table:
-        if counts[i] and counts[j] and (i != j or counts[i] >= 2):
-            cand = list(counts)
-            cand[i] -= 1
-            cand[up] += 1
-            cand[j] -= 1
-            cand[down] += 1
-            out.append(tuple(cand))
-    return out
-
-
 def propose_pair_move(state: OccupationVector, levels, rng) -> OccupationVector:
-    """One constraint-preserving proposal; returns the state itself when no move exists."""
+    """One draw of run_chain's proposal: a uniform move-table entry, or the state itself.
+
+    The state stays put when the table is empty or the drawn move would empty
+    a sector.  The proposal is symmetric, so a Metropolis step built on it
+    needs no Hastings term.
+    """
     units, _ = integer_lattice(levels)
     if len(units) != len(state.counts):
         raise DomainError("levels and state must have equal length")
-    cands = _moves(state.counts, _move_table(units))
-    if not cands:
+    table = _move_table(units)
+    if not table:
         return state
-    return OccupationVector(cands[int(rng.integers(len(cands)))])
+    i, up, j, down = table[int(rng.integers(len(table)))]
+    counts = list(state.counts)
+    if not counts[i] * (counts[j] - (i == j)):
+        return state
+    counts[i] -= 1
+    counts[up] += 1
+    counts[j] -= 1
+    counts[down] += 1
+    return OccupationVector(counts)
 
 
 def _start_and_irreducibility(units, n: int, demand: int, table, max_enumeration: int):
     """The first feasible state in walk order and the chain's irreducibility label."""
-    count, first = count_feasible(units, n, demand, max(max_enumeration, 0) + 1)
+    count, first = count_feasible(units, n, demand, max_enumeration + 1)
     if count == 0:
         raise NoFeasibleState("no integer allocation satisfies both constraints")
     start = first(1)[0]
@@ -220,7 +219,7 @@ def _start_and_irreducibility(units, n: int, demand: int, table, max_enumeration
     while frontier:
         state, key = frontier.pop()
         for i, up, j, down, delta in steps:
-            if state[i] and state[j] and (i != j or state[i] >= 2) and key + delta not in seen:
+            if state[i] * (state[j] - (i == j)) and key + delta not in seen:
                 seen.add(key + delta)
                 moved = state.copy()
                 moved[i] -= 1
@@ -237,14 +236,12 @@ def run_chain(params: EconomyParams, config: ChainConfig,
 
     Requires an integer-lattice instance with at least one feasible
     allocation (NoFeasibleState otherwise).  Identical (params, config)
-    give a bit-identical summary.
+    give a bit-identical summary.  A negative max_enumeration is a
+    DomainError.
     """
-    params = validate(params)
-    if params.n != int(params.n):
-        raise DomainError(f"sampling needs an integral worker count, got {params.n}")
-    n = int(params.n)
-    units_all, _ = integer_lattice((*params.levels, params.D))
-    units, demand = units_all[:-1], units_all[-1]
+    if max_enumeration < 0:
+        raise DomainError(f"enumeration cap must be non-negative, got {max_enumeration}")
+    units, n, demand = lattice_fibre(params)
 
     table = _move_table(units)
     start, irreducibility = _start_and_irreducibility(units, n, demand, table, max_enumeration)

@@ -28,13 +28,14 @@ theta); each identity is asserted in the convention where it is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .epi_distribution import EpiDistribution, make
 from .errors import DomainError, QuadratureFailure
+from .model_core import MAX_GRID_POINTS
 
 _QUAD_SPAN_GAPS = 60.0  # quadrature nodes stop here, in mean gaps; tail mass < 1e-26
 
@@ -51,7 +52,7 @@ class NumericsConfig:
     Steps are absolute (productivity units); leave them None to use the
     defaults 1e-4*(theta - a0) for theta and 1e-3*(theta - a0) for x.
     The grid covers grid_span_gaps mean gaps (at least 40) from the lower
-    support edge with grid_points uniform nodes.
+    support edge with grid_points uniform nodes, at most MAX_GRID_POINTS.
     """
 
     fd_step_theta: float | None = None
@@ -67,8 +68,8 @@ class NumericsConfig:
             raise DomainError("fd_step_x must be positive")
         if self.quadrature_tol <= 0:
             raise DomainError("quadrature_tol must be positive")
-        if self.grid_points < 3:
-            raise DomainError("grid needs at least 3 points")
+        if not 3 <= self.grid_points <= MAX_GRID_POINTS:
+            raise DomainError(f"grid needs 3 to {MAX_GRID_POINTS} points, got {self.grid_points}")
         if self.grid_span_gaps < 40.0:
             raise DomainError("grid must cover at least 40 mean gaps")
 
@@ -110,19 +111,7 @@ class PrincipleReport:
     kappa: float = 1.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "fisher_metric": self.fisher_metric,
-            "fisher_statistical": self.fisher_statistical,
-            "fisher_kinematical": self.fisher_kinematical,
-            "structural_Q": self.structural_Q,
-            "structural_residual": self.structural_residual,
-            "epi_residual_pointwise": self.epi_residual_pointwise,
-            "generating_residual": self.generating_residual,
-            "euler_lagrange_residual": self.euler_lagrange_residual,
-            "qtilde_value": self.qtilde_value,
-            "boundary_constant": self.boundary_constant,
-            "kappa": self.kappa,
-        }
+        return asdict(self)
 
 
 def _quad(f, lo: float, scale: float, tol: float, magnitude: float = 0.0) -> float:
@@ -143,16 +132,27 @@ def _quad(f, lo: float, scale: float, tol: float, magnitude: float = 0.0) -> flo
     return fine
 
 
+def _theta_quad(dist: EpiDistribution, cfg: NumericsConfig, integrand,
+                magnitude: float = 0.0) -> float:
+    """_quad of integrand(p_minus, p, p_plus, h) over the support.
+
+    p_minus, p and p_plus are the pdfs of the family members at theta - h,
+    theta and theta + h, h = cfg.step_theta(dist); the support edge a0 is
+    theta-free, so all three share the quadrature nodes.
+    """
+    h = cfg.step_theta(dist)
+    down, up = make(dist.mean_demand - h, dist.a0), make(dist.mean_demand + h, dist.a0)
+    return _quad(lambda a: integrand(down.pdf(a), dist.pdf(a), up.pdf(a), h),
+                 dist.a0, dist.scale, cfg.quadrature_tol, magnitude)
+
+
 def fisher_metric_form(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Metric-form channel capacity: integral of (dp/dtheta)^2 / p over the support."""
-    h = cfg.step_theta(dist)
-    up, down = make(dist.mean_demand + h, dist.a0), make(dist.mean_demand - h, dist.a0)
+    def integrand(down, p, up, h):
+        dp = (up - down) / (2.0 * h)
+        return dp * dp / p
 
-    def integrand(a):
-        dp = (up.pdf(a) - down.pdf(a)) / (2.0 * h)
-        return dp * dp / dist.pdf(a)
-
-    return _quad(integrand, dist.a0, dist.scale, cfg.quadrature_tol)
+    return _theta_quad(dist, cfg, integrand)
 
 
 def fisher_kinematical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
@@ -167,48 +167,34 @@ def fisher_kinematical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUME
     return _quad(integrand, dist.x_min, dist.scale, cfg.quadrature_tol)
 
 
-def _q_theta(member: EpiDistribution, a):
-    return 2.0 * np.sqrt(member.pdf(a))
-
-
 def fisher_statistical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Statistical-form capacity: -integral q * d^2 q/dtheta^2 over the support."""
-    h = cfg.step_theta(dist)
-    up, down = make(dist.mean_demand + h, dist.a0), make(dist.mean_demand - h, dist.a0)
+    def integrand(down, p, up, h):
+        qm, q0, qp = (2.0 * np.sqrt(x) for x in (down, p, up))
+        d2q = (qp - 2.0 * q0 + qm) / (h * h)
+        return -q0 * d2q
 
-    def integrand(a):
-        d2q = (_q_theta(up, a) - 2.0 * _q_theta(dist, a) + _q_theta(down, a)) / (h * h)
-        return -_q_theta(dist, a) * d2q
-
-    return _quad(integrand, dist.a0, dist.scale, cfg.quadrature_tol)
+    return _theta_quad(dist, cfg, integrand)
 
 
 def regularity_residual(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """|integral d^2 p/dtheta^2 da|; zero because the support edge is theta-free."""
-    h = cfg.step_theta(dist)
-    up, down = make(dist.mean_demand + h, dist.a0), make(dist.mean_demand - h, dist.a0)
-
-    def integrand(a):
-        return (up.pdf(a) - 2.0 * dist.pdf(a) + down.pdf(a)) / (h * h)
+    def integrand(down, p, up, h):
+        return (up - 2.0 * p + down) / (h * h)
 
     # the integral cancels to ~0; gate the quad error against the capacity scale
-    return abs(_quad(integrand, dist.a0, dist.scale, cfg.quadrature_tol,
-                     magnitude=1.0 / dist.scale ** 2))
+    return abs(_theta_quad(dist, cfg, integrand, magnitude=1.0 / dist.scale ** 2))
 
 
 def _structural_q(dist: EpiDistribution, cfg: NumericsConfig) -> float:
     """Q = (1/2) integral (q d^2q/dtheta^2 - (dq/dtheta)^2) da."""
-    h = cfg.step_theta(dist)
-    up, down = make(dist.mean_demand + h, dist.a0), make(dist.mean_demand - h, dist.a0)
-
-    def integrand(a):
-        q0 = _q_theta(dist, a)
-        qp, qm = _q_theta(up, a), _q_theta(down, a)
+    def integrand(down, p, up, h):
+        qm, q0, qp = (2.0 * np.sqrt(x) for x in (down, p, up))
         d2q = (qp - 2.0 * q0 + qm) / (h * h)
         dq = (qp - qm) / (2.0 * h)
         return 0.5 * (q0 * d2q - dq * dq)
 
-    return _quad(integrand, dist.a0, dist.scale, cfg.quadrature_tol)
+    return _theta_quad(dist, cfg, integrand)
 
 
 def structural_principle(dist: EpiDistribution,

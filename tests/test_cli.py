@@ -184,6 +184,26 @@ def test_epi_linspace_grid(capsys):
     assert [float(l.split(",")[0]) for l in lines[1:]] == [0.0, 2.5, 5.0, 7.5, 10.0]
 
 
+@pytest.mark.parametrize("count, cuts", [("1", [3.0]), ("0", [])], ids=["one", "zero"])
+def test_epi_linspace_degenerate_counts(capsys, count, cuts):
+    code, out, _ = _run(capsys, ["epi", "--mean-demand", "10", "--linspace", "3", "7", count])
+    assert code == 0
+    assert [float(l.split(",")[0]) for l in out.strip().split("\n")[1:]] == cuts
+
+
+@pytest.mark.parametrize("argv", [
+    ["epi", "--mean-demand", "135", "--linspace", "0", "1", "2.5"],
+    ["epi", "--mean-demand", "135", "--linspace", "0", "1", "-4"],
+    ["epi", "--mean-demand", "135", "--linspace", "0", "1", "1000001"],
+    ["verify", "--mean-demand", "135", "--grid-points", "100000000000"],
+], ids=["count-not-integer", "count-negative", "count-above-1e6", "verify-points-1e11"])
+def test_bad_grid_size_exits_2_before_allocating(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith(f"aym {argv[0]}: error: ")
+
+
 def test_enumerate_json(capsys):
     code, out, _ = _run(capsys, ["enumerate", "--levels", "1,2,3", "--n", "4", "--D", "8"])
     assert code == 0

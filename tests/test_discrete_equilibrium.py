@@ -10,6 +10,7 @@ from aym import (
     EconomyParams,
     InfeasibleDemand,
     InstanceTooLarge,
+    NoConvergence,
     OccupationVector,
     SolverError,
     closed_form_ladder,
@@ -263,9 +264,27 @@ def test_bad_tolerance_is_domain_error(tol, c):
         solve_generalized(EconomyParams((1, 2, 3), 3, 5), c=c, tol=tol)
 
 
+@pytest.mark.parametrize("solve, max_iter", [
+    (lambda params, max_iter: solve_boltzmann(params, max_iter=max_iter), 1),
+    (lambda params, max_iter: solve_generalized(params, c=1.0, max_iter=max_iter), 2),
+], ids=["boltzmann", "generalized_c1"])
+def test_exhausted_budget_raises_no_convergence(solve, max_iter):
+    with pytest.raises(NoConvergence) as info:
+        solve(EconomyParams((1, 2, 3), 10, 25), max_iter)
+    assert info.value.iterations == max_iter
+    assert f"after {max_iter} iterations" in str(info.value)
+
+
 def test_zero_tolerance_means_the_float_floor():
     sol = solve_boltzmann(EconomyParams((1, 2, 5, 7), 40, 130), tol=0.0)
     assert max(sol.residuals) < 1e-12
+
+
+@pytest.mark.parametrize("n", [math.inf, math.nan, -1.0, 2.5])
+def test_enumeration_rejects_a_bad_worker_count(n):
+    # validated before int(n), which raises OverflowError / ValueError on inf / nan
+    with pytest.raises(DomainError):
+        enumerate_feasible(EconomyParams((1, 2), n, 3))
 
 
 def test_enumeration_counts_conserve_constraints():
@@ -289,6 +308,12 @@ def test_stirling_agreement_scaled_instance():
     report = stirling_consistency(EconomyParams((1, 2, 3), 100, 200))
     assert report.coincide
     assert not report.small_n_caveat
+
+
+def test_stirling_on_an_empty_fibre_is_domain_error():
+    # 2 n_1 + 4 n_2 = 3 with n_1 + n_2 = 1 has no integer solution
+    with pytest.raises(DomainError, match="no feasible"):
+        stirling_consistency(EconomyParams((2, 4), 1, 3))
 
 
 def test_stirling_small_n_flag():

@@ -1,5 +1,6 @@
 import math
 import statistics
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,14 @@ from aym import (
     EconomyParams,
     NoFeasibleState,
     OccupationVector,
+    SampleSummary,
     enumerate_feasible,
     make_ladder,
     merge_summaries,
     propose_pair_move,
     run_chain,
 )
+from aym.discrete_equilibrium import count_feasible, lattice_fibre
 
 ORACLE_PARAMS = EconomyParams((1, 2, 3), 4, 8)
 ORACLE_FREQS = {(0, 4, 0): 1 / 19, (1, 2, 1): 12 / 19, (2, 0, 2): 6 / 19}
@@ -47,11 +50,48 @@ def test_proposals_from_interior_state():
     assert seen == {(0, 4, 0), (2, 0, 2)}
 
 
-def test_unique_proposal_from_stacked_state():
+def test_stacked_state_proposes_its_one_move_or_stays():
+    # of the two table entries only (1, 2, 1, 0) can move (0, 2, 0); the other
+    # would empty sector 0, so the proposal returns the state itself
     rng = _rng(2)
-    for _ in range(20):
-        cand = propose_pair_move(OccupationVector((0, 2, 0)), (1, 2, 3), rng)
-        assert cand.counts == (1, 0, 1)
+    state = OccupationVector((0, 2, 0))
+    seen = {propose_pair_move(state, (1, 2, 3), rng).counts for _ in range(40)}
+    assert seen == {(1, 0, 1), (0, 2, 0)}
+
+
+def _proposal_chain(params: EconomyParams, config: ChainConfig) -> tuple[dict, float]:
+    """run_chain's visits and acceptance from propose_pair_move and the integer rule.
+
+    w(y)/w(x) = prod x_k!/y_k! is num/den with num the falling factorials of
+    the sectors the move empties and den those of the sectors it fills;
+    random() is drawn only when 0 < num < den, as in the chain.
+    """
+    units, n, demand = lattice_fibre(params)
+    _, first = count_feasible(units, n, demand, 1)
+    state = OccupationVector(first(1)[0])
+    rng = _rng(config.seed)
+    visits, accepted = Counter(), 0
+    for step in range(config.steps):
+        cand = propose_pair_move(state, params.levels, rng)
+        num = math.prod(math.perm(x, x - y) for x, y in zip(state.counts, cand.counts) if x > y)
+        den = math.prod(math.perm(y, y - x) for x, y in zip(state.counts, cand.counts) if y > x)
+        if cand is not state and (num >= den or rng.random() * den < num):
+            state = cand
+            accepted += 1
+        if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
+            visits[state.counts] += 1
+    recorded = sum(visits.values())
+    return {s: cnt / recorded for s, cnt in visits.items()}, accepted / config.steps
+
+
+@pytest.mark.parametrize("params, config", [
+    pytest.param(ORACLE_PARAMS, ChainConfig(3_000, 300, 7, 2), id="oracle"),
+    pytest.param(SMALL_LADDER_PARAMS, ChainConfig(3_000, 0, 11, 1), id="small_ladder"),
+    pytest.param(make_ladder(1.0, 10, 60, 180), ChainConfig(2_000, 200, 1, 3), id="ladder_g10"),
+])
+def test_proposal_loop_reproduces_run_chain(params, config):
+    summary = run_chain(params, config)
+    assert _proposal_chain(params, config) == (summary.visit_frequencies, summary.acceptance_rate)
 
 
 def test_proposal_returns_state_when_stuck():
@@ -210,6 +250,11 @@ def test_nonintegral_worker_count_rejected():
         run_chain(EconomyParams((1, 2), 2.5, 4), ChainConfig(steps=10))
 
 
+def test_negative_enumeration_cap_is_domain_error():
+    with pytest.raises(DomainError, match="cap"):
+        run_chain(ORACLE_PARAMS, ChainConfig(steps=10), max_enumeration=-5)
+
+
 def test_merge_weighted_by_sample_count():
     s1 = run_chain(ORACLE_PARAMS, ChainConfig(steps=8_000, seed=1))
     s2 = run_chain(ORACLE_PARAMS, ChainConfig(steps=24_000, seed=2))
@@ -230,6 +275,16 @@ def test_merge_is_associative():
     for state in left.visit_frequencies:
         assert left.visit_frequencies[state] == pytest.approx(
             right.visit_frequencies[state], abs=1e-14)
+
+
+def test_merge_labels_failed_over_unchecked_over_verified():
+    def summary(label):
+        return SampleSummary({(1, 2, 1): 1.0}, (1.0, 2.0, 1.0), 0.5, 10, "numpy:PCG64", label)
+
+    verified, unchecked, failed = map(summary, ("verified", "unchecked", "failed"))
+    assert merge_summaries([verified, verified]).irreducibility == "verified"
+    assert merge_summaries([verified, unchecked]).irreducibility == "unchecked"
+    assert merge_summaries([unchecked, failed, verified]).irreducibility == "failed"
 
 
 def test_summary_serialization():

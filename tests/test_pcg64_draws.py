@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from aym import ChainConfig, DomainError, EconomyParams, make_ladder, run_chain
-from aym.model_core import integer_lattice
+from aym.discrete_equilibrium import lattice_fibre
 from aym.occupation_sampler import (
     RNG_ALGORITHM,
     SampleSummary,
@@ -61,9 +61,7 @@ def test_bound_outside_32_bits_is_rejected(m):
 def generator_chain(params: EconomyParams, config: ChainConfig,
                     max_enumeration: int = 200_000) -> SampleSummary:
     """run_chain as it was with one Generator call per draw: the reference."""
-    n = int(params.n)
-    units_all, _ = integer_lattice((*params.levels, params.D))
-    units, demand = units_all[:-1], units_all[-1]
+    units, n, demand = lattice_fibre(params)
     table = _move_table(units)
     start, irreducibility = _start_and_irreducibility(units, n, demand, table, max_enumeration)
 

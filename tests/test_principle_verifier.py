@@ -176,6 +176,14 @@ def test_numerics_config_validation():
         NumericsConfig(grid_span_gaps=30.0)
 
 
+def test_grid_points_bounded_before_allocation():
+    # 1e11 points would ask numpy for 800 GB; the 1e6 bound rejects it up front
+    assert NumericsConfig(grid_points=10 ** 6).grid_points == 10 ** 6
+    for points in (10 ** 6 + 1, 10 ** 11):
+        with pytest.raises(DomainError, match="points"):
+            NumericsConfig(grid_points=points)
+
+
 def test_explicit_steps_are_honored():
     dist = make(135.0, 0.0)
     cfg = NumericsConfig(fd_step_theta=1e-4 * dist.scale, fd_step_x=1e-3 * dist.scale)
