@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DomainError, SolverError, ValidationError
-from .model_core import MAX_GRID_POINTS, EconomyParams, params_from_json
+from .model_core import MAX_GRID_POINTS, EconomyParams, _csv_text, params_from_json
 
 # Each handler imports its own numeric modules, so --version, --help and a
 # malformed flag load no numpy, and a subcommand loads only what it runs.
@@ -160,10 +160,9 @@ def _cmd_enumerate(args) -> str:
     from .discrete_equilibrium import enumerate_feasible
     result = enumerate_feasible(_economy_from_args(args), max_vectors=args.cap)
     if args.format == "csv":
-        lines = ["state,weight,log_weight"]
-        for vec, w, lw in zip(result.vectors, result.weights, result.log_weights):
-            lines.append(f"{';'.join(map(str, vec.counts))},{w},{lw:.17g}")
-        return "\n".join(lines) + "\n"
+        rows = zip(result.vectors, result.weights, result.log_weights)
+        return _csv_text(("state", "weight", "log_weight"),
+                         ((";".join(map(str, vec.counts)), w, lw) for vec, w, lw in rows))
     payload = {
         "count": len(result.vectors),
         "argmax": list(result.argmax.counts) if result.argmax is not None else None,

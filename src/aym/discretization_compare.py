@@ -22,6 +22,7 @@ import numpy as np
 
 from .epi_distribution import _like_input
 from .errors import DomainError
+from .model_core import _csv_text
 
 _TAIL_THRESHOLD = 1e-15  # truncate where both analytic tails drop below this
 _REL_FLOOR = 1e-12  # max_rel skips sectors whose discrete pmf is below this
@@ -190,8 +191,6 @@ def compare(r: float, i_max: int | None = None) -> ComparisonMetrics:
 
 def compare_sweep_csv(r_values, i_max: int | None = None) -> str:
     """CSV sweep of compare() over r values, sorted ascending."""
-    lines = ["r,tv,max_abs,max_rel"]
-    for r in sorted(float(r) for r in r_values):
-        m = compare(r, i_max)
-        lines.append(f"{r:.17g},{m.tv_distance:.17g},{m.max_abs:.17g},{m.max_rel:.17g}")
-    return "\n".join(lines) + "\n"
+    metrics = ((r, compare(r, i_max)) for r in sorted(float(r) for r in r_values))
+    return _csv_text(("r", "tv", "max_abs", "max_rel"),
+                     ((r, m.tv_distance, m.max_abs, m.max_rel) for r, m in metrics))

@@ -26,6 +26,7 @@ from .errors import (
     MonotonicityError,
     ParseError,
 )
+from .model_core import _csv_text
 
 DEFAULT_MIN_P_GT = 1e-6  # log-space leverage guard: drop deeper tail points
 
@@ -135,14 +136,9 @@ def load_csv(path) -> TailDataset:
 
 def save_csv(dataset: TailDataset) -> str:
     """Serialize a dataset back to the load_csv schema (17 significant digits)."""
-    has_w = dataset.weights is not None
-    lines = ["a,p_gt,w" if has_w else "a,p_gt"]
-    for idx, (a, p) in enumerate(dataset.points):
-        row = f"{a:.17g},{p:.17g}"
-        if has_w:
-            row += f",{dataset.weights[idx]:.17g}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    if dataset.weights is None:
+        return _csv_text(("a", "p_gt"), dataset.points)
+    return _csv_text(("a", "p_gt", "w"), zip(dataset.cuts, dataset.p_gt, dataset.weights))
 
 
 def _slope_fit(u: np.ndarray, log_p: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -224,11 +220,6 @@ def emit_overlay(data: TailDataset | None, d_over_n_values, a0: float, grid) -> 
     dists = [make(v, a0) for v in values]
     data_map = dict(data.points) if data is not None else {}
     cuts = sorted(set(float(a) for a in grid) | set(data_map))
-    header = ["a", "p_gt_data"] + [f"tail_{v:g}" for v in values]
-    lines = [",".join(header)]
-    for a in cuts:
-        row = [f"{a:.17g}"]
-        row.append(f"{data_map[a]:.17g}" if a in data_map else "")
-        row.extend(f"{dist.tail(a):.17g}" for dist in dists)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    tails = [dist.tail(np.array(cuts)) for dist in dists]
+    return _csv_text(["a", "p_gt_data"] + [f"tail_{v:g}" for v in values],
+                     ([a, data_map.get(a), *row] for a, *row in zip(cuts, *tails)))

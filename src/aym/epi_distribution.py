@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .model_core import _csv_text
 
 
 def _like_input(x, val):
@@ -127,8 +128,6 @@ def make(mean_demand: float, a0: float = 0.0) -> EpiDistribution:
 
 def curve_csv(dist: EpiDistribution, grid) -> str:
     """CSV table with columns a,pdf,tail over the supplied grid of cuts."""
-    lines = ["a,pdf,tail"]
-    for a in grid:
-        a = float(a)
-        lines.append(f"{a:.17g},{dist.pdf(a):.17g},{dist.tail(a):.17g}")
-    return "\n".join(lines) + "\n"
+    cuts = [float(a) for a in grid]
+    a = np.array(cuts)
+    return _csv_text(("a", "pdf", "tail"), zip(cuts, dist.pdf(a), dist.tail(a)))

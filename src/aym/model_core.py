@@ -30,6 +30,8 @@ from .errors import (
 # largest evaluation grid a caller may request: the verifier's grid_points and
 # a CLI --linspace count; a grid this size costs a few hundred MB at most
 MAX_GRID_POINTS = 10**6
+_LATTICE_REL_TOL = 1e-9  # integer_lattice: how close, relatively, a value must be to a fraction
+_LATTICE_MAX_MULTIPLE = 10**6  # integer_lattice: the most units any value may span
 
 
 @dataclass(frozen=True)
@@ -172,14 +174,13 @@ def ladder_ratio(params: EconomyParams, delta_a: float | None = None) -> LadderR
     return LadderRatio(r=r, r_tilde=r_tilde, delta_a=width)
 
 
-def integer_lattice(values: Sequence[float], rel_tol: float = 1e-9,
-                    max_multiple: int = 10**6) -> tuple[tuple[int, ...], float]:
+def integer_lattice(values: Sequence[float]) -> tuple[tuple[int, ...], float]:
     """Express values as integer multiples of a common unit.
 
     Returns (integer multiples, unit).  Raises DomainError when a value is
     not recognizably rational, the set has no common unit (all zero), or
-    the implied lattice is finer than max_multiple steps (a float is always
-    rational, so the multiple cap is what rejects irrational inputs).
+    the implied lattice is finer than _LATTICE_MAX_MULTIPLE steps (a float is
+    always rational, so the multiple cap is what rejects irrational inputs).
     """
     fracs = []
     for x in values:
@@ -187,7 +188,7 @@ def integer_lattice(values: Sequence[float], rel_tol: float = 1e-9,
         if not math.isfinite(x):
             raise DomainError(f"lattice values must be finite, got {x}")
         f = Fraction(x).limit_denominator(10**12)
-        if abs(float(f) - x) > rel_tol * max(1.0, abs(x)):
+        if abs(float(f) - x) > _LATTICE_REL_TOL * max(1.0, abs(x)):
             raise DomainError(f"value {x} is not on a recognizable integer lattice")
         fracs.append(f)
     # the unit is the gcd of the numerators over the common denominator
@@ -197,10 +198,19 @@ def integer_lattice(values: Sequence[float], rel_tol: float = 1e-9,
     if step == 0:
         raise DomainError("cannot derive a lattice unit from all-zero values")
     units = tuple(k // step for k in scaled)
-    if max(abs(u) for u in units) > max_multiple:
+    if max(abs(u) for u in units) > _LATTICE_MAX_MULTIPLE:
         raise DomainError(
-            f"values share no common unit within {max_multiple} lattice steps")
+            f"values share no common unit within {_LATTICE_MAX_MULTIPLE} lattice steps")
     return units, float(Fraction(step, denominator))
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    """CSV table: a float cell to 17 significant digits, None as an empty cell,
+    anything else (such as an exact integer weight) by str()."""
+    lines = [",".join(header)]
+    lines.extend(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                          for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 # --- JSON interchange (field names are part of the CLI contract) ---

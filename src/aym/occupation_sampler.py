@@ -48,7 +48,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, NoFeasibleState
-from .model_core import EconomyParams, OccupationVector, integer_lattice
+from .model_core import EconomyParams, OccupationVector, _csv_text, integer_lattice
 from .discrete_equilibrium import count_feasible, lattice_fibre
 
 RNG_ALGORITHM = "numpy:PCG64"
@@ -162,10 +162,8 @@ class SampleSummary:
         }
 
     def to_csv(self) -> str:
-        lines = ["state,frequency"]
-        for state, freq in sorted(self.visit_frequencies.items()):
-            lines.append(f"{';'.join(map(str, state))},{freq:.17g}")
-        return "\n".join(lines) + "\n"
+        rows = sorted(self.visit_frequencies.items())
+        return _csv_text(("state", "frequency"), ((";".join(map(str, s)), f) for s, f in rows))
 
 
 def _move_table(units: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:

@@ -62,16 +62,14 @@ class NumericsConfig:
     grid_span_gaps: float = 40.0
 
     def __post_init__(self):
-        if self.fd_step_theta is not None and self.fd_step_theta <= 0:
-            raise DomainError("fd_step_theta must be positive")
-        if self.fd_step_x is not None and self.fd_step_x <= 0:
-            raise DomainError("fd_step_x must be positive")
-        if self.quadrature_tol <= 0:
-            raise DomainError("quadrature_tol must be positive")
+        for name in ("fd_step_theta", "fd_step_x", "quadrature_tol"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         if not 3 <= self.grid_points <= MAX_GRID_POINTS:
             raise DomainError(f"grid needs 3 to {MAX_GRID_POINTS} points, got {self.grid_points}")
-        if self.grid_span_gaps < 40.0:
-            raise DomainError("grid must cover at least 40 mean gaps")
+        if not 40.0 <= self.grid_span_gaps < math.inf:
+            raise DomainError(f"grid_span_gaps must be in [40, inf), got {self.grid_span_gaps}")
 
     def step_theta(self, dist: EpiDistribution) -> float:
         return self.fd_step_theta if self.fd_step_theta is not None else 1e-4 * dist.scale
@@ -114,45 +112,58 @@ class PrincipleReport:
         return asdict(self)
 
 
-def _quad(f, lo: float, scale: float, tol: float, magnitude: float = 0.0) -> float:
-    """integral_lo^inf f(a) da for f = exp(-(a - lo)/scale) times a smooth factor.
-
-    Fixed Gauss-Laguerre rules (Golub & Welsch 1969) of order 48 and 96 in
-    t = (a - lo)/scale, on array arguments.  Nodes beyond 60 mean gaps, where
-    pdf would underflow, are dropped with less than e^-60 of the mass.  The
-    96-point value is returned if the gap to the 48-point value is at most
-    max(tol, 1e-6*max(|value|, magnitude)); magnitude sizes integrals whose
-    true value is (near) zero, where a relative gate is unsatisfiable.
-    """
-    with np.errstate(all="ignore"):
-        coarse, fine = (scale * float(np.dot(w, f(lo + scale * t))) for t, w in _QUAD_RULES)
-        err = abs(fine - coarse)
+def _gate(coarse: float, fine: float, tol: float, magnitude: float = 0.0) -> float:
+    """The 96-point value if within max(tol, 1e-6*max(|fine|, magnitude)) of the 48-point
+    one; magnitude sizes integrals whose true value is (near) zero."""
+    err = abs(fine - coarse)
     if not (math.isfinite(fine) and err <= max(tol, 1e-6 * max(abs(fine), magnitude))):
         raise QuadratureFailure(f"quadrature error estimate {err} too large for value {fine}")
     return fine
 
 
-def _theta_quad(dist: EpiDistribution, cfg: NumericsConfig, integrand,
-                magnitude: float = 0.0) -> float:
-    """_quad of integrand(p_minus, p, p_plus, h) over the support.
+def _quad(f, lo: float, scale: float, tol: float, magnitude: float = 0.0) -> float:
+    """integral_lo^inf f(a) da for f = exp(-(a - lo)/scale) times a smooth factor.
 
-    p_minus, p and p_plus are the pdfs of the family members at theta - h,
-    theta and theta + h, h = cfg.step_theta(dist); the support edge a0 is
-    theta-free, so all three share the quadrature nodes.
+    Fixed Gauss-Laguerre rules (Golub & Welsch 1969) of order 48 and 96 in
+    t = (a - lo)/scale, on array arguments, gated by _gate.  Nodes beyond 60
+    mean gaps, where pdf would underflow, are dropped with less than e^-60 of
+    the mass.
+    """
+    with np.errstate(all="ignore"):
+        coarse, fine = (scale * float(np.dot(w, f(lo + scale * t))) for t, w in _QUAD_RULES)
+    return _gate(coarse, fine, tol, magnitude)
+
+
+def _theta_quads(dist: EpiDistribution, cfg: NumericsConfig) -> dict[str, tuple[float, float]]:
+    """Ungated (48-point, 96-point) integrals of the four theta integrands by name.
+
+    The pdfs of the family members at theta - h, theta and theta + h,
+    h = cfg.step_theta(dist), are evaluated once per rule; the support edge a0
+    is theta-free, so all three share the quadrature nodes.
     """
     h = cfg.step_theta(dist)
-    down, up = make(dist.mean_demand - h, dist.a0), make(dist.mean_demand + h, dist.a0)
-    return _quad(lambda a: integrand(down.pdf(a), dist.pdf(a), up.pdf(a), h),
-                 dist.a0, dist.scale, cfg.quadrature_tol, magnitude)
+    family = (make(dist.mean_demand - h, dist.a0), dist, make(dist.mean_demand + h, dist.a0))
+    sums = []
+    with np.errstate(all="ignore"):
+        for t, w in _QUAD_RULES:
+            a = dist.a0 + dist.scale * t
+            down, p, up = (member.pdf(a) for member in family)
+            qm, q0, qp = (2.0 * np.sqrt(x) for x in (down, p, up))
+            dp, dq = (up - down) / (2.0 * h), (qp - qm) / (2.0 * h)
+            d2q = (qp - 2.0 * q0 + qm) / (h * h)
+            integrands = {
+                "metric": dp * dp / p,
+                "statistical": -q0 * d2q,
+                "regularity": (up - 2.0 * p + down) / (h * h),
+                "structural": 0.5 * (q0 * d2q - dq * dq),
+            }
+            sums.append({name: dist.scale * float(np.dot(w, f)) for name, f in integrands.items()})
+    return {name: (sums[0][name], sums[1][name]) for name in sums[0]}
 
 
 def fisher_metric_form(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Metric-form channel capacity: integral of (dp/dtheta)^2 / p over the support."""
-    def integrand(down, p, up, h):
-        dp = (up - down) / (2.0 * h)
-        return dp * dp / p
-
-    return _theta_quad(dist, cfg, integrand)
+    return _gate(*_theta_quads(dist, cfg)["metric"], cfg.quadrature_tol)
 
 
 def fisher_kinematical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
@@ -169,32 +180,14 @@ def fisher_kinematical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUME
 
 def fisher_statistical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Statistical-form capacity: -integral q * d^2 q/dtheta^2 over the support."""
-    def integrand(down, p, up, h):
-        qm, q0, qp = (2.0 * np.sqrt(x) for x in (down, p, up))
-        d2q = (qp - 2.0 * q0 + qm) / (h * h)
-        return -q0 * d2q
-
-    return _theta_quad(dist, cfg, integrand)
+    return _gate(*_theta_quads(dist, cfg)["statistical"], cfg.quadrature_tol)
 
 
 def regularity_residual(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """|integral d^2 p/dtheta^2 da|; zero because the support edge is theta-free."""
-    def integrand(down, p, up, h):
-        return (up - 2.0 * p + down) / (h * h)
-
     # the integral cancels to ~0; gate the quad error against the capacity scale
-    return abs(_theta_quad(dist, cfg, integrand, magnitude=1.0 / dist.scale ** 2))
-
-
-def _structural_q(dist: EpiDistribution, cfg: NumericsConfig) -> float:
-    """Q = (1/2) integral (q d^2q/dtheta^2 - (dq/dtheta)^2) da."""
-    def integrand(down, p, up, h):
-        qm, q0, qp = (2.0 * np.sqrt(x) for x in (down, p, up))
-        d2q = (qp - 2.0 * q0 + qm) / (h * h)
-        dq = (qp - qm) / (2.0 * h)
-        return 0.5 * (q0 * d2q - dq * dq)
-
-    return _theta_quad(dist, cfg, integrand)
+    return abs(_gate(*_theta_quads(dist, cfg)["regularity"], cfg.quadrature_tol,
+                     magnitude=1.0 / dist.scale ** 2))
 
 
 def structural_principle(dist: EpiDistribution,
@@ -204,21 +197,43 @@ def structural_principle(dist: EpiDistribution,
     Q = (1/2) integral (q d^2q/dtheta^2 - (dq/dtheta)^2) da; the capacity I
     is taken from the metric form.  Expected Q = -I.
     """
-    q_value = _structural_q(dist, cfg)
-    return q_value, abs(fisher_metric_form(dist, cfg) + q_value)
+    quads = _theta_quads(dist, cfg)
+    q_value = _gate(*quads["structural"], cfg.quadrature_tol)
+    return q_value, abs(_gate(*quads["metric"], cfg.quadrature_tol) + q_value)
 
 
-def _grid(dist: EpiDistribution, cfg: NumericsConfig, derivative: str, h: float):
-    """(x, q, q'') on the grid; q'' analytic or by central differences of step h."""
+def _grid(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
+          step: float | None = None, eps: float = 0.0):
+    """(q, q'') on the grid for the trial amplitude q (1 + eps x).
+
+    q'' is analytic or by central differences of the given step (default
+    cfg.step_x); eps = 0 gives the amplitude itself, bit for bit.
+    """
     x = cfg.x_grid(dist)
-    q = dist.amplitude(x, clipped=False)
+    base = dist.amplitude(x, clipped=False)
+    q = base * (1.0 + eps * x)
     if derivative == "analytic":
-        return x, q, dist.alpha ** 2 * q
+        # (q0 (1 + eps x))'' = q0'' (1 + eps x) + 2 eps q0' with q0' = -alpha q0
+        return q, dist.alpha ** 2 * q - 2.0 * eps * dist.alpha * base
     if derivative == "fd":
-        up = dist.amplitude(x + h, clipped=False)
-        down = dist.amplitude(x - h, clipped=False)
-        return x, q, (up - 2.0 * q + down) / (h * h)
+        h = step if step is not None else cfg.step_x(dist)
+        up, down = (dist.amplitude(y, clipped=False) * (1.0 + eps * y) for y in (x + h, x - h))
+        return q, (up - 2.0 * q + down) / (h * h)
     raise DomainError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
+
+
+# the grid identities, each a function of (q, q'') on the grid
+def _max_density(q, d2q, alpha: float) -> float:
+    return float(np.abs(-0.5 * q * d2q + 0.25 * q * q * (2.0 * alpha ** 2)).max())
+
+
+def _max_generating(q, d2q, alpha: float) -> float:
+    return float(np.abs(d2q - alpha ** 2 * q).max())
+
+
+def _qtilde(q, d2q) -> tuple[float, float]:
+    profile = 2.0 * d2q / q
+    return float(profile.mean()), float(profile.std())
 
 
 def pointwise_information_density(dist: EpiDistribution,
@@ -226,9 +241,7 @@ def pointwise_information_density(dist: EpiDistribution,
                                   derivative: str = "analytic",
                                   step: float | None = None) -> float:
     """max |k(x)| with k = -(1/2) q q'' + (1/4) q^2 * 2 alpha^2; identically 0."""
-    _, q, d2q = _grid(dist, cfg, derivative, step if step is not None else cfg.step_x(dist))
-    k = -0.5 * q * d2q + 0.25 * q * q * (2.0 * dist.alpha ** 2)
-    return float(np.abs(k).max())
+    return _max_density(*_grid(dist, cfg, derivative, step), dist.alpha)
 
 
 def generating_equation_residual(dist: EpiDistribution,
@@ -236,8 +249,7 @@ def generating_equation_residual(dist: EpiDistribution,
                                  derivative: str = "fd",
                                  step: float | None = None) -> float:
     """max |q'' - alpha^2 q| over the grid; 0 analytically, O(h^2) under FD."""
-    _, q, d2q = _grid(dist, cfg, derivative, step if step is not None else cfg.step_x(dist))
-    return float(np.abs(d2q - dist.alpha ** 2 * q).max())
+    return _max_generating(*_grid(dist, cfg, derivative, step), dist.alpha)
 
 
 def euler_lagrange_residual(dist: EpiDistribution,
@@ -252,20 +264,7 @@ def euler_lagrange_residual(dist: EpiDistribution,
     residual for the trial amplitude q*(1 + eps*x), which grows linearly in
     eps (the solution is the unique zero of the functional derivative).
     """
-    if perturbation == 0.0:
-        return generating_equation_residual(dist, cfg, derivative, step)
-    h = step if step is not None else cfg.step_x(dist)
-    x, q, _ = _grid(dist, cfg, derivative, h)
-    eps = perturbation
-    trial = q * (1.0 + eps * x)
-    if derivative == "analytic":
-        # (q (1+eps x))'' = q''(1+eps x) + 2 eps q' with q' = -alpha q
-        d2 = dist.alpha ** 2 * trial - 2.0 * eps * dist.alpha * q
-    else:
-        up = dist.amplitude(x + h, clipped=False) * (1.0 + eps * (x + h))
-        down = dist.amplitude(x - h, clipped=False) * (1.0 + eps * (x - h))
-        d2 = (up - 2.0 * trial + down) / (h * h)
-    return float(np.abs(d2 - dist.alpha ** 2 * trial).max())
+    return _max_generating(*_grid(dist, cfg, derivative, step, perturbation), dist.alpha)
 
 
 def qtilde_recovered(dist: EpiDistribution,
@@ -275,9 +274,7 @@ def qtilde_recovered(dist: EpiDistribution,
 
     Returns (mean, standard deviation); constant 2*alpha^2 on the solution.
     """
-    _, q, d2q = _grid(dist, cfg, derivative, cfg.step_x(dist))
-    profile = 2.0 * d2q / q
-    return float(profile.mean()), float(profile.std())
+    return _qtilde(*_grid(dist, cfg, derivative))
 
 
 def boundary_constant(dist: EpiDistribution) -> float:
@@ -313,20 +310,26 @@ def boundary_identity_residual(dist: EpiDistribution,
 
 
 def verify_all(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> PrincipleReport:
-    """Evaluate every identity and assemble the report (kappa fixed at 1)."""
-    capacity, q_value = fisher_metric_form(dist, cfg), _structural_q(dist, cfg)
-    generating = generating_equation_residual(dist, cfg, derivative="fd")
-    qtilde_mean, _ = qtilde_recovered(dist, cfg, derivative="analytic")
+    """Evaluate every identity and assemble the report (kappa fixed at 1).
+
+    The theta family and the x grid are each evaluated once; the quadrature
+    gates run in the order metric, structural, statistical, kinematical.
+    """
+    quads, tol = _theta_quads(dist, cfg), cfg.quadrature_tol
+    capacity, q_value = _gate(*quads["metric"], tol), _gate(*quads["structural"], tol)
+    q, d2q = _grid(dist, cfg, "fd")
+    exact = dist.alpha ** 2 * q
+    generating = _max_generating(q, d2q, dist.alpha)
     return PrincipleReport(
         fisher_metric=capacity,
-        fisher_statistical=fisher_statistical(dist, cfg),
+        fisher_statistical=_gate(*quads["statistical"], tol),
         fisher_kinematical=fisher_kinematical(dist, cfg),
         structural_Q=q_value,
         structural_residual=abs(capacity + q_value),
-        epi_residual_pointwise=pointwise_information_density(dist, cfg, derivative="analytic"),
+        epi_residual_pointwise=_max_density(q, exact, dist.alpha),
         generating_residual=generating,
         euler_lagrange_residual=generating,  # the same equation at the solution
-        qtilde_value=qtilde_mean,
+        qtilde_value=_qtilde(q, exact)[0],
         boundary_constant=boundary_constant(dist),
         kappa=1.0,
     )

@@ -142,6 +142,9 @@ def test_compare_bad_input_exits_2(capsys, flags):
 
 
 INF_CUT_CSV = "a,p_gt\n1,0.5\ninf,0.1\n"
+# each verify numeric flag at nan and inf: NumericsConfig rejects it, naming the field
+VERIFY_NON_FINITE = [(flag, value) for flag in ("--grid-span", "--fd-step-x", "--fd-step-theta",
+                                                "--quadrature-tol") for value in ("nan", "inf")]
 
 
 @pytest.mark.parametrize("argv,csv", [
@@ -155,8 +158,10 @@ INF_CUT_CSV = "a,p_gt\n1,0.5\ninf,0.1\n"
     (["overlay", "--d-over-n", "2", "--data", "{csv}"], INF_CUT_CSV),
     (["fit", "--fit-a0", "--data", "{csv}"], INF_CUT_CSV),
     (["fit", "--data", "{csv}"], "a,p_gt,w\n1,0.5,1\n2,0.1,nan\n"),
+    *((["verify", "--mean-demand", "135", *flag_value], None) for flag_value in VERIFY_NON_FINITE),
 ], ids=["levels-inf", "a0-nan", "a0-inf", "epi-mean-inf", "overlay-mean-inf", "verify-mean-inf",
-        "epi-grid-nan", "overlay-csv-inf-cut", "fit-csv-inf-cut", "fit-csv-nan-weight"])
+        "epi-grid-nan", "overlay-csv-inf-cut", "fit-csv-inf-cut", "fit-csv-nan-weight",
+        *(f"verify{flag}-{value}" for flag, value in VERIFY_NON_FINITE)])
 def test_non_finite_input_exits_2(capsys, tmp_path, argv, csv):
     if csv is not None:
         (tmp_path / "tails.csv").write_text(csv, encoding="utf-8")

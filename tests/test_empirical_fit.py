@@ -240,6 +240,23 @@ def test_overlay_merges_data_cuts_into_grid():
     assert float(by_cut[150.0][2]) == pytest.approx(math.exp(-150.0 / 135.0), rel=1e-12)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(values=st.lists(st.floats(1.5, 1e3), min_size=1, max_size=4, unique=True),
+       a0=st.sampled_from([0.0, 1.0]),
+       cuts=st.lists(st.one_of(st.floats(-10.0, 1e6), st.sampled_from([0.0, 1.0, 1e6])),
+                     max_size=30))
+def test_overlay_tail_columns_equal_scalar_evaluation(values, a0, cuts):
+    # cuts below a0, at a0, and up to 1e6, past 745 mean gaps for every D/n <= 1e3,
+    # where exp underflows to zero
+    lines = emit_overlay(None, values, a0, cuts).split("\n")[1:-1]
+    dists = [make(v, a0) for v in sorted(values)]
+    assert len(lines) == len(set(cuts))
+    for line, a in zip(lines, sorted(set(cuts))):
+        cells = line.split(",")
+        assert cells[:2] == [f"{a:.17g}", ""]
+        assert cells[2:] == [f"{dist.tail(a):.17g}" for dist in dists]
+
+
 def test_overlay_empty_grid_gives_header_only():
     text = emit_overlay(None, (135.0,), 0.0, ())
     assert text == "a,p_gt_data,tail_135\n"

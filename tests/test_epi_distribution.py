@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from aym import Displacement, DomainError, curve_csv, make
@@ -167,3 +169,19 @@ def test_curve_csv_layout():
     assert float(a) == 135.0
     assert float(pdf) == pytest.approx(dist.pdf(135.0), rel=1e-15)
     assert float(tail) == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+# cuts in mean gaps from a0: below the support, a0 itself, and past 709 and 745
+# gaps, where exp(-t) is subnormal and then underflows to zero
+GAPS = st.lists(st.one_of(st.floats(-5.0, 800.0), st.sampled_from([-1.0, 0.0, 720.0, 760.0])),
+                max_size=40)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(gap=st.floats(1e-3, 1e6), a0=st.sampled_from([0.0, 1.0, 37.5]), gaps=GAPS)
+def test_curve_csv_rows_equal_scalar_evaluation(gap, a0, gaps):
+    dist = make(a0 + gap, a0)
+    grid = [a0 + t * dist.scale for t in gaps] + [a0]
+    lines = curve_csv(dist, grid).split("\n")
+    assert lines[0] == "a,pdf,tail" and lines[-1] == ""
+    assert lines[1:-1] == [f"{a:.17g},{dist.pdf(a):.17g},{dist.tail(a):.17g}" for a in grid]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -143,17 +145,26 @@ def test_boundary_integration_by_parts_identity():
         assert boundary_identity_residual(dist) < 1e-8
 
 
-def test_report_assembles_all_fields():
-    dist = make(135.0, 0.0)
+@pytest.mark.parametrize("dist", FAMILY, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
+def test_report_assembles_all_fields(dist):
     report = verify_all(dist)
     assert report.kappa == 1.0
-    assert report.fisher_metric == pytest.approx(1.0 / 135.0 ** 2, rel=1e-4)
-    assert report.structural_Q == pytest.approx(-1.0 / 135.0 ** 2, rel=1e-3)
+    assert report.fisher_metric == pytest.approx(_expected_capacity(dist), rel=1e-4)
+    assert report.structural_Q == pytest.approx(-_expected_capacity(dist), rel=1e-3)
     assert report.epi_residual_pointwise < 1e-12
     assert report.qtilde_value == pytest.approx(2.0 * dist.alpha ** 2, rel=1e-10)
     assert report.boundary_constant == pytest.approx(8.0 * dist.alpha ** 2, rel=1e-10)
     assert report.structural_residual == abs(report.fisher_metric + report.structural_Q)
     assert report.euler_lagrange_residual == generating_equation_residual(dist, derivative="fd")
+    # the shared evaluation computes what each identity computes alone, bit for bit
+    assert report.fisher_metric == fisher_metric_form(dist)
+    assert report.fisher_statistical == fisher_statistical(dist)
+    assert report.fisher_kinematical == fisher_kinematical(dist)
+    assert report.structural_Q == structural_principle(dist)[0]
+    assert report.epi_residual_pointwise == pointwise_information_density(dist)
+    assert report.generating_residual == generating_equation_residual(dist, derivative="fd")
+    assert report.qtilde_value == qtilde_recovered(dist)[0]
+    assert report.boundary_constant == boundary_constant(dist)
     payload = report.to_json_dict()
     assert list(payload) == [
         "fisher_metric", "fisher_statistical", "fisher_kinematical",
@@ -174,6 +185,11 @@ def test_numerics_config_validation():
         NumericsConfig(grid_points=2)
     with pytest.raises(DomainError):
         NumericsConfig(grid_span_gaps=30.0)
+    # non-finite values, each rejected with the field's name
+    for field in ("fd_step_theta", "fd_step_x", "quadrature_tol", "grid_span_gaps"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=field):
+                NumericsConfig(**{field: value})
 
 
 def test_grid_points_bounded_before_allocation():
