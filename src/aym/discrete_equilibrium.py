@@ -20,10 +20,10 @@ All functions here are pure; results are deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .errors import (
     DomainError,
@@ -115,22 +115,27 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     if not 0 <= tol < math.inf:  # max(nan, floor) is nan, which no residual meets
         raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
     params = validate(params)
-    a = np.asarray(params.levels, dtype=float)
-    n, D, g = params.n, params.D, params.g
+    levels, n, D, g = params.levels, params.n, params.D, params.g
     if not math.isfinite(c * n * n):  # w_i = n_i + c n_i^2 must stay finite
         raise DomainError(f"occupation-form parameter c = {c} must keep c*n*n finite")
-    if not a[0] < D / n < a[-1]:
+    if not levels[0] < D / n < levels[-1]:
         raise InfeasibleDemand(
-            f"demand per worker {D / n} must lie strictly inside ({a[0]}, {a[-1]})")
+            f"demand per worker {D / n} must lie strictly inside ({levels[0]}, {levels[-1]})")
     if c < 0:
         cap = -1.0 / c
         # the k-th sector filled takes fill[k] workers (cap = inf, for subnormal c, is fine)
-        fill = np.diff(np.minimum(n, cap * np.arange(1, g + 1)), prepend=0.0)
-        lo, hi = float(a @ fill), float(a[::-1] @ fill)
+        filled = [0.0] + [min(n, cap * k) for k in range(1, g + 1)]
+        fill = [after - before for before, after in zip(filled, filled[1:])]
+        lo = hi = math.inf  # kept where fsum overflows: no term is < 0, so the sum is too
+        with contextlib.suppress(OverflowError):
+            lo = math.fsum(map(mul, levels, fill))
+            hi = math.fsum(map(mul, levels[::-1], fill))
         if n > g * cap or not lo <= D <= hi:
             raise DomainViolation(
                 f"c = {c} caps each occupation at {cap}, so a solution needs n <= {g * cap} "
                 f"and D in [{lo}, {hi}]; got n = {n}, D = {D}")
+    import numpy as np  # only now: a rejected input is decided without loading numpy
+    a = np.asarray(levels, dtype=float)
     eps = float(np.finfo(float).eps)
     pole = c > 0 and c * n >= 1
 
@@ -445,6 +450,7 @@ def stirling_consistency(params: EconomyParams, tol: float = _DEFAULT_TOL,
     enumeration = enumerate_feasible(params, max_vectors=max_vectors)
     if enumeration.argmax is None:
         raise DomainError("no feasible integer vectors to compare against")
+    import numpy as np
     solution = solve_boltzmann(params, tol=tol)
     real = np.asarray(solution.occupations)
 

@@ -185,9 +185,14 @@ def fisher_statistical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUME
 
 def regularity_residual(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """|integral d^2 p/dtheta^2 da|; zero because the support edge is theta-free."""
+    quads = _theta_quads(dist, cfg)["regularity"]
     # the integral cancels to ~0; gate the quad error against the capacity scale
-    return abs(_gate(*_theta_quads(dist, cfg)["regularity"], cfg.quadrature_tol,
-                     magnitude=1.0 / dist.scale ** 2))
+    try:
+        magnitude = 1.0 / dist.scale ** 2
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"mean gap D/n - a0 = {dist.scale} leaves no float capacity "
+                          "scale 1/(D/n - a0)^2") from None
+    return abs(_gate(*quads, cfg.quadrature_tol, magnitude=magnitude))
 
 
 def structural_principle(dist: EpiDistribution,
@@ -202,6 +207,15 @@ def structural_principle(dist: EpiDistribution,
     return q_value, abs(_gate(*quads["metric"], cfg.quadrature_tol) + q_value)
 
 
+def _alpha_squared(dist: EpiDistribution) -> float:
+    """alpha^2, the generating equation's coefficient, as a float."""
+    try:
+        return dist.alpha ** 2
+    except OverflowError:
+        raise DomainError(f"mean gap D/n - a0 = {dist.scale} puts alpha^2 "
+                          "past the float range") from None
+
+
 def _grid(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
           step: float | None = None, eps: float = 0.0):
     """(q, q'') on the grid for the trial amplitude q (1 + eps x).
@@ -214,7 +228,7 @@ def _grid(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
     q = base * (1.0 + eps * x)
     if derivative == "analytic":
         # (q0 (1 + eps x))'' = q0'' (1 + eps x) + 2 eps q0' with q0' = -alpha q0
-        return q, dist.alpha ** 2 * q - 2.0 * eps * dist.alpha * base
+        return q, _alpha_squared(dist) * q - 2.0 * eps * dist.alpha * base
     if derivative == "fd":
         h = step if step is not None else cfg.step_x(dist)
         up, down = (dist.amplitude(y, clipped=False) * (1.0 + eps * y) for y in (x + h, x - h))
@@ -223,12 +237,12 @@ def _grid(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
 
 
 # the grid identities, each a function of (q, q'') on the grid
-def _max_density(q, d2q, alpha: float) -> float:
-    return float(np.abs(-0.5 * q * d2q + 0.25 * q * q * (2.0 * alpha ** 2)).max())
+def _max_density(q, d2q, alpha_sq: float) -> float:
+    return float(np.abs(-0.5 * q * d2q + 0.25 * q * q * (2.0 * alpha_sq)).max())
 
 
-def _max_generating(q, d2q, alpha: float) -> float:
-    return float(np.abs(d2q - alpha ** 2 * q).max())
+def _max_generating(q, d2q, alpha_sq: float) -> float:
+    return float(np.abs(d2q - alpha_sq * q).max())
 
 
 def _qtilde(q, d2q) -> tuple[float, float]:
@@ -241,7 +255,7 @@ def pointwise_information_density(dist: EpiDistribution,
                                   derivative: str = "analytic",
                                   step: float | None = None) -> float:
     """max |k(x)| with k = -(1/2) q q'' + (1/4) q^2 * 2 alpha^2; identically 0."""
-    return _max_density(*_grid(dist, cfg, derivative, step), dist.alpha)
+    return _max_density(*_grid(dist, cfg, derivative, step), _alpha_squared(dist))
 
 
 def generating_equation_residual(dist: EpiDistribution,
@@ -249,7 +263,7 @@ def generating_equation_residual(dist: EpiDistribution,
                                  derivative: str = "fd",
                                  step: float | None = None) -> float:
     """max |q'' - alpha^2 q| over the grid; 0 analytically, O(h^2) under FD."""
-    return _max_generating(*_grid(dist, cfg, derivative, step), dist.alpha)
+    return _max_generating(*_grid(dist, cfg, derivative, step), _alpha_squared(dist))
 
 
 def euler_lagrange_residual(dist: EpiDistribution,
@@ -264,7 +278,8 @@ def euler_lagrange_residual(dist: EpiDistribution,
     residual for the trial amplitude q*(1 + eps*x), which grows linearly in
     eps (the solution is the unique zero of the functional derivative).
     """
-    return _max_generating(*_grid(dist, cfg, derivative, step, perturbation), dist.alpha)
+    return _max_generating(*_grid(dist, cfg, derivative, step, perturbation),
+                           _alpha_squared(dist))
 
 
 def qtilde_recovered(dist: EpiDistribution,
@@ -318,15 +333,16 @@ def verify_all(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) ->
     quads, tol = _theta_quads(dist, cfg), cfg.quadrature_tol
     capacity, q_value = _gate(*quads["metric"], tol), _gate(*quads["structural"], tol)
     q, d2q = _grid(dist, cfg, "fd")
-    exact = dist.alpha ** 2 * q
-    generating = _max_generating(q, d2q, dist.alpha)
+    alpha_sq = _alpha_squared(dist)
+    exact = alpha_sq * q
+    generating = _max_generating(q, d2q, alpha_sq)
     return PrincipleReport(
         fisher_metric=capacity,
         fisher_statistical=_gate(*quads["statistical"], tol),
         fisher_kinematical=fisher_kinematical(dist, cfg),
         structural_Q=q_value,
         structural_residual=abs(capacity + q_value),
-        epi_residual_pointwise=_max_density(q, exact, dist.alpha),
+        epi_residual_pointwise=_max_density(q, exact, alpha_sq),
         generating_residual=generating,
         euler_lagrange_residual=generating,  # the same equation at the solution
         qtilde_value=_qtilde(q, exact)[0],

@@ -407,7 +407,7 @@ stirling_consistency structural_principle validate verify_all
 """.split())
 
 NUMPY_FREE_RUN = """
-import json, os, sys
+import contextlib, io, json, os, sys
 sys.modules["numpy"] = None  # any import of numpy now fails
 environ = dict(os.environ)
 import aym
@@ -423,19 +423,45 @@ try:
     missing = None
 except AttributeError as exc:
     missing = str(exc)
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    loaded = sorted(name for name, module in sys.modules.items()
+                    if name.split(".")[0] == "numpy" and module is not None)
+    runs.append([code, out.getvalue(), err.getvalue(), loaded])
 print(json.dumps({"codes": codes, "all": sorted(aym.__all__), "missing": missing,
-                  "environ_unchanged": dict(os.environ) == environ}))
+                  "environ_unchanged": dict(os.environ) == environ, "runs": runs}))
 """
 
+# integer and comparison logic only: the exact enumeration, and the solve errors
+# decided from the parameters before the solver's arithmetic starts
+NUMPY_FREE_CASES = [
+    (["enumerate", "--levels", "1,2,3", "--n", "6", "--D", "13"], 0),
+    (["enumerate", "--levels", "1,2,3", "--n", "6", "--D", "13", "--format", "csv"], 0),
+    (["solve", "--levels", "1,2,3", "--n", "6", "--D", "21"], 2),  # outside the hull
+    (["solve", "--levels", "1,2,3", "--n", "6", "--D", "18"], 2),  # on the hull's edge
+    (["generalized", "--levels", "1,2,3", "--n", "100", "--D", "200", "--c", "-1"], 3),  # crowded
+    (["generalized", "--levels", "1,2,3", "--n", "2", "--D", "2.5", "--c", "-1"], 3),  # below fill
+    (["generalized", "--levels", "1,2,3", "--n", "2", "--D", "5.5", "--c", "-1"], 3),  # above fill
+]
 
-def test_import_and_usage_paths_load_no_numpy():
-    proc = _python(NUMPY_FREE_RUN)
+
+def test_import_and_usage_paths_load_no_numpy(capsys):
+    proc = _python(NUMPY_FREE_RUN, json.dumps([argv for argv, _ in NUMPY_FREE_CASES]))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().split("\n")[-1])
     assert report["codes"] == [0, 0, 64]
     assert report["all"] == PUBLIC_NAMES
     assert "no_such_name" in report["missing"]
     assert report["environ_unchanged"]
+    assert len(report["runs"]) == len(NUMPY_FREE_CASES)
+    for (argv, expected), (code, out, err, loaded) in zip(NUMPY_FREE_CASES, report["runs"]):
+        assert loaded == [], argv
+        assert code == expected, err
+        # the same bytes as a run with numpy available
+        assert [code, out, err] == list(_run(capsys, argv)), argv
 
 
 def test_every_public_name_resolves():

@@ -178,10 +178,19 @@ def test_generalized_without_solution_raises():
     ((1, 2, 3, 4), 10, 25, -0.5),   # n > g/|c|
     ((1, 2, 3), 1.5, 1.75, -1.0),   # D below the bottom-up fill 2
     ((1, 2, 3, 4), 2.5, 9, -1.0),   # D above the top-down fill 8
-], ids=["crowded", "below-fill", "above-fill"])
+    ((1, 1e308, 1.7e308), 3, 1e308, -1.0),  # the bottom-up fill 2.7e308 is past the float range
+], ids=["crowded", "below-fill", "above-fill", "fill-overflows"])
 def test_generalized_infeasible_fermi_shapes_raise(levels, n, D, c):
     with pytest.raises(DomainViolation):
         solve_generalized(EconomyParams(levels, n, D), c=c)
+
+
+@pytest.mark.parametrize("D", [9, 12, 17.5])
+def test_subnormal_negative_c_caps_nothing(D):
+    # -1/c overflows to an infinite cap, so every (n, D) inside the hull stays feasible
+    params = EconomyParams((1, 2, 3), 6, D)
+    assert solve_generalized(params, c=-1e-320).occupations == pytest.approx(
+        solve_boltzmann(params).occupations, rel=1e-12)
 
 
 @pytest.mark.parametrize("levels,n,D,c", [

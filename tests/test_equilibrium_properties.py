@@ -8,12 +8,15 @@ between the bottom-up and the top-down fill.
 
 import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aym import DomainViolation, EconomyParams, solve_boltzmann, solve_generalized
+from aym import (DomainViolation, EconomyParams, NoConvergence, solve_boltzmann,
+                 solve_generalized)
 
 TOL = 1e-10
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -101,3 +104,57 @@ def test_provably_infeasible_fermi_like_raises(levels, c_abs, shape, u, share):
              else hi + share * (levels[-1] * n - hi))
     with pytest.raises(DomainViolation):
         solve_generalized(EconomyParams(levels, n, D), -c_abs)
+
+
+def numpy_and_exact_fill_bounds(levels, n, cap):
+    """The fill bounds as numpy's dot computed them, and the same sums in exact arithmetic."""
+    a = np.asarray(levels, dtype=float)
+    fill = np.diff(np.minimum(n, cap * np.arange(1, len(levels) + 1)), prepend=0.0)
+    exact = (sum(Fraction(x) * Fraction(f) for x, f in zip(order, fill.tolist()))
+             for order in (levels, levels[::-1]))
+    return (float(a @ fill), float(a[::-1] @ fill)), tuple(exact)
+
+
+def rejected(levels, n, D, c):
+    """True when solve_generalized decides (n, D) infeasible before iterating."""
+    try:
+        solve_generalized(EconomyParams(levels, n, D), c, max_iter=1)
+    except DomainViolation:
+        return True
+    except NoConvergence:  # feasible: the one iteration allowed was not enough
+        pass
+    return False
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(ladders(), log_uniform(1.0, 1e12), st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+       st.floats(0.0, 1.0))
+def test_fermi_like_feasibility_matches_the_numpy_decision(levels, cap_in, share, u):
+    """The plain-Python cap check decides as numpy's dot did, up to rounding.
+
+    n = g * cap (share 1) fills every sector to its cap.  D runs over both
+    numpy bounds, their float neighbours and a point between them.  Away
+    from the exact bounds the decision is the exact one; a flip against
+    numpy needs D within numpy's rounding (g + 2 ulps) of an exact bound.
+    """
+    c = -1.0 / cap_in
+    g, cap = len(levels), -1.0 / c  # the cap exactly as the solver forms it
+    n = g * cap if share == 1.0 else share * g * cap
+    (old_lo, old_hi), bounds = numpy_and_exact_fill_bounds(levels, n, cap)
+    candidates = [old_lo + u * (old_hi - old_lo)]
+    for bound in (old_lo, old_hi):
+        candidates += [bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)]
+    checked = 0
+    for D in candidates:
+        if not (levels[0] < D / n < levels[-1] and levels[0] * n <= D <= levels[-1] * n):
+            continue  # outside the hull: InfeasibleDemand, before the cap check
+        checked += 1
+        new = rejected(levels, n, D, c)
+        exact = n > g * cap or not bounds[0] <= Fraction(D) <= bounds[1]
+        old = n > g * cap or not old_lo <= D <= old_hi
+        gap = [abs(Fraction(D) - b) / max(b, Fraction(1, 2 ** 1074)) for b in bounds]
+        if min(gap) > np.finfo(float).eps:
+            assert new == exact
+        if new != old:
+            assert min(gap) <= (g + 2) * np.finfo(float).eps
+    assume(checked)

@@ -101,6 +101,18 @@ def test_proposal_returns_state_when_stuck():
     assert propose_pair_move(state, (1, 2), rng) is state
 
 
+def test_proposal_takes_levels_as_any_sequence():
+    # the cached lattice step keys on tuple(levels), so a list draws the same moves
+    state = OccupationVector((2, 3, 1, 2))
+    by_list, by_tuple = _rng(5), _rng(5)
+    for _ in range(50):
+        moved = propose_pair_move(state, [1, 2, 3, 5], by_list)
+        assert moved == propose_pair_move(state, (1, 2, 3, 5), by_tuple)
+        state = moved
+    with pytest.raises(DomainError):
+        propose_pair_move(state, [1, 2, 3], by_list)
+
+
 def test_proposals_conserve_both_sums():
     rng = _rng(4)
     levels = (1, 2, 3, 5)

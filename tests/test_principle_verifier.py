@@ -236,3 +236,21 @@ def test_quad_gate_rejects_kinked_integrand():
 def test_quad_rejects_non_finite_values():
     with pytest.raises(QuadratureFailure):
         _quad(lambda a: np.exp(-a) / (a - a), 0.0, 1.0, 1e-12)
+
+
+# at D/n = 1e200 the mean gap squared overflows; at D/n = 1e-300 alpha squared
+# overflows (and the gap squared underflows to 0): both are DomainError, while
+# the grid residuals at 1e200 underflow harmlessly to finite values
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mean_demand", [1e200, 1e-300], ids=["huge", "tiny"])
+@pytest.mark.parametrize("function", [
+    regularity_residual, generating_equation_residual, pointwise_information_density,
+    euler_lagrange_residual, qtilde_recovered,
+], ids=lambda f: f.__name__)
+def test_extreme_mean_gap_is_a_domain_error(function, mean_demand):
+    dist = make(mean_demand, 0.0)
+    if mean_demand < 1.0 or function is regularity_residual:
+        with pytest.raises(DomainError, match="mean gap"):
+            function(dist)
+    else:
+        assert all(map(math.isfinite, np.atleast_1d(function(dist))))
