@@ -20,9 +20,9 @@ All functions here are pure; results are deterministic.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
 from .errors import (
@@ -101,8 +101,8 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     floor below.  D/n must lie strictly inside (a_1, a_g) (InfeasibleDemand).
     For c < 0 each n_i is below 1/|c|, so a solution needs n <= g/|c| and
     D between the outputs of filling the sectors bottom-up and top-down at
-    1/|c| workers each; DomainViolation is raised otherwise.  Boundary
-    instances are attempted.
+    1/|c| workers each, summed exactly; DomainViolation is raised otherwise.
+    Boundary instances are attempted.
 
     Stop rule: the solve returns once |sum a_i n_i - D| <= max(tol, floor_D),
     floor_D = 4 eps (g D + |beta| V), the rounding of the sum plus one ulp
@@ -126,11 +126,10 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
         # the k-th sector filled takes fill[k] workers (cap = inf, for subnormal c, is fine)
         filled = [0.0] + [min(n, cap * k) for k in range(1, g + 1)]
         fill = [after - before for before, after in zip(filled, filled[1:])]
-        lo = hi = math.inf  # kept where fsum overflows: no term is < 0, so the sum is too
-        with contextlib.suppress(OverflowError):
-            lo = math.fsum(map(mul, levels, fill))
-            hi = math.fsum(map(mul, levels[::-1], fill))
+        lo, hi = (sum(map(mul, map(Fraction, order), map(Fraction, fill)))  # exact: no D flips
+                  for order in (levels, levels[::-1]))
         if n > g * cap or not lo <= D <= hi:
+            lo, hi = (sum(map(mul, order, fill)) for order in (levels, levels[::-1]))  # inf past range
             raise DomainViolation(
                 f"c = {c} caps each occupation at {cap}, so a solution needs n <= {g * cap} "
                 f"and D in [{lo}, {hi}]; got n = {n}, D = {D}")

@@ -3,8 +3,8 @@
 Target law: the multinomial weight n!/prod(n_i!) restricted to integer
 allocations with both sums conserved.  A pair move sends one worker from
 sector i up to i+k and another from j down to j-k; the move table holds the
-quadruples (i, i+k, j, j-k) that conserve demand, without the no-op swaps
-j = i+k, built once per lattice and cached.
+quadruples (i, i+k, j, j-k) that conserve demand, built once per chain,
+without the no-op swaps j = i+k.
 
 Each step draws one entry of the table uniformly, whatever the state.  A
 move that would empty a sector (counts[i] = 0, counts[j] = 0, or i = j with
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -167,19 +166,12 @@ class SampleSummary:
         return _csv_text(("state", "frequency"), ((";".join(map(str, s)), f) for s, f in rows))
 
 
-@lru_cache(maxsize=32)
 def _move_table(units: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
     """Index quadruples (i, i+k, j, j-k) of the demand-conserving moves, no-op swaps left out."""
     g = len(units)
     return tuple((i, i + k, j, j - k)
                  for i in range(g) for k in range(1, g - i) for j in range(k, g)
                  if j != i + k and units[j] - units[j - k] == units[i + k] - units[i])
-
-
-@lru_cache(maxsize=32)
-def _lattice_units(levels: tuple[float, ...]) -> tuple[int, ...]:
-    """The levels in their lattice unit, computed once per levels tuple."""
-    return integer_lattice(levels)[0]
 
 
 def propose_pair_move(state: OccupationVector, levels, rng) -> OccupationVector:
@@ -189,7 +181,7 @@ def propose_pair_move(state: OccupationVector, levels, rng) -> OccupationVector:
     a sector.  The proposal is symmetric, so a Metropolis step built on it
     needs no Hastings term.
     """
-    units = _lattice_units(tuple(levels))
+    units, _ = integer_lattice(levels)
     if len(units) != len(state.counts):
         raise DomainError("levels and state must have equal length")
     table = _move_table(units)

@@ -1,4 +1,5 @@
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -179,10 +180,26 @@ def test_generalized_without_solution_raises():
     ((1, 2, 3), 1.5, 1.75, -1.0),   # D below the bottom-up fill 2
     ((1, 2, 3, 4), 2.5, 9, -1.0),   # D above the top-down fill 8
     ((1, 1e308, 1.7e308), 3, 1e308, -1.0),  # the bottom-up fill 2.7e308 is past the float range
-], ids=["crowded", "below-fill", "above-fill", "fill-overflows"])
+    # a float below the exact bottom-up fill, which numpy's dot rounded down onto D
+    ((2.1, 3.5, 3.6, 4.9, 5.0), 7.1, 23.789999999999996, -0.5),
+], ids=["crowded", "below-fill", "above-fill", "fill-overflows", "an-ulp-below-fill"])
 def test_generalized_infeasible_fermi_shapes_raise(levels, n, D, c):
     with pytest.raises(DomainViolation):
         solve_generalized(EconomyParams(levels, n, D), c=c)
+
+
+@pytest.mark.parametrize("levels,n,D,c", [
+    ((1, 2, 3), 2.5, 4.5, -1.0),   # the bottom-up fill 1 + 2 + 1.5
+    ((1, 2, 3), 2.5, 5.5, -1.0),   # the top-down fill 3 + 2 + 0.5
+    # exact fills that a rounded sum misses by an ulp (numpy's dot gave 55.400000000000006
+    # and 14.899999999999999, so these were rejected when the bounds were float sums)
+    ((2.3, 5.5, 5.7, 6.6, 7.6, 8.3), 10.0, 55.4, -0.5),
+    ((1.5, 2.0, 3.7, 4.9, 6.1), 3.1, 14.9, -1.0),
+], ids=["bottom-up", "top-down", "bottom-up-rounded", "top-down-rounded"])
+def test_generalized_demand_exactly_at_a_fill_is_attempted(levels, n, D, c):
+    result = solve_generalized(EconomyParams(levels, n, D), c=c)
+    assert max(result.occupations) <= -1.0 / c
+    assert sum(map(operator.mul, levels, result.occupations)) == pytest.approx(D, rel=1e-9)
 
 
 @pytest.mark.parametrize("D", [9, 12, 17.5])

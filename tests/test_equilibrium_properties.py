@@ -130,19 +130,20 @@ def rejected(levels, n, D, c):
 @given(ladders(), log_uniform(1.0, 1e12), st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
        st.floats(0.0, 1.0))
 def test_fermi_like_feasibility_matches_the_numpy_decision(levels, cap_in, share, u):
-    """The plain-Python cap check decides as numpy's dot did, up to rounding.
+    """The plain-Python cap check is exact, and decides as numpy's dot did up to rounding.
 
     n = g * cap (share 1) fills every sector to its cap.  D runs over both
-    numpy bounds, their float neighbours and a point between them.  Away
-    from the exact bounds the decision is the exact one; a flip against
-    numpy needs D within numpy's rounding (g + 2 ulps) of an exact bound.
+    numpy bounds, the exact bounds rounded to floats, their float
+    neighbours and a point between them.  The decision is the exact one
+    everywhere; a flip against numpy needs D within numpy's rounding
+    (g + 2 ulps) of an exact bound.
     """
     c = -1.0 / cap_in
     g, cap = len(levels), -1.0 / c  # the cap exactly as the solver forms it
     n = g * cap if share == 1.0 else share * g * cap
     (old_lo, old_hi), bounds = numpy_and_exact_fill_bounds(levels, n, cap)
     candidates = [old_lo + u * (old_hi - old_lo)]
-    for bound in (old_lo, old_hi):
+    for bound in (old_lo, old_hi, float(bounds[0]), float(bounds[1])):
         candidates += [bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)]
     checked = 0
     for D in candidates:
@@ -150,11 +151,8 @@ def test_fermi_like_feasibility_matches_the_numpy_decision(levels, cap_in, share
             continue  # outside the hull: InfeasibleDemand, before the cap check
         checked += 1
         new = rejected(levels, n, D, c)
-        exact = n > g * cap or not bounds[0] <= Fraction(D) <= bounds[1]
-        old = n > g * cap or not old_lo <= D <= old_hi
-        gap = [abs(Fraction(D) - b) / max(b, Fraction(1, 2 ** 1074)) for b in bounds]
-        if min(gap) > np.finfo(float).eps:
-            assert new == exact
-        if new != old:
-            assert min(gap) <= (g + 2) * np.finfo(float).eps
+        assert new == (n > g * cap or not bounds[0] <= Fraction(D) <= bounds[1])
+        if new != (n > g * cap or not old_lo <= D <= old_hi):
+            gap = min(abs(Fraction(D) - b) / max(b, Fraction(1, 2 ** 1074)) for b in bounds)
+            assert gap <= (g + 2) * np.finfo(float).eps
     assume(checked)

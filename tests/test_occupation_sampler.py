@@ -102,7 +102,7 @@ def test_proposal_returns_state_when_stuck():
 
 
 def test_proposal_takes_levels_as_any_sequence():
-    # the cached lattice step keys on tuple(levels), so a list draws the same moves
+    # a list of levels draws the moves its tuple does
     state = OccupationVector((2, 3, 1, 2))
     by_list, by_tuple = _rng(5), _rng(5)
     for _ in range(50):
