@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -34,6 +35,11 @@ EXIT_USAGE = 64
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the malformed-flag exit code pinned to 64."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's negative-number pattern has no exponent: --c -1e-3 would read as two flags
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][+-]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -104,12 +110,6 @@ def _grid_from_args(args) -> list[float]:
 
 
 def _cmd_solve(args) -> str:
-    from .discrete_equilibrium import solve_boltzmann
-    solution = solve_boltzmann(_economy_from_args(args), tol=args.tol)
-    return _json_text(solution.to_json_dict())
-
-
-def _cmd_generalized(args) -> str:
     from .discrete_equilibrium import solve_generalized
     solution = solve_generalized(_economy_from_args(args), c=args.c, tol=args.tol)
     return _json_text(solution.to_json_dict())
@@ -197,14 +197,14 @@ def build_parser() -> _Parser:
     sub = subs.add_parser("solve", help="Boltzmann equilibrium occupations (JSON)")
     _add_economy_flags(sub)
     sub.add_argument("--tol", type=float, default=1e-10, help="constraint residual tolerance")
-    sub.set_defaults(handler=_cmd_solve)
+    sub.set_defaults(handler=_cmd_solve, c=0.0)  # solve_boltzmann is the c = 0 solve
 
     sub = subs.add_parser("generalized", help="generalized-c equilibrium occupations (JSON)")
     _add_economy_flags(sub)
     sub.add_argument("--c", type=float, required=True,
                      help="occupation-form parameter (0 = Boltzmann, 1 Bose-like, -1 Fermi-like)")
     sub.add_argument("--tol", type=float, default=1e-10, help="constraint residual tolerance")
-    sub.set_defaults(handler=_cmd_generalized)
+    sub.set_defaults(handler=_cmd_solve)
 
     sub = subs.add_parser("epi", help="continuous law curve table a,pdf,tail (CSV)")
     sub.add_argument("--mean-demand", type=float, required=True, help="demand per worker D/n")
@@ -289,15 +289,9 @@ def main(argv=None) -> int:
         if destination is not None:
             destination.parent.mkdir(parents=True, exist_ok=True)
             destination.write_text(text, encoding="utf-8")
-    except ValidationError as exc:
+    except (ValidationError, SolverError, OSError) as exc:
         print(f"aym {args.subcommand}: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except SolverError as exc:
-        print(f"aym {args.subcommand}: error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
-    except OSError as exc:
-        print(f"aym {args.subcommand}: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return EXIT_SOLVER_FAILURE if isinstance(exc, SolverError) else EXIT_INVALID_INPUT
     if destination is None:
         sys.stdout.write(text)
     return EXIT_OK

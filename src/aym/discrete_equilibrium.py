@@ -32,7 +32,8 @@ from .errors import (
     InstanceTooLarge,
     NoConvergence,
 )
-from .model_core import EconomyParams, OccupationVector, integer_lattice, validate
+from .model_core import (EconomyParams, OccupationVector, _check_ratio, _validate_ladder,
+                         integer_lattice, validate)
 
 _DEFAULT_TOL = 1e-10
 
@@ -215,15 +216,15 @@ def closed_form_ladder(r: float, n: float, i: int) -> float:
     """Most-probable occupation of rung i on the unbounded arithmetic ladder.
 
     n_i = n/(r-1) * ((r-1)/r)**i with r = (D/n)/a0; the geometric series
-    over i >= 1 sums to n.  Requires r > 1.
+    over i >= 1 sums to n.  Requires a finite r > 1.
     """
-    if r <= 1.0:
-        raise DomainError(f"ladder form needs r > 1, got {r}")
+    _check_ratio(r)
     return n / (r - 1.0) * ((r - 1.0) / r) ** i
 
 
 def ladder_limit_form(r: float, i: int) -> float:
-    """Large-r probability that a worker sits on rung i: (1/r + 1/r^2) e^{-i/r}."""
+    """Large-r probability that a worker sits on rung i: (1/r + 1/r^2) e^{-i/r}, r > 1 finite."""
+    _check_ratio(r)
     return (1.0 / r + 1.0 / (r * r)) * math.exp(-i / r)
 
 
@@ -399,11 +400,12 @@ def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> Enu
     if max_vectors < 0:
         raise DomainError(f"enumeration cap must be non-negative, got {max_vectors}")
     if params.n == 0:
-        # empty economy: a single empty allocation iff there is no demand
-        if params.D == 0:
-            empty = OccupationVector((0,) * params.g)
-            return EnumerationResult((empty,), (1,), (0.0,), empty)
-        return EnumerationResult((), (), (), None)
+        # empty economy: validate's rules with the hull {0}, so one empty allocation
+        _validate_ladder(params)
+        if params.D != 0:
+            raise InfeasibleDemand(f"demand {params.D} outside feasible hull [0.0, 0.0]")
+        empty = OccupationVector((0,) * params.g)
+        return EnumerationResult((empty,), (1,), (0.0,), empty)
     units, n, demand = lattice_fibre(params)
 
     count, first = count_feasible(units, n, demand, max_vectors + 1)
@@ -413,10 +415,8 @@ def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> Enu
     vectors = tuple(OccupationVector(counts) for counts in sorted(first(count)))
     weights = tuple(_exact_multinomial(v.counts) for v in vectors)
     log_weights = tuple(log_multinomial_weight(v) for v in vectors)
-    argmax = None
-    if vectors:
-        best = max(range(len(vectors)), key=lambda j: (weights[j], [-x for x in vectors[j].counts]))
-        argmax = vectors[best]
+    # vectors are sorted, so the first maximum weight is the lexicographically smallest
+    argmax = vectors[weights.index(max(weights))] if vectors else None
     return EnumerationResult(vectors, weights, log_weights, argmax)
 
 

@@ -22,20 +22,15 @@ import numpy as np
 
 from .epi_distribution import _like_input
 from .errors import DomainError
-from .model_core import _csv_text
+from .model_core import _check_ratio, _csv_text
 
 _TAIL_THRESHOLD = 1e-15  # truncate where both analytic tails drop below this
 _REL_FLOOR = 1e-12  # max_rel skips sectors whose discrete pmf is below this
 
 
-def _check_r(r: float):
-    if not 1.0 < r < math.inf:
-        raise DomainError(f"demand ratio must be finite and exceed 1, got {r}")
-
-
 def epi_binned_ladder(r: float, i):
     """Mass of the continuous law in ladder bin i (width a0), i >= 1."""
-    _check_r(r)
+    _check_ratio(r)
     i_arr = np.asarray(i, dtype=float)
     val = -math.expm1(-1.0 / (r - 1.0)) * np.exp(-(i_arr - 1.0) / (r - 1.0))
     return _like_input(i_arr, val)
@@ -43,8 +38,7 @@ def epi_binned_ladder(r: float, i):
 
 def epi_binned_zero_min(r_tilde: float, i):
     """Mass of the zero-minimum law in bin i (width da), i >= 1."""
-    if r_tilde <= 0.0:
-        raise DomainError(f"r_tilde must be positive, got {r_tilde}")
+    _check_ratio(r_tilde, 0.0, "r_tilde")
     i_arr = np.asarray(i, dtype=float)
     val = math.expm1(1.0 / r_tilde) * np.exp(-i_arr / r_tilde)
     return _like_input(i_arr, val)
@@ -52,7 +46,7 @@ def epi_binned_zero_min(r_tilde: float, i):
 
 def aym_ladder_pmf(r: float, i):
     """Probability a random worker sits on ladder rung i in the discrete solution."""
-    _check_r(r)
+    _check_ratio(r)
     i_arr = np.asarray(i, dtype=float)
     val = (1.0 / (r - 1.0)) * ((r - 1.0) / r) ** i_arr
     return _like_input(i_arr, val)
@@ -60,7 +54,7 @@ def aym_ladder_pmf(r: float, i):
 
 def asymptotic_ladder_pmf(r: float, i):
     """Large-r form of the binned ladder mass: (1/r + 1/(2r^2)) (e^{-i/r} + 1/r)."""
-    _check_r(r)
+    _check_ratio(r)
     i_arr = np.asarray(i, dtype=float)
     val = (1.0 / r + 1.0 / (2.0 * r * r)) * (np.exp(-i_arr / r) + 1.0 / r)
     return _like_input(i_arr, val)
@@ -68,8 +62,7 @@ def asymptotic_ladder_pmf(r: float, i):
 
 def asymptotic_zero_min_pmf(r_tilde: float, i):
     """Large-rt form of the zero-minimum mass: (1/rt + 1/(2rt^2)) e^{-i/rt}."""
-    if r_tilde <= 0.0:
-        raise DomainError(f"r_tilde must be positive, got {r_tilde}")
+    _check_ratio(r_tilde, 0.0, "r_tilde")
     i_arr = np.asarray(i, dtype=float)
     val = (1.0 / r_tilde + 1.0 / (2.0 * r_tilde * r_tilde)) * np.exp(-i_arr / r_tilde)
     return _like_input(i_arr, val)
@@ -95,7 +88,7 @@ class ComparisonMetrics:
 
 def truncation_index(r: float, i_max: int | None = None) -> int:
     """Smallest index whose analytic tails are both below the 1e-15 threshold."""
-    _check_r(r)
+    _check_ratio(r)
     if r / (r - 1.0) == 1.0:
         raise DomainError(f"demand ratio {r} is too large: r/(r-1) rounds to 1 in float64 "
                           "(r must stay below about 9e15)")

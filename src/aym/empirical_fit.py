@@ -33,7 +33,8 @@ DEFAULT_MIN_P_GT = 1e-6  # log-space leverage guard: drop deeper tail points
 
 @dataclass(frozen=True)
 class TailDataset:
-    """Empirical cumulative tail: cuts strictly increasing, p_gt in (0,1] non-increasing."""
+    """Empirical cumulative tail under load_csv's rules: finite cuts strictly increasing,
+    p_gt in (0,1] non-increasing, weights finite and non-negative."""
 
     cuts: tuple[float, ...]
     p_gt: tuple[float, ...]
@@ -49,6 +50,8 @@ class TailDataset:
             raise DomainError("cuts and p_gt must have equal length")
         if self.weights is not None and len(self.weights) != len(self.cuts):
             raise DomainError("weights must match the number of points")
+        if not all(map(math.isfinite, self.cuts)):
+            raise DomainError(f"cuts must be finite, got {self.cuts}")
         for a, b in zip(self.cuts, self.cuts[1:]):
             if not a < b:
                 raise DomainError("cuts must be strictly increasing")
@@ -58,6 +61,9 @@ class TailDataset:
         for p in self.p_gt:
             if not 0.0 < p <= 1.0:
                 raise DomainError(f"p_gt values must lie in (0, 1], got {p}")
+        for w in self.weights or ():
+            if not 0.0 <= w < math.inf:
+                raise DomainError(f"weights must be non-negative and finite, got {w}")
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:

@@ -79,12 +79,8 @@ def make_ladder(a0: float, g: int, n: float, D: float) -> EconomyParams:
     return EconomyParams(tuple(i * a0 for i in range(1, g + 1)), n, D, a0)
 
 
-def validate(params: EconomyParams) -> EconomyParams:
-    """Check all EconomyParams invariants; return the params unchanged.
-
-    Idempotent.  Feasibility uses the closed interval, so D on the hull
-    boundary is accepted (it forces a degenerate occupation).
-    """
+def _validate_ladder(params: EconomyParams) -> None:
+    """validate's rules for the levels and a0, which hold whatever n and D are."""
     if params.g == 0:
         raise EmptyLadder("levels must contain at least one sector")
     for lo, hi in zip(params.levels, params.levels[1:]):
@@ -93,6 +89,17 @@ def validate(params: EconomyParams) -> EconomyParams:
     if not 0 <= params.levels[0] <= params.levels[-1] < math.inf:
         raise DomainError("levels must be non-negative and finite, "
                           f"got {params.levels[0]} to {params.levels[-1]}")
+    if not 0 <= params.a0 < math.inf:
+        raise DomainError(f"minimal productivity a0 must be finite and >= 0, got {params.a0}")
+
+
+def validate(params: EconomyParams) -> EconomyParams:
+    """Check all EconomyParams invariants; return the params unchanged.
+
+    Idempotent.  Feasibility uses the closed interval, so D on the hull
+    boundary is accepted (it forces a degenerate occupation).
+    """
+    _validate_ladder(params)
     if not (params.n > 0 and math.isfinite(params.n)):
         raise DomainError(f"worker count must be positive and finite, got {params.n}")
     if not (params.D > 0 and math.isfinite(params.D)):
@@ -100,8 +107,6 @@ def validate(params: EconomyParams) -> EconomyParams:
     lo, hi = params.levels[0] * params.n, params.levels[-1] * params.n
     if not (lo <= params.D <= hi):
         raise InfeasibleDemand(f"demand {params.D} outside feasible hull [{lo}, {hi}]")
-    if not 0 <= params.a0 < math.inf:
-        raise DomainError(f"minimal productivity a0 must be finite and >= 0, got {params.a0}")
     return params
 
 
@@ -150,27 +155,32 @@ class LadderRatio:
     delta_a: float
 
 
+def _check_ratio(value: float, floor: float = 1.0, name: str = "demand ratio") -> None:
+    """Raise DomainError unless floor < value < inf: r > 1, or r_tilde > 0 with floor 0."""
+    if not floor < value < math.inf:
+        raise DomainError(f"{name} must be finite and exceed {floor:g}, got {value}")
+
+
 def ladder_ratio(params: EconomyParams, delta_a: float | None = None) -> LadderRatio:
     """Build the LadderRatio for an economy; delta_a defaults to a0.
 
     With a0 = 0 an explicit positive delta_a is required (zero-minimum mode).
+    Not validated: an unbounded ladder's ratios hold for D/n above the top level.
     """
     mean = params.mean_demand
     if params.a0 > 0:
         r = mean / params.a0
-        if r <= 1:
-            raise DomainError(f"demand ratio r = {r} must exceed 1 for a ladder equilibrium")
+        _check_ratio(r)
         width = params.a0 if delta_a is None else float(delta_a)
     else:
         r = None
         if delta_a is None:
             raise DomainError("zero-minimum mode needs an explicit bin width delta_a")
         width = float(delta_a)
-    if width <= 0:
-        raise DomainError("bin width delta_a must be positive")
+    if not 0 < width < math.inf:
+        raise DomainError(f"bin width delta_a must be positive and finite, got {width}")
     r_tilde = mean / width
-    if r_tilde <= 0:
-        raise DomainError("r_tilde must be positive")
+    _check_ratio(r_tilde, 0.0, "r_tilde")
     return LadderRatio(r=r, r_tilde=r_tilde, delta_a=width)
 
 

@@ -296,12 +296,8 @@ def merge_summaries(summaries: list[SampleSummary]) -> SampleSummary:
     )
     acceptance = sum(s.acceptance_rate * s.sample_count for s in summaries)
     flags = {s.irreducibility for s in summaries}
-    if IRREDUCIBILITY_FAILED in flags:
-        merged_irr = IRREDUCIBILITY_FAILED
-    elif IRREDUCIBILITY_UNCHECKED in flags:
-        merged_irr = IRREDUCIBILITY_UNCHECKED
-    else:
-        merged_irr = IRREDUCIBILITY_VERIFIED
+    merged_irr = next((label for label in (IRREDUCIBILITY_FAILED, IRREDUCIBILITY_UNCHECKED)
+                       if label in flags), IRREDUCIBILITY_VERIFIED)
     return SampleSummary(
         visit_frequencies=freqs,
         mean_occupation=mean,

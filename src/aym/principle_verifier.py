@@ -121,17 +121,18 @@ def _gate(coarse: float, fine: float, tol: float, magnitude: float = 0.0) -> flo
     return fine
 
 
-def _quad(f, lo: float, scale: float, tol: float, magnitude: float = 0.0) -> float:
-    """integral_lo^inf f(a) da for f = exp(-(a - lo)/scale) times a smooth factor.
+def _rule_sums(integrands, lo: float, scale: float) -> dict[str, tuple[float, float]]:
+    """Ungated (48-point, 96-point) integral_lo^inf f(a) da of each f integrands(a) names.
 
-    Fixed Gauss-Laguerre rules (Golub & Welsch 1969) of order 48 and 96 in
-    t = (a - lo)/scale, on array arguments, gated by _gate.  Nodes beyond 60
-    mean gaps, where pdf would underflow, are dropped with less than e^-60 of
-    the mass.
+    Each f is exp(-(a - lo)/scale) times a smooth factor.  Fixed Gauss-Laguerre
+    rules (Golub & Welsch 1969) of order 48 and 96 in t = (a - lo)/scale; nodes
+    beyond 60 mean gaps, where pdf would underflow, are dropped with less than
+    e^-60 of the mass.
     """
     with np.errstate(all="ignore"):
-        coarse, fine = (scale * float(np.dot(w, f(lo + scale * t))) for t, w in _QUAD_RULES)
-    return _gate(coarse, fine, tol, magnitude)
+        sums = [{name: scale * float(np.dot(w, f))
+                 for name, f in integrands(lo + scale * t).items()} for t, w in _QUAD_RULES]
+    return {name: (sums[0][name], sums[1][name]) for name in sums[0]}
 
 
 def _theta_quads(dist: EpiDistribution, cfg: NumericsConfig) -> dict[str, tuple[float, float]]:
@@ -143,22 +144,20 @@ def _theta_quads(dist: EpiDistribution, cfg: NumericsConfig) -> dict[str, tuple[
     """
     h = cfg.step_theta(dist)
     family = (make(dist.mean_demand - h, dist.a0), dist, make(dist.mean_demand + h, dist.a0))
-    sums = []
-    with np.errstate(all="ignore"):
-        for t, w in _QUAD_RULES:
-            a = dist.a0 + dist.scale * t
-            down, p, up = (member.pdf(a) for member in family)
-            qm, q0, qp = (2.0 * np.sqrt(x) for x in (down, p, up))
-            dp, dq = (up - down) / (2.0 * h), (qp - qm) / (2.0 * h)
-            d2q = (qp - 2.0 * q0 + qm) / (h * h)
-            integrands = {
-                "metric": dp * dp / p,
-                "statistical": -q0 * d2q,
-                "regularity": (up - 2.0 * p + down) / (h * h),
-                "structural": 0.5 * (q0 * d2q - dq * dq),
-            }
-            sums.append({name: dist.scale * float(np.dot(w, f)) for name, f in integrands.items()})
-    return {name: (sums[0][name], sums[1][name]) for name in sums[0]}
+
+    def integrands(a):
+        down, p, up = (member.pdf(a) for member in family)
+        qm, q0, qp = (2.0 * np.sqrt(x) for x in (down, p, up))
+        dp, dq = (up - down) / (2.0 * h), (qp - qm) / (2.0 * h)
+        d2q = (qp - 2.0 * q0 + qm) / (h * h)
+        return {
+            "metric": dp * dp / p,
+            "statistical": -q0 * d2q,
+            "regularity": (up - 2.0 * p + down) / (h * h),
+            "structural": 0.5 * (q0 * d2q - dq * dq),
+        }
+
+    return _rule_sums(integrands, dist.a0, dist.scale)
 
 
 def fisher_metric_form(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
@@ -173,9 +172,10 @@ def fisher_kinematical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUME
     def integrand(x):
         dq = (dist.amplitude(x + h, clipped=False)
               - dist.amplitude(x - h, clipped=False)) / (2.0 * h)
-        return dq * dq
+        return {"kinematical": dq * dq}
 
-    return _quad(integrand, dist.x_min, dist.scale, cfg.quadrature_tol)
+    return _gate(*_rule_sums(integrand, dist.x_min, dist.scale)["kinematical"],
+                 cfg.quadrature_tol)
 
 
 def fisher_statistical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
@@ -311,16 +311,14 @@ def boundary_identity_residual(dist: EpiDistribution,
     """
     alpha = dist.alpha
 
-    def dq_sq(x):
-        dq = -alpha * dist.amplitude(x, clipped=False)
-        return dq * dq
-
-    def q_d2q(x):
+    def integrands(x):
         q0 = dist.amplitude(x, clipped=False)
-        return q0 * (alpha * alpha * q0)
+        dq = -alpha * q0
+        return {"dq_sq": dq * dq, "q_d2q": q0 * (alpha * alpha * q0)}
 
-    lhs = _quad(dq_sq, dist.x_min, dist.scale, cfg.quadrature_tol)
-    rhs = boundary_constant(dist) - _quad(q_d2q, dist.x_min, dist.scale, cfg.quadrature_tol)
+    sums = _rule_sums(integrands, dist.x_min, dist.scale)
+    lhs = _gate(*sums["dq_sq"], cfg.quadrature_tol)
+    rhs = boundary_constant(dist) - _gate(*sums["q_d2q"], cfg.quadrature_tol)
     return abs(lhs - rhs)
 
 

@@ -49,6 +49,20 @@ def test_infeasible_demand_maps_to_exit_2(capsys):
     assert "feasible hull" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--levels", "3,1", "--n", "0", "--D", "0"],
+    ["--levels", "1,nan", "--n", "0", "--D", "0"],
+    ["--levels", "1,2,3", "--n", "0", "--D", "nan"],
+    ["--levels", "1,2,3", "--n", "0", "--D", "5"],
+], ids=["levels-falling", "levels-nan", "D-nan", "D-outside-hull"])
+def test_empty_economy_enumeration_is_validated_exits_2(capsys, flags):
+    # with no workers the hull is {0}: the levels are checked and D must be 0
+    code, out, err = _run(capsys, ["enumerate", *flags])
+    assert code == 2, err
+    assert out == ""
+    assert "error:" in err
+
+
 def test_solver_failure_maps_to_exit_3(capsys):
     code, _, err = _run(capsys, ["generalized", "--levels", "1,2,3", "--n", "3",
                                  "--D", "6", "--c", "-10"])
@@ -69,6 +83,16 @@ def test_bad_flag_value_exits_64(capsys):
     assert info.value.code == 64
 
 
+def test_negative_exponent_values_are_values(capsys):
+    # argparse's own negative-number pattern has no exponent, so these were flags (exit 64)
+    economy = ["--levels", "1,2,3", "--n", "6", "--D", "9"]
+    assert _run(capsys, ["generalized", *economy, "--c", "-1e-3"]) == \
+        _run(capsys, ["generalized", *economy, "--c=-1e-3"])
+    assert _run(capsys, ["generalized", *economy, "--c", "-1e-3"])[0] == 0
+    assert _run(capsys, ["solve", "--levels", "1,2,3", "--n", "6", "--D", "-1e3"])[0] == 2
+    assert _run(capsys, ["solve", *economy, "--tol", "-1e-3"])[0] == 2
+
+
 def test_missing_subcommand_exits_64(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
@@ -82,6 +106,17 @@ def test_generalized_reduces_at_c_zero(capsys):
     payload = json.loads(out)
     assert payload["c"] == 0.0
     assert payload["occupations"] == pytest.approx([75.0, 25.0], rel=1e-9)
+
+
+@pytest.mark.parametrize("economy", [
+    ["--levels", "1,2,3", "--n", "16", "--D", "42.6142"],
+    ["--levels", "0,1", "--n", "100", "--D", "25"],
+    ["--levels", "1,2,3,5.5", "--n", "7", "--D", "20", "--tol", "0"],
+])
+def test_solve_prints_the_bytes_of_generalized_at_c_zero(capsys, economy):
+    boltzmann = _run(capsys, ["solve", *economy])
+    assert boltzmann[0] == 0
+    assert boltzmann == _run(capsys, ["generalized", *economy, "--c", "0"])
 
 
 def test_verify_reports_capacity(capsys):

@@ -17,6 +17,7 @@ from aym import (
     closed_form_ladder,
     enumerate_feasible,
     ladder_limit_form,
+    ladder_ratio,
     log_multinomial_weight,
     make_ladder,
     solve_boltzmann,
@@ -104,6 +105,21 @@ def test_closed_form_ladder_rejects_r_at_most_one():
         closed_form_ladder(1.0, 10.0, 1)
     with pytest.raises(DomainError):
         closed_form_ladder(0.5, 10.0, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ladder_ratio(EconomyParams((1, 2), 10, math.nan)),
+    lambda: ladder_ratio(EconomyParams((1, 2), 10, math.inf)),
+    lambda: ladder_ratio(EconomyParams((0, 1, 2), 4, 4, a0=0.0), delta_a=math.nan),
+    lambda: closed_form_ladder(math.nan, 10, 1),
+    lambda: closed_form_ladder(math.inf, 10, 1),
+    lambda: ladder_limit_form(0.0, 1),
+    lambda: ladder_limit_form(-1.0, 1),
+], ids=["ratio-D-nan", "ratio-D-inf", "ratio-zero-min-width-nan", "closed-form-nan",
+        "closed-form-inf", "limit-form-zero", "limit-form-negative"])
+def test_ladder_helpers_reject_ratios_outside_finite_r_above_one(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_limit_form_values():
@@ -260,6 +276,13 @@ def test_enumeration_empty_economy():
     assert [v.counts for v in result.vectors] == [(0, 0, 0)]
     assert result.weights == (1,)
     assert result.argmax.counts == (0, 0, 0)
+
+
+def test_enumeration_argmax_breaks_weight_ties_toward_smallest_counts():
+    result = enumerate_feasible(EconomyParams((1, 2, 3, 4), 2, 5))
+    assert [v.counts for v in result.vectors] == [(0, 1, 1, 0), (1, 0, 0, 1)]
+    assert result.weights == (2, 2)
+    assert result.argmax.counts == (0, 1, 1, 0)
 
 
 def test_enumeration_scaled_ladder():

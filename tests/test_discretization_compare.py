@@ -109,10 +109,11 @@ def test_ladder_forms_reject_r_at_most_one(func):
 
 
 def test_zero_min_forms_reject_nonpositive_ratio():
-    with pytest.raises(DomainError):
-        epi_binned_zero_min(0.0, 1)
-    with pytest.raises(DomainError):
-        asymptotic_zero_min_pmf(-1.0, 1)
+    # and a non-finite one, which would give nan or zero masses
+    for func in (epi_binned_zero_min, asymptotic_zero_min_pmf):
+        for r_tilde in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(DomainError, match="r_tilde must be finite"):
+                func(r_tilde, 1)
 
 
 def test_all_families_strictly_decreasing():

@@ -18,6 +18,7 @@ from aym import (
     make,
     save_csv,
 )
+from aym.model_core import _csv_text
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -103,6 +104,39 @@ def test_dataset_invariants():
         TailDataset((1.0,), (0.0,))
     with pytest.raises(DomainError):
         TailDataset((1.0, 2.0), (0.5,))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(rows=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-9, 1.0), st.floats(0.0, 10.0)),
+                     min_size=1, max_size=6),
+       ordered=st.booleans(), weighted=st.booleans(),
+       odd=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2),
+                              st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1.5])),
+                    max_size=2))
+def test_load_csv_accepts_exactly_the_rows_the_dataset_accepts(tmp_path_factory, rows, ordered,
+                                                               weighted, odd):
+    cuts, p_gt, weights = (list(column) for column in zip(*rows))
+    if ordered:  # rising cuts and falling tails, so only the odd values can spoil the rows
+        cuts.sort()
+        p_gt.sort(reverse=True)
+    for row, column, value in odd:
+        (cuts, p_gt, weights)[column][row % len(cuts)] = value
+    columns = (cuts, p_gt, weights) if weighted else (cuts, p_gt)
+    text = _csv_text(("a", "p_gt", "w")[:len(columns)], zip(*columns))
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        data = TailDataset(cuts, p_gt, weights if weighted else None)
+    except DomainError:
+        data = None
+    try:
+        loaded = load_csv(path)
+    except ParseError:
+        loaded = None
+    assert (loaded is None) == (data is None), text
+    if data is not None:  # the rows' text is save_csv's, so this is its round trip
+        assert save_csv(data) == text
+        assert (loaded.cuts, loaded.p_gt, loaded.weights) == (data.cuts, data.p_gt, data.weights)
 
 
 def test_fit_recovers_mean_from_noiseless_data():

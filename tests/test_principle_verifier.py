@@ -21,7 +21,7 @@ from aym import (
     structural_principle,
     verify_all,
 )
-from aym.principle_verifier import _quad
+from aym.principle_verifier import _gate, _rule_sums
 
 FAMILY = [make(2.0, 0.0), make(2.0, 1.0), make(135.0, 0.0), make(135.0, 1.0),
           make(1000.0, 0.0), make(1000.0, 1.0)]
@@ -211,6 +211,11 @@ def test_explicit_steps_are_honored():
 def test_derivative_mode_validation():
     with pytest.raises(DomainError):
         generating_equation_residual(make(2.0, 0.0), derivative="bogus")
+
+
+def _quad(f, lo, scale, tol):
+    """integral_lo^inf f(a) da through the verifier's two rules and its gate."""
+    return _gate(*_rule_sums(lambda a: {"f": f(a)}, lo, scale)["f"], tol)
 
 
 # integral_0^inf e^{-t} (1 + e^{-delta t}) dt = 1 + 1/(1 + delta): the verifier's
