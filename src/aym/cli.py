@@ -13,16 +13,12 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from . import __version__
-from .errors import DomainError, SolverError, ValidationError
-from .model_core import MAX_GRID_POINTS, EconomyParams, _csv_text, params_from_json
-
-# Each handler imports its own numeric modules, so --version, --help and a
-# malformed flag load no numpy, and a subcommand loads only what it runs.
+import aym
+from .model_core import MAX_GRID_POINTS
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "AYM_OUTPUT_DIR"
@@ -38,8 +34,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's negative-number pattern has no exponent: --c -1e-3 would read as two flags
-        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][+-]?\d+)?$")
+        # argparse reads a token that starts with "-" as a value when this matches it; its
+        # own pattern misses -1e-3, -inf, -nan and -1,2, which would read as flags
+        self._negative_number_matcher = SimpleNamespace(match=_is_float_list)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -56,9 +53,19 @@ def _float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _json_text(payload: dict) -> str:
-    """A JSON report: schema_version first, then the payload's keys."""
-    return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+def _is_float_list(text: str) -> bool:
+    try:
+        _float_list(text)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
+
+
+def _report(result, fmt: str = "json") -> str:
+    """A result as its to_<fmt>() text, or as JSON: schema_version first, then its keys."""
+    if fmt != "json":
+        return getattr(result, f"to_{fmt}")()
+    return json.dumps({"schema_version": SCHEMA_VERSION, **result.to_json_dict()}, indent=2) + "\n"
 
 
 def _add_economy_flags(sub):
@@ -73,12 +80,17 @@ def _add_economy_flags(sub):
                      help="JSON file with fields levels, n, D, a0 (overrides the flags above)")
 
 
-def _economy_from_args(args) -> EconomyParams:
+def _economy_from_args(args) -> aym.EconomyParams:
     if args.params_json is not None:
-        return params_from_json(Path(args.params_json).read_text(encoding="utf-8"))
+        try:
+            text = Path(args.params_json).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise aym.DomainError(f"not UTF-8 text in {args.params_json}: "
+                                  f"{exc.reason} at byte {exc.start}") from None
+        return aym.params_from_json(text)
     if args.levels is None or args.n is None or args.D is None:
-        raise DomainError("provide --levels, --n and --D (or --params-json)")
-    return EconomyParams(args.levels, args.n, args.D, args.a0)
+        raise aym.DomainError("provide --levels, --n and --D (or --params-json)")
+    return aym.EconomyParams(args.levels, args.n, args.D, args.a0)
 
 
 def _add_grid_flags(sub):
@@ -96,102 +108,67 @@ def _grid_from_args(args) -> list[float]:
         try:
             start, stop, count = float(args.linspace[0]), float(args.linspace[1]), int(args.linspace[2])
         except ValueError:
-            raise DomainError(f"--linspace expects start stop count, got {args.linspace}")
+            raise aym.DomainError(f"--linspace expects start stop count, got {args.linspace}")
         if not 0 <= count <= MAX_GRID_POINTS:
-            raise DomainError(f"--linspace count must be in [0, {MAX_GRID_POINTS}], got {count}")
+            raise aym.DomainError(f"--linspace count must be in [0, {MAX_GRID_POINTS}], got {count}")
         if count == 1:
             grid.append(start)
         else:
             step = (stop - start) / (count - 1) if count > 1 else 0.0
             grid.extend(start + j * step for j in range(count))
     if not all(map(math.isfinite, grid)):
-        raise DomainError(f"grid cuts must be finite, got {grid}")
+        raise aym.DomainError(f"grid cuts must be finite, got {grid}")
     return sorted(set(grid))
 
 
 def _cmd_solve(args) -> str:
-    from .discrete_equilibrium import solve_generalized
-    solution = solve_generalized(_economy_from_args(args), c=args.c, tol=args.tol)
-    return _json_text(solution.to_json_dict())
+    return _report(aym.solve_generalized(_economy_from_args(args), c=args.c, tol=args.tol))
 
 
 def _cmd_epi(args) -> str:
-    from .epi_distribution import curve_csv, make
-    dist = make(args.mean_demand, args.a0)
-    grid = _grid_from_args(args)
-    return curve_csv(dist, grid)
+    return aym.curve_csv(aym.make(args.mean_demand, args.a0), _grid_from_args(args))
 
 
 def _cmd_verify(args) -> str:
-    from .epi_distribution import make
-    from .principle_verifier import NumericsConfig, verify_all
-    cfg = NumericsConfig(
+    cfg = aym.NumericsConfig(
         fd_step_theta=args.fd_step_theta,
         fd_step_x=args.fd_step_x,
         quadrature_tol=args.quadrature_tol,
         grid_points=args.grid_points,
         grid_span_gaps=args.grid_span,
     )
-    report = verify_all(make(args.mean_demand, args.a0), cfg)
-    payload = report.to_json_dict()
-    if args.format == "table":
-        width = max(len(k) for k in payload)
-        lines = [f"{k.ljust(width)}  {v:.12e}" for k, v in payload.items()]
-        return "\n".join(lines) + "\n"
-    return _json_text(payload)
+    return _report(aym.verify_all(aym.make(args.mean_demand, args.a0), cfg), args.format)
 
 
 def _cmd_compare(args) -> str:
-    from .discretization_compare import compare_sweep_csv
-    return compare_sweep_csv(args.r, args.i_max)
+    return aym.compare_sweep_csv(args.r, args.i_max)
 
 
 def _cmd_sample(args) -> str:
-    from .occupation_sampler import ChainConfig, run_chain
-    config = ChainConfig(steps=args.steps, burn_in=args.burn_in,
-                         seed=args.seed, thin=args.thin)
-    summary = run_chain(_economy_from_args(args), config)
-    if args.format == "csv":
-        return summary.to_csv()
-    return _json_text(summary.to_json_dict())
+    config = aym.ChainConfig(steps=args.steps, burn_in=args.burn_in,
+                             seed=args.seed, thin=args.thin)
+    return _report(aym.run_chain(_economy_from_args(args), config), args.format)
 
 
 def _cmd_enumerate(args) -> str:
-    from .discrete_equilibrium import enumerate_feasible
-    result = enumerate_feasible(_economy_from_args(args), max_vectors=args.cap)
-    if args.format == "csv":
-        rows = zip(result.vectors, result.weights, result.log_weights)
-        return _csv_text(("state", "weight", "log_weight"),
-                         ((";".join(map(str, vec.counts)), w, lw) for vec, w, lw in rows))
-    payload = {
-        "count": len(result.vectors),
-        "argmax": list(result.argmax.counts) if result.argmax is not None else None,
-        "vectors": [
-            {"counts": list(vec.counts), "weight": w, "log_weight": lw}
-            for vec, w, lw in zip(result.vectors, result.weights, result.log_weights)
-        ],
-    }
-    return _json_text(payload)
+    result = aym.enumerate_feasible(_economy_from_args(args), max_vectors=args.cap)
+    return _report(result, args.format)
 
 
 def _cmd_fit(args) -> str:
-    from .empirical_fit import fit_tail, load_csv
-    data = load_csv(args.data)
     a0_fixed = None if args.fit_a0 else args.a0
-    result = fit_tail(data, a0_fixed=a0_fixed, min_p_gt=args.min_p_gt)
-    return _json_text(result.to_json_dict())
+    return _report(aym.fit_tail(aym.load_csv(args.data), a0_fixed=a0_fixed,
+                                min_p_gt=args.min_p_gt))
 
 
 def _cmd_overlay(args) -> str:
-    from .empirical_fit import emit_overlay, load_csv
-    data = load_csv(args.data) if args.data is not None else None
-    grid = _grid_from_args(args)
-    return emit_overlay(data, args.d_over_n, args.a0, grid)
+    data = aym.load_csv(args.data) if args.data is not None else None
+    return aym.emit_overlay(data, args.d_over_n, args.a0, _grid_from_args(args))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="aym", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {aym.__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
     sub = subs.add_parser("solve", help="Boltzmann equilibrium occupations (JSON)")
@@ -271,13 +248,8 @@ def build_parser() -> _Parser:
 
 
 def _resolve_output(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    resolved = Path(path)
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not resolved.is_absolute():
-        resolved = Path(base) / resolved
-    return resolved
+    """The --output path, under $AYM_OUTPUT_DIR when relative; an absolute path replaces it."""
+    return None if path is None else Path(os.environ.get(OUTPUT_DIR_ENV) or "", path)
 
 
 def main(argv=None) -> int:
@@ -289,9 +261,9 @@ def main(argv=None) -> int:
         if destination is not None:
             destination.parent.mkdir(parents=True, exist_ok=True)
             destination.write_text(text, encoding="utf-8")
-    except (ValidationError, SolverError, OSError) as exc:
+    except (aym.ValidationError, aym.SolverError, OSError) as exc:
         print(f"aym {args.subcommand}: error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE if isinstance(exc, SolverError) else EXIT_INVALID_INPUT
+        return EXIT_SOLVER_FAILURE if isinstance(exc, aym.SolverError) else EXIT_INVALID_INPUT
     if destination is None:
         sys.stdout.write(text)
     return EXIT_OK

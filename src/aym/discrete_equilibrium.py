@@ -32,8 +32,8 @@ from .errors import (
     InstanceTooLarge,
     NoConvergence,
 )
-from .model_core import (EconomyParams, OccupationVector, _check_ratio, _validate_ladder,
-                         integer_lattice, validate)
+from .model_core import (EconomyParams, OccupationVector, _check_ratio, _csv_text, _state_text,
+                         _validate_ladder, integer_lattice, validate)
 
 _DEFAULT_TOL = 1e-10
 
@@ -386,6 +386,19 @@ class EnumerationResult:
     weights: tuple[int, ...]
     log_weights: tuple[float, ...]
     argmax: OccupationVector | None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "count": len(self.vectors),
+            "argmax": list(self.argmax.counts) if self.argmax is not None else None,
+            "vectors": [{"counts": list(vec.counts), "weight": w, "log_weight": lw}
+                        for vec, w, lw in zip(self.vectors, self.weights, self.log_weights)],
+        }
+
+    def to_csv(self) -> str:
+        rows = zip(self.vectors, self.weights, self.log_weights)
+        return _csv_text(("state", "weight", "log_weight"),
+                         ((_state_text(vec.counts), w, lw) for vec, w, lw in rows))
 
 
 def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> EnumerationResult:

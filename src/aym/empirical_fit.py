@@ -26,7 +26,7 @@ from .errors import (
     MonotonicityError,
     ParseError,
 )
-from .model_core import _csv_text
+from .model_core import _check_a0, _csv_text
 
 DEFAULT_MIN_P_GT = 1e-6  # log-space leverage guard: drop deeper tail points
 
@@ -86,8 +86,8 @@ class FitResult:
 def load_csv(path) -> TailDataset:
     """Parse a tail CSV: header a,p_gt (optionally a,p_gt,w), # comments allowed.
 
-    Errors carry the 1-based line number: ParseError for malformed rows or
-    out-of-range values, MonotonicityError for ordering violations,
+    Errors carry the 1-based line number: ParseError for malformed rows,
+    bytes that are not UTF-8 or out-of-range values, MonotonicityError for ordering violations,
     EmptyDataset when no data rows remain.
     """
     cuts: list[float] = []
@@ -95,8 +95,13 @@ def load_csv(path) -> TailDataset:
     weights: list[float] = []
     header_seen = False
     has_weights = False
-    with open(path, "r", encoding="utf-8") as handle:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which does not encode back
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(lineno, f"not UTF-8 text in {path}") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -169,6 +174,8 @@ def fit_tail(data: TailDataset, a0_fixed: float | None = None,
     Raises DegenerateFit when the data cannot pin a positive decay scale
     (constant tails, fewer than two usable points, non-decreasing logs).
     """
+    if a0_fixed is not None:
+        _check_a0(a0_fixed)
     keep = [j for j, p in enumerate(data.p_gt) if p >= min_p_gt]
     if len(keep) < 2:
         raise DegenerateFit(f"need at least 2 points with p_gt >= {min_p_gt}")
@@ -181,8 +188,6 @@ def fit_tail(data: TailDataset, a0_fixed: float | None = None,
     log_p = np.log(p)
 
     if a0_fixed is not None:
-        if a0_fixed < 0:
-            raise DomainError("a0 must be non-negative")
         above = cuts > a0_fixed
         slope, rss = _slope_fit(cuts[above] - a0_fixed, log_p[above], weights[above])
         return _result_from_slope(slope, rss, int(above.sum()), a0_fixed)

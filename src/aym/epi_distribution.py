@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model_core import _csv_text
+from .model_core import _check_a0, _csv_text
 
 
 def _like_input(x, val):
@@ -119,8 +119,7 @@ def make(mean_demand: float, a0: float = 0.0) -> EpiDistribution:
     Requires mean_demand > a0 >= 0; the decay rate follows from the mean
     constraint as alpha = 1/(2*(mean_demand - a0)).
     """
-    if a0 < 0:
-        raise DomainError("minimal productivity a0 must be non-negative")
+    _check_a0(a0)
     if not a0 < mean_demand < math.inf:
         raise DomainError(f"mean demand {mean_demand} must be finite and exceed a0 = {a0}")
     return EpiDistribution(float(mean_demand), float(a0), 1.0 / (2.0 * (mean_demand - a0)))

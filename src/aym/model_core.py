@@ -72,11 +72,17 @@ class EconomyParams:
 
 def make_ladder(a0: float, g: int, n: float, D: float) -> EconomyParams:
     """Arithmetic-ladder economy with levels a_i = i*a0 for i = 1..g."""
-    if a0 <= 0:
-        raise DomainError("ladder step a0 must be positive")
+    if not 0 < a0 < math.inf:
+        raise DomainError(f"ladder step a0 must be positive and finite, got {a0}")
     if g < 1:
         raise EmptyLadder("ladder needs at least one sector")
     return EconomyParams(tuple(i * a0 for i in range(1, g + 1)), n, D, a0)
+
+
+def _check_a0(a0: float) -> None:
+    """Raise DomainError unless a minimal productivity is finite and >= 0."""
+    if not 0 <= a0 < math.inf:
+        raise DomainError(f"minimal productivity a0 must be finite and >= 0, got {a0}")
 
 
 def _validate_ladder(params: EconomyParams) -> None:
@@ -89,8 +95,7 @@ def _validate_ladder(params: EconomyParams) -> None:
     if not 0 <= params.levels[0] <= params.levels[-1] < math.inf:
         raise DomainError("levels must be non-negative and finite, "
                           f"got {params.levels[0]} to {params.levels[-1]}")
-    if not 0 <= params.a0 < math.inf:
-        raise DomainError(f"minimal productivity a0 must be finite and >= 0, got {params.a0}")
+    _check_a0(params.a0)
 
 
 def validate(params: EconomyParams) -> EconomyParams:
@@ -167,6 +172,7 @@ def ladder_ratio(params: EconomyParams, delta_a: float | None = None) -> LadderR
     With a0 = 0 an explicit positive delta_a is required (zero-minimum mode).
     Not validated: an unbounded ladder's ratios hold for D/n above the top level.
     """
+    _check_a0(params.a0)
     mean = params.mean_demand
     if params.a0 > 0:
         r = mean / params.a0
@@ -214,6 +220,11 @@ def integer_lattice(values: Sequence[float]) -> tuple[tuple[int, ...], float]:
     return units, float(Fraction(step, denominator))
 
 
+def _state_text(counts: Sequence[int]) -> str:
+    """An occupation's counts as one CSV cell or JSON key: "1;2;1"."""
+    return ";".join(map(str, counts))
+
+
 def _csv_text(header: Sequence[str], rows) -> str:
     """CSV table: a float cell to 17 significant digits, None as an empty cell,
     anything else (such as an exact integer weight) by str()."""
@@ -235,17 +246,29 @@ def params_to_json(params: EconomyParams) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _json_number(value, field: str) -> float:
+    """A JSON number as a float; DomainError for true/false, any other type, or too large."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"economy JSON field {field} must be a number, "
+                          f"got {json.dumps(value):.40}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"economy JSON field {field} is too large for a float") from None
+
+
 def params_from_json(text: str) -> EconomyParams:
+    """Economy from JSON: levels an array of numbers, n and D numbers, a0 a number or null."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past int's digit limit
         raise DomainError(f"invalid economy JSON: {exc}") from exc
-    try:
-        return EconomyParams(
-            levels=tuple(payload["levels"]),
-            n=payload["n"],
-            D=payload["D"],
-            a0=payload.get("a0"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"economy JSON needs fields levels, n, D: {exc}") from exc
+    if not isinstance(payload, dict) or not {"levels", "n", "D"} <= payload.keys():
+        raise DomainError("economy JSON needs an object with fields levels, n, D")
+    levels, a0 = payload["levels"], payload.get("a0")
+    if not isinstance(levels, list):
+        raise DomainError(f"economy JSON field levels must be an array, "
+                          f"got {json.dumps(levels):.40}")
+    return EconomyParams(tuple(_json_number(a, f"levels[{i}]") for i, a in enumerate(levels)),
+                         _json_number(payload["n"], "n"), _json_number(payload["D"], "D"),
+                         None if a0 is None else _json_number(a0, "a0"))

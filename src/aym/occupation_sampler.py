@@ -48,7 +48,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, NoFeasibleState
-from .model_core import EconomyParams, OccupationVector, _csv_text, integer_lattice
+from .model_core import (EconomyParams, OccupationVector, _csv_text, _state_text,
+                         integer_lattice)
 from .discrete_equilibrium import count_feasible, lattice_fibre
 
 RNG_ALGORITHM = "numpy:PCG64"
@@ -150,8 +151,7 @@ class SampleSummary:
     irreducibility: str
 
     def to_json_dict(self) -> dict:
-        freqs = {";".join(map(str, state)): freq
-                 for state, freq in sorted(self.visit_frequencies.items())}
+        freqs = {_state_text(state): freq for state, freq in sorted(self.visit_frequencies.items())}
         return {
             "rng_algorithm": self.rng_algorithm,
             "irreducibility": self.irreducibility,
@@ -163,7 +163,7 @@ class SampleSummary:
 
     def to_csv(self) -> str:
         rows = sorted(self.visit_frequencies.items())
-        return _csv_text(("state", "frequency"), ((";".join(map(str, s)), f) for s, f in rows))
+        return _csv_text(("state", "frequency"), ((_state_text(s), f) for s, f in rows))
 
 
 def _move_table(units: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:

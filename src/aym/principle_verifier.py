@@ -111,6 +111,12 @@ class PrincipleReport:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
+    def to_table(self) -> str:
+        """One line per field: its name, padded to the longest, and its value to 13 digits."""
+        fields = self.to_json_dict()
+        width = max(map(len, fields))
+        return "".join(f"{name.ljust(width)}  {value:.12e}\n" for name, value in fields.items())
+
 
 def _gate(coarse: float, fine: float, tol: float, magnitude: float = 0.0) -> float:
     """The 96-point value if within max(tol, 1e-6*max(|fine|, magnitude)) of the 48-point

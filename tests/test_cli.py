@@ -93,6 +93,32 @@ def test_negative_exponent_values_are_values(capsys):
     assert _run(capsys, ["solve", *economy, "--tol", "-1e-3"])[0] == 2
 
 
+# a token that starts with "-" is a value exactly when it reads as comma-separated numbers
+@pytest.mark.parametrize("head,flag,value,code", [
+    (["solve", "--levels", "1,2,3", "--n", "6"], "--D", "-inf", 2),
+    (["solve", "--levels", "1,2,3", "--n", "6"], "--D", "-Infinity", 2),
+    (["generalized", "--levels", "1,2,3", "--n", "6", "--D", "9"], "--c", "-nan", 2),
+    (["epi", "--mean-demand", "5"], "--grid", "-1,2", 0),
+    (["solve", "--n", "6", "--D", "9"], "--levels", "-1,2,3", 2),
+    (["compare"], "--r", "-5,10", 2),
+], ids=["D-minus-inf", "D-minus-Infinity", "c-minus-nan", "grid-list", "levels-list", "r-list"])
+def test_negative_values_read_as_their_equals_form(capsys, head, flag, value, code):
+    spaced = _run(capsys, [*head, flag, value])
+    assert spaced == _run(capsys, [*head, f"{flag}={value}"])
+    assert spaced[0] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--levels", "1,2,3", "--n", "6", "--D", "9", "--nope"],
+    ["solve", "--levels", "1,2,3", "--n", "6", "--D", "9", "-x"],
+    ["solve", "--levels", "1,2,3", "--n", "6", "--D", "-x"],
+], ids=["long", "short", "as-value"])
+def test_unknown_options_still_exit_64(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 64
+
+
 def test_missing_subcommand_exits_64(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
@@ -205,6 +231,35 @@ def test_non_finite_input_exits_2(capsys, tmp_path, argv, csv):
     assert code == 2, err
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv,name,raw", [
+    (["fit", "--data"], "tails.csv", b"a,p_gt\n1,0.5\n2,0.\xff2\n"),
+    (["overlay", "--d-over-n", "5", "--grid", "1", "--data"], "tails.csv",
+     b"a,p_gt\n1,0.5\n2,0.\xff2\n"),
+    (["solve", "--params-json"], "economy.json", b'{"levels": [1, 2, 3], "n": 6, "D": \xff9}'),
+], ids=["fit", "overlay", "params-json"])
+def test_input_file_not_utf8_exits_2(capsys, tmp_path, argv, name, raw):
+    path = tmp_path / name
+    path.write_bytes(raw)
+    code, out, err = _run(capsys, [*argv, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and f"not UTF-8 text in {path}" in err
+
+
+# values float() takes but JSON does not spell as numbers (more in test_model_core)
+@pytest.mark.parametrize("text", [
+    '{"levels": [1, 2, 3], "n": "x", "D": 8}',
+    '{"levels": [1, 2, 3], "n": %s, "D": 8}' % ("9" * 400),
+    '{"levels": "123", "n": true, "D": "2"}',
+], ids=["n-string", "n-overflows", "all-coerced"])
+def test_params_json_non_numbers_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "economy.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, ["solve", "--params-json", str(path)])
+    assert (code, out) == (2, "")
+    assert "economy JSON field" in err
 
 
 def test_epi_curve_values(capsys):

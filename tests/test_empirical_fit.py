@@ -81,6 +81,20 @@ def test_load_csv_rejects_wrong_header(tmp_path):
     assert info.value.line == 1
 
 
+@pytest.mark.parametrize("raw,line,message", [
+    (b"a,p_gt\n10,0.9\n20,0.5,1\n", 3, "expected 2 columns, got 3"),
+    (b"a,p_gt,w\n10,0.9,1\n20,0.5,-1\n", 3, "weights must be non-negative"),
+    (b"a,p_gt\n10,0.9\n20,0.\xff5\n", 3, "not UTF-8 text in"),
+    (b"# r\xe9sum\xe9\na,p_gt\n10,0.9\n", 1, "not UTF-8 text in"),  # Latin-1, in a comment
+], ids=["column-count", "negative-weight", "byte-ff", "latin-1-comment"])
+def test_load_csv_rejects_malformed_rows(tmp_path, raw, line, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=message) as info:
+        load_csv(path)
+    assert info.value.line == line
+
+
 def test_load_csv_rejects_empty(tmp_path):
     path = _write(tmp_path, "# nothing here\na,p_gt\n")
     with pytest.raises(EmptyDataset):
@@ -172,6 +186,33 @@ def test_fit_rejects_single_usable_point():
     data = TailDataset((1.0, 2.0), (0.5, 1e-9))
     with pytest.raises(DegenerateFit):
         fit_tail(data, a0_fixed=0.0)
+
+
+# each way fit_tail finds the data cannot pin a decaying tail
+@pytest.mark.parametrize("cuts,p_gt,weights,a0,message", [
+    # zero weight on every point above a0: the slope's denominator is zero
+    ((1.0, 2.0, 3.0), (0.5, 0.25, 0.125), (0.0, 0.0, 0.0), 0.0, "not enough points above a0"),
+    ((1.0, 2.0, 3.0), (0.5, 0.25, 0.125), None, 2.5, "not enough points above a0"),
+    ((1.0, 2.0, 3.0), (0.5, 0.25, 0.125), (0.0, 0.0, 0.0), None, "all weights are zero"),
+    ((1.0, 2.0, 3.0), (0.5, 0.25, 0.125), (1.0, 0.0, 0.0), None, "two distinct cuts"),
+    # the one decaying point has zero weight, so the fitted slope is 0
+    ((1.0, 2.0, 3.0), (1.0, 1.0, 0.5), (1.0, 1.0, 0.0), 0.0, "tail does not decay"),
+], ids=["zero-denominator", "one-point-above-a0", "zero-weights", "one-weighted-cut",
+        "no-decay"])
+def test_fit_rejects_degenerate_data(cuts, p_gt, weights, a0, message):
+    with pytest.raises(DegenerateFit, match=message):
+        fit_tail(TailDataset(cuts, p_gt, weights), a0_fixed=a0)
+
+
+@pytest.mark.parametrize("smallest_cut", [0.0, -5.0])
+def test_free_a0_falls_back_to_zero_below_a_non_positive_cut(smallest_cut):
+    data = TailDataset((smallest_cut, 10.0, 20.0, 40.0), (1.0, 0.6, 0.3, 0.1))
+    assert fit_tail(data) == fit_tail(data, a0_fixed=0.0)
+
+
+def test_dataset_weights_must_match_the_points():
+    with pytest.raises(DomainError, match="weights must match"):
+        TailDataset((1.0, 2.0), (0.5, 0.25), weights=(1.0,))
 
 
 def test_fit_excludes_deep_tail_points():

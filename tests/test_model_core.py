@@ -10,8 +10,11 @@ from aym import (
     InfeasibleDemand,
     NonMonotoneLevels,
     OccupationVector,
+    TailDataset,
+    fit_tail,
     integer_lattice,
     ladder_ratio,
+    make,
     make_ladder,
     params_from_json,
     params_to_json,
@@ -98,6 +101,46 @@ def test_params_from_json_rejects_garbage():
         params_from_json("not json")
     with pytest.raises(DomainError):
         params_from_json('{"levels": [1, 2]}')
+
+
+# an n or D that float() takes but JSON does not spell as a number; levels not an array
+@pytest.mark.parametrize("text", [
+    '{"levels": [1, 2, 3], "n": "x", "D": 8}',
+    '{"levels": [1, 2, 3], "n": %s, "D": 8}' % ("9" * 400),
+    '{"levels": "123", "n": true, "D": "2"}',
+    '{"levels": [1, 2, 3], "n": true, "D": 8}',
+    '{"levels": [1, "2"], "n": 3, "D": 4}',
+    '{"levels": [1, 2], "n": 3, "D": 4, "a0": "0"}',
+    '{"levels": [1, 2], "n": 3, "D": 4, "a0": false}',
+    '[[1, 2], 3, 4]',
+], ids=["n-string", "n-overflows", "levels-string", "n-true", "level-string", "a0-string",
+        "a0-false", "not-an-object"])
+def test_params_from_json_takes_only_json_numbers(text):
+    with pytest.raises(DomainError, match="economy JSON"):
+        params_from_json(text)
+
+
+def test_params_from_json_a0_null_is_the_default():
+    text = '{"levels": [1, 2, 3], "n": 6, "D": 12, "a0": null}'
+    assert params_from_json(text) == EconomyParams((1, 2, 3), 6, 12)
+
+
+# every entry point that takes a minimal productivity (a ladder step for make_ladder)
+A0_ENTRY_POINTS = {
+    "validate": lambda a0: validate(EconomyParams((1, 2), 10, 15, a0=a0)),
+    "ladder_ratio": lambda a0: ladder_ratio(EconomyParams((1, 2), 10, 15, a0=a0), delta_a=1.0),
+    "make_ladder": lambda a0: make_ladder(a0, 3, 6, 12),
+    "make": lambda a0: make(135, a0),
+    "fit_tail": lambda a0: fit_tail(TailDataset((1, 2, 3), (0.5, 0.25, 0.125)), a0_fixed=a0),
+}
+
+
+@pytest.mark.parametrize("a0", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("entry", sorted(A0_ENTRY_POINTS))
+def test_every_entry_point_rejects_an_invalid_a0(entry, a0):
+    # the error names a0, not the mean or the data it would otherwise be compared with
+    with pytest.raises(DomainError, match="a0 must be"):
+        A0_ENTRY_POINTS[entry](a0)
 
 
 def test_occupation_vector_total_and_output():
