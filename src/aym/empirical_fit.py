@@ -87,8 +87,8 @@ def load_csv(path) -> TailDataset:
     """Parse a tail CSV: header a,p_gt (optionally a,p_gt,w), # comments allowed.
 
     Errors carry the 1-based line number: ParseError for malformed rows,
-    bytes that are not UTF-8 or out-of-range values, MonotonicityError for ordering violations,
-    EmptyDataset when no data rows remain.
+    bytes that are not UTF-8 or out-of-range values, MonotonicityError for
+    ordering violations, EmptyDataset when no data rows remain.
     """
     cuts: list[float] = []
     p_gt: list[float] = []

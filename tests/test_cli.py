@@ -233,33 +233,31 @@ def test_non_finite_input_exits_2(capsys, tmp_path, argv, csv):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("argv,name,raw", [
-    (["fit", "--data"], "tails.csv", b"a,p_gt\n1,0.5\n2,0.\xff2\n"),
-    (["overlay", "--d-over-n", "5", "--grid", "1", "--data"], "tails.csv",
-     b"a,p_gt\n1,0.5\n2,0.\xff2\n"),
-    (["solve", "--params-json"], "economy.json", b'{"levels": [1, 2, 3], "n": 6, "D": \xff9}'),
-], ids=["fit", "overlay", "params-json"])
-def test_input_file_not_utf8_exits_2(capsys, tmp_path, argv, name, raw):
-    path = tmp_path / name
+NOT_UTF8_CSV = b"a,p_gt\n1,0.5\n2,0.\xff2\n"
+
+
+# files that are not UTF-8, and --params-json values that float() takes but JSON does not
+# spell as numbers (more in test_model_core); each names what is wrong on one stderr line
+@pytest.mark.parametrize("argv,raw,message", [
+    (["fit", "--data"], NOT_UTF8_CSV, "line 3: not UTF-8 text in {path}"),
+    (["overlay", "--d-over-n", "5", "--grid", "1", "--data"], NOT_UTF8_CSV,
+     "line 3: not UTF-8 text in {path}"),
+    (["solve", "--params-json"], b'{"levels": [1, 2, 3], "n": 6, "D": \xff9}',
+     "not UTF-8 text in {path}"),
+    (["solve", "--params-json"], b'{"levels": [1, 2, 3], "n": "x", "D": 8}',
+     "field n must be a number"),
+    (["solve", "--params-json"], b'{"levels": [1, 2, 3], "n": %s, "D": 8}' % (b"9" * 400),
+     "field n is too large for a float"),
+    (["solve", "--params-json"], b'{"levels": "123", "n": true, "D": "2"}',
+     "field levels must be an array"),
+], ids=["fit-not-utf8", "overlay-not-utf8", "params-json-not-utf8", "params-json-n-string",
+        "params-json-n-overflows", "params-json-all-coerced"])
+def test_bad_input_file_exits_2(capsys, tmp_path, argv, raw, message):
+    path = tmp_path / "input"
     path.write_bytes(raw)
     code, out, err = _run(capsys, [*argv, str(path)])
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and f"not UTF-8 text in {path}" in err
-
-
-# values float() takes but JSON does not spell as numbers (more in test_model_core)
-@pytest.mark.parametrize("text", [
-    '{"levels": [1, 2, 3], "n": "x", "D": 8}',
-    '{"levels": [1, 2, 3], "n": %s, "D": 8}' % ("9" * 400),
-    '{"levels": "123", "n": true, "D": "2"}',
-], ids=["n-string", "n-overflows", "all-coerced"])
-def test_params_json_non_numbers_exit_2(capsys, tmp_path, text):
-    path = tmp_path / "economy.json"
-    path.write_text(text, encoding="utf-8")
-    code, out, err = _run(capsys, ["solve", "--params-json", str(path)])
     assert (code, out) == (2, "")
-    assert "economy JSON field" in err
+    assert err.count("\n") == 1 and message.format(path=path) in err
 
 
 def test_epi_curve_values(capsys):
