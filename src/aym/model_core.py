@@ -231,7 +231,8 @@ def _csv_text(header: Sequence[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
                           for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text again
+    return "\n".join(lines)
 
 
 # --- JSON interchange (field names are part of the CLI contract) ---
@@ -258,13 +259,18 @@ def _json_number(value, field: str) -> float:
 
 
 def params_from_json(text: str) -> EconomyParams:
-    """Economy from JSON: levels an array of numbers, n and D numbers, a0 a number or null."""
+    """Economy from JSON: levels an array of numbers, n and D numbers, a0 a number or null,
+    and no other field, so that a misspelt a0 is an error, not the default."""
     try:
         payload = json.loads(text)
     except ValueError as exc:  # malformed, or an integer past int's digit limit
         raise DomainError(f"invalid economy JSON: {exc}") from exc
     if not isinstance(payload, dict) or not {"levels", "n", "D"} <= payload.keys():
         raise DomainError("economy JSON needs an object with fields levels, n, D")
+    unknown = [key for key in payload if key not in ("levels", "n", "D", "a0")]
+    if unknown:  # the first in the text, so the message is the same on every run
+        raise DomainError(f"economy JSON field {json.dumps(unknown[0]):.40} is not one of "
+                          "levels, n, D, a0")
     levels, a0 = payload["levels"], payload.get("a0")
     if not isinstance(levels, list):
         raise DomainError(f"economy JSON field levels must be an array, "

@@ -40,9 +40,13 @@ from .model_core import MAX_GRID_POINTS
 _QUAD_SPAN_GAPS = 60.0  # quadrature nodes stop here, in mean gaps; tail mass < 1e-26
 
 # Gauss-Laguerre nodes t and weights w*e^t for integral_0^inf g(t) dt, orders 48
-# and 96, with the nodes beyond the span dropped
-_QUAD_RULES = tuple((t[t <= _QUAD_SPAN_GAPS], (w * np.exp(t))[t <= _QUAD_SPAN_GAPS])
-                    for t, w in (laggauss(48), laggauss(96)))
+# and 96, with the nodes beyond the span dropped.  Both rules' nodes share one
+# array, the 48-point rule's first, so each integrand is evaluated once for both;
+# the 96-point slice starts 256 bytes in, so np.dot, whose SIMD summation can
+# depend on alignment, sees the alignment a fresh array has.
+(_T48, _W48), (_T96, _W96) = ((t[t <= _QUAD_SPAN_GAPS], (w * np.exp(t))[t <= _QUAD_SPAN_GAPS])
+                              for t, w in (laggauss(48), laggauss(96)))
+_NODES, _SPLIT = np.concatenate((_T48, _T96)), len(_T48)
 
 
 @dataclass(frozen=True)
@@ -136,17 +140,17 @@ def _rule_sums(integrands, lo: float, scale: float) -> dict[str, tuple[float, fl
     e^-60 of the mass.
     """
     with np.errstate(all="ignore"):
-        sums = [{name: scale * float(np.dot(w, f))
-                 for name, f in integrands(lo + scale * t).items()} for t, w in _QUAD_RULES]
-    return {name: (sums[0][name], sums[1][name]) for name in sums[0]}
+        values = integrands(lo + scale * _NODES)
+        return {name: (scale * float(np.dot(_W48, f[:_SPLIT])),
+                       scale * float(np.dot(_W96, f[_SPLIT:]))) for name, f in values.items()}
 
 
 def _theta_quads(dist: EpiDistribution, cfg: NumericsConfig) -> dict[str, tuple[float, float]]:
     """Ungated (48-point, 96-point) integrals of the four theta integrands by name.
 
     The pdfs of the family members at theta - h, theta and theta + h,
-    h = cfg.step_theta(dist), are evaluated once per rule; the support edge a0
-    is theta-free, so all three share the quadrature nodes.
+    h = cfg.step_theta(dist), are evaluated once for both rules; the support
+    edge a0 is theta-free, so all three share the quadrature nodes.
     """
     h = cfg.step_theta(dist)
     family = (make(dist.mean_demand - h, dist.a0), dist, make(dist.mean_demand + h, dist.a0))
@@ -222,6 +226,11 @@ def _alpha_squared(dist: EpiDistribution) -> float:
                           "past the float range") from None
 
 
+def _trial(q0, x, eps: float):
+    """The trial amplitude q0 (1 + eps x); q0 itself at eps = 0, where the factor is 1."""
+    return q0 * (1.0 + eps * x) if eps else q0
+
+
 def _grid(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
           step: float | None = None, eps: float = 0.0):
     """(q, q'') on the grid for the trial amplitude q (1 + eps x).
@@ -231,13 +240,13 @@ def _grid(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
     """
     x = cfg.x_grid(dist)
     base = dist.amplitude(x, clipped=False)
-    q = base * (1.0 + eps * x)
+    q = _trial(base, x, eps)
     if derivative == "analytic":
         # (q0 (1 + eps x))'' = q0'' (1 + eps x) + 2 eps q0' with q0' = -alpha q0
         return q, _alpha_squared(dist) * q - 2.0 * eps * dist.alpha * base
     if derivative == "fd":
         h = step if step is not None else cfg.step_x(dist)
-        up, down = (dist.amplitude(y, clipped=False) * (1.0 + eps * y) for y in (x + h, x - h))
+        up, down = (_trial(dist.amplitude(y, clipped=False), y, eps) for y in (x + h, x - h))
         return q, (up - 2.0 * q + down) / (h * h)
     raise DomainError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
 
@@ -251,9 +260,8 @@ def _max_generating(q, d2q, alpha_sq: float) -> float:
     return float(np.abs(d2q - alpha_sq * q).max())
 
 
-def _qtilde(q, d2q) -> tuple[float, float]:
-    profile = 2.0 * d2q / q
-    return float(profile.mean()), float(profile.std())
+def _qtilde_profile(q, d2q):
+    return 2.0 * d2q / q
 
 
 def pointwise_information_density(dist: EpiDistribution,
@@ -295,7 +303,8 @@ def qtilde_recovered(dist: EpiDistribution,
 
     Returns (mean, standard deviation); constant 2*alpha^2 on the solution.
     """
-    return _qtilde(*_grid(dist, cfg, derivative))
+    profile = _qtilde_profile(*_grid(dist, cfg, derivative))
+    return float(profile.mean()), float(profile.std())
 
 
 def boundary_constant(dist: EpiDistribution) -> float:
@@ -349,7 +358,7 @@ def verify_all(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) ->
         epi_residual_pointwise=_max_density(q, exact, alpha_sq),
         generating_residual=generating,
         euler_lagrange_residual=generating,  # the same equation at the solution
-        qtilde_value=_qtilde(q, exact)[0],
+        qtilde_value=float(_qtilde_profile(q, exact).mean()),
         boundary_constant=boundary_constant(dist),
         kappa=1.0,
     )

@@ -236,8 +236,9 @@ def test_non_finite_input_exits_2(capsys, tmp_path, argv, csv):
 NOT_UTF8_CSV = b"a,p_gt\n1,0.5\n2,0.\xff2\n"
 
 
-# files that are not UTF-8, and --params-json values that float() takes but JSON does not
-# spell as numbers (more in test_model_core); each names what is wrong on one stderr line
+# files that are not UTF-8, --params-json values that float() takes but JSON does not
+# spell as numbers, and a --params-json field outside levels, n, D, a0 (more in
+# test_model_core); each names what is wrong on one stderr line
 @pytest.mark.parametrize("argv,raw,message", [
     (["fit", "--data"], NOT_UTF8_CSV, "line 3: not UTF-8 text in {path}"),
     (["overlay", "--d-over-n", "5", "--grid", "1", "--data"], NOT_UTF8_CSV,
@@ -250,8 +251,10 @@ NOT_UTF8_CSV = b"a,p_gt\n1,0.5\n2,0.\xff2\n"
      "field n is too large for a float"),
     (["solve", "--params-json"], b'{"levels": "123", "n": true, "D": "2"}',
      "field levels must be an array"),
+    (["solve", "--params-json"], b'{"levels": [1, 2, 3], "n": 6, "D": 12, "A0": 5}',
+     'field "A0" is not one of levels, n, D, a0'),
 ], ids=["fit-not-utf8", "overlay-not-utf8", "params-json-not-utf8", "params-json-n-string",
-        "params-json-n-overflows", "params-json-all-coerced"])
+        "params-json-n-overflows", "params-json-all-coerced", "params-json-unknown-field"])
 def test_bad_input_file_exits_2(capsys, tmp_path, argv, raw, message):
     path = tmp_path / "input"
     path.write_bytes(raw)

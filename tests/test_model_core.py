@@ -120,6 +120,12 @@ def test_params_from_json_takes_only_json_numbers(text):
         params_from_json(text)
 
 
+def test_params_from_json_rejects_unknown_fields():
+    # a misspelt a0 would otherwise leave the default a0 in place without a word
+    with pytest.raises(DomainError, match='field "A0" is not one of'):
+        params_from_json('{"levels": [1, 2, 3], "n": 6, "D": 12, "A0": 5}')
+
+
 def test_params_from_json_a0_null_is_the_default():
     text = '{"levels": [1, 2, 3], "n": 6, "D": 12, "a0": null}'
     assert params_from_json(text) == EconomyParams((1, 2, 3), 6, 12)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.laguerre import laggauss
 
 from aym import (
     DomainError,
@@ -21,7 +24,7 @@ from aym import (
     structural_principle,
     verify_all,
 )
-from aym.principle_verifier import _gate, _rule_sums
+from aym.principle_verifier import DEFAULT_NUMERICS, _gate, _grid, _rule_sums
 
 FAMILY = [make(2.0, 0.0), make(2.0, 1.0), make(135.0, 0.0), make(135.0, 1.0),
           make(1000.0, 0.0), make(1000.0, 1.0)]
@@ -145,26 +148,35 @@ def test_boundary_integration_by_parts_identity():
         assert boundary_identity_residual(dist) < 1e-8
 
 
+def _numerics(dist):
+    """The default numerics, and a coarser grid with explicit steps near the default ones."""
+    return DEFAULT_NUMERICS, NumericsConfig(fd_step_theta=2e-4 * dist.scale,
+                                            fd_step_x=5e-4 * dist.scale, grid_points=1001)
+
+
 @pytest.mark.parametrize("dist", FAMILY, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
 def test_report_assembles_all_fields(dist):
-    report = verify_all(dist)
-    assert report.kappa == 1.0
-    assert report.fisher_metric == pytest.approx(_expected_capacity(dist), rel=1e-4)
-    assert report.structural_Q == pytest.approx(-_expected_capacity(dist), rel=1e-3)
-    assert report.epi_residual_pointwise < 1e-12
-    assert report.qtilde_value == pytest.approx(2.0 * dist.alpha ** 2, rel=1e-10)
-    assert report.boundary_constant == pytest.approx(8.0 * dist.alpha ** 2, rel=1e-10)
-    assert report.structural_residual == abs(report.fisher_metric + report.structural_Q)
-    assert report.euler_lagrange_residual == generating_equation_residual(dist, derivative="fd")
-    # the shared evaluation computes what each identity computes alone, bit for bit
-    assert report.fisher_metric == fisher_metric_form(dist)
-    assert report.fisher_statistical == fisher_statistical(dist)
-    assert report.fisher_kinematical == fisher_kinematical(dist)
-    assert report.structural_Q == structural_principle(dist)[0]
-    assert report.epi_residual_pointwise == pointwise_information_density(dist)
-    assert report.generating_residual == generating_equation_residual(dist, derivative="fd")
-    assert report.qtilde_value == qtilde_recovered(dist)[0]
-    assert report.boundary_constant == boundary_constant(dist)
+    for cfg in _numerics(dist):
+        report = verify_all(dist, cfg)
+        assert report.kappa == 1.0
+        assert report.fisher_metric == pytest.approx(_expected_capacity(dist), rel=1e-4)
+        assert report.structural_Q == pytest.approx(-_expected_capacity(dist), rel=1e-3)
+        assert report.epi_residual_pointwise < 1e-12
+        assert report.qtilde_value == pytest.approx(2.0 * dist.alpha ** 2, rel=1e-10)
+        assert report.boundary_constant == pytest.approx(8.0 * dist.alpha ** 2, rel=1e-10)
+        assert report.structural_residual == abs(report.fisher_metric + report.structural_Q)
+        assert report.euler_lagrange_residual == \
+            generating_equation_residual(dist, cfg, derivative="fd")
+        # the shared evaluation computes what each identity computes alone, bit for bit
+        assert report.fisher_metric == fisher_metric_form(dist, cfg)
+        assert report.fisher_statistical == fisher_statistical(dist, cfg)
+        assert report.fisher_kinematical == fisher_kinematical(dist, cfg)
+        assert report.structural_Q == structural_principle(dist, cfg)[0]
+        assert report.epi_residual_pointwise == pointwise_information_density(dist, cfg)
+        assert report.generating_residual == \
+            generating_equation_residual(dist, cfg, derivative="fd")
+        assert report.qtilde_value == qtilde_recovered(dist, cfg)[0]
+        assert report.boundary_constant == boundary_constant(dist)
     payload = report.to_json_dict()
     assert list(payload) == [
         "fisher_metric", "fisher_statistical", "fisher_kinematical",
@@ -241,6 +253,86 @@ def test_quad_gate_rejects_kinked_integrand():
 def test_quad_rejects_non_finite_values():
     with pytest.raises(QuadratureFailure):
         _quad(lambda a: np.exp(-a) / (a - a), 0.0, 1.0, 1e-12)
+
+
+def _bits(values):
+    """Each float's IEEE bytes, so that NaN and signed zeros compare bit for bit."""
+    return [np.float64(v).tobytes() for v in values]
+
+
+def _per_rule_sums(integrands, lo, scale):
+    """The reference arithmetic: each Gauss-Laguerre rule, of order 48 and of order 96,
+    evaluates the integrands on its own nodes up to 60 mean gaps."""
+    sums = {}
+    for order in (48, 96):
+        t, w = laggauss(order)
+        kept = t <= 60.0
+        with np.errstate(all="ignore"):
+            for name, f in integrands(lo + scale * t[kept]).items():
+                sums.setdefault(name, []).append(scale * float(np.dot((w * np.exp(t))[kept], f)))
+    return sums
+
+
+# integrand families of the verifier's shapes: exp(-t) times a smooth factor, several
+# names from one evaluation, difference quotients, square roots, and a kink
+INTEGRAND_FAMILIES = {
+    "exp-poly": lambda t, d: {"f": np.exp(-t) * (1.0 + d * t * t)},
+    "theta-like": lambda t, d: {
+        "p": np.exp(-t), "dp": (np.exp(-t * (1.0 + d)) - np.exp(-t * (1.0 - d))) / (2.0 * d),
+        "q": 2.0 * np.sqrt(np.exp(-t) / (1.0 + d))},
+    "amplitude-diff": lambda t, d: {
+        "dq_sq": ((np.exp(-(t + d) / 2.0) - np.exp(-(t - d) / 2.0)) / (2.0 * d)) ** 2},
+    "kink": lambda t, d: {"f": np.exp(-t) * np.abs(t - 1.0 - d)},
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(lo=st.floats(-1e6, 1e6), scale=st.floats(1e-6, 1e6),
+       family=st.sampled_from(sorted(INTEGRAND_FAMILIES)), delta=st.floats(1e-6, 0.5))
+def test_rule_sums_equal_each_rule_on_its_own_nodes(lo, scale, family, delta):
+    def integrands(a):
+        return INTEGRAND_FAMILIES[family]((a - lo) / scale, delta)
+
+    sums = _rule_sums(integrands, lo, scale)
+    expected = _per_rule_sums(integrands, lo, scale)
+    assert list(sums) == list(expected)
+    for name, pair in sums.items():
+        assert _bits(pair) == _bits(expected[name]), name
+
+
+@pytest.mark.parametrize("dist", FAMILY, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
+def test_fd_grid_at_zero_perturbation_is_the_amplitude(dist):
+    for cfg in _numerics(dist):
+        x, h = cfg.x_grid(dist), cfg.step_x(dist)
+        q0 = dist.amplitude(x, clipped=False)
+        up, down = dist.amplitude(x + h, clipped=False), dist.amplitude(x - h, clipped=False)
+        q, d2q = _grid(dist, cfg, "fd")
+        assert q.tobytes() == q0.tobytes()
+        assert d2q.tobytes() == ((up - 2.0 * q0 + down) / (h * h)).tobytes()
+
+
+def _euler_lagrange_reference(dist, cfg, derivative, eps):
+    """max |q'' - alpha^2 q| for q = q0 (1 + eps x), the factor applied at every eps."""
+    x = cfg.x_grid(dist)
+    q0 = dist.amplitude(x, clipped=False)
+    q = q0 * (1.0 + eps * x)
+    if derivative == "analytic":
+        d2q = dist.alpha ** 2 * q - 2.0 * eps * dist.alpha * q0
+    else:
+        h = cfg.step_x(dist)
+        up, down = (dist.amplitude(y, clipped=False) * (1.0 + eps * y) for y in (x + h, x - h))
+        d2q = (up - 2.0 * q + down) / (h * h)
+    return float(np.abs(d2q - dist.alpha ** 2 * q).max())
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.0, -2e-2])
+@pytest.mark.parametrize("derivative", ["analytic", "fd"])
+@pytest.mark.parametrize("dist", [make(135.0, 0.0), make(2.0, 1.0), make(1000.0, 1.0)],
+                         ids=("mean135", "mean2", "mean1000"))
+def test_euler_lagrange_residual_keeps_the_perturbation_arithmetic(dist, derivative, eps):
+    for cfg in _numerics(dist):
+        assert euler_lagrange_residual(dist, cfg, derivative, perturbation=eps) == \
+            _euler_lagrange_reference(dist, cfg, derivative, eps)
 
 
 # at D/n = 1e200 the mean gap squared overflows; at D/n = 1e-300 alpha squared
