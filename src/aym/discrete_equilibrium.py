@@ -21,6 +21,7 @@ All functions here are pure; results are deterministic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -98,8 +99,10 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     of s, while for small c n it is s that loses them.
 
     Feasibility is settled before iterating.  tol must be finite and
-    non-negative and c n^2 finite (DomainError); tol = 0 asks for the float
-    floor below.  D/n must lie strictly inside (a_1, a_g) (InfeasibleDemand).
+    non-negative, c n^2 finite and n/g at least the smallest normal float
+    (DomainError): below it the occupations, about n/g each, keep too few
+    digits and their sum underflows.  tol = 0 asks for the float floor below.
+    D/n must lie strictly inside (a_1, a_g) (InfeasibleDemand).
     For c < 0 each n_i is below 1/|c|, so a solution needs n <= g/|c| and
     D between the outputs of filling the sectors bottom-up and top-down at
     1/|c| workers each, summed exactly; DomainViolation is raised otherwise.
@@ -119,6 +122,9 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     levels, n, D, g = params.levels, params.n, params.D, params.g
     if not math.isfinite(c * n * n):  # w_i = n_i + c n_i^2 must stay finite
         raise DomainError(f"occupation-form parameter c = {c} must keep c*n*n finite")
+    if n < g * sys.float_info.min:
+        raise DomainError(f"worker count n = {n} puts n/g below the smallest normal float "
+                          f"{sys.float_info.min}")
     if not levels[0] < D / n < levels[-1]:
         raise InfeasibleDemand(
             f"demand per worker {D / n} must lie strictly inside ({levels[0]}, {levels[-1]})")

@@ -3,8 +3,8 @@
 Target law: the multinomial weight n!/prod(n_i!) restricted to integer
 allocations with both sums conserved.  A pair move sends one worker from
 sector i up to i+k and another from j down to j-k; the move table holds the
-quadruples (i, i+k, j, j-k) that conserve demand, built once per chain,
-without the no-op swaps j = i+k.
+quadruples (i, i+k, j, j-k) that conserve demand, without the no-op swaps
+j = i+k.
 
 Each step draws one entry of the table uniformly, whatever the state.  A
 move that would empty a sector (counts[i] = 0, counts[j] = 0, or i = j with
@@ -35,13 +35,27 @@ the high half kept from the word before, and one more half per Lemire
 rejection.  Only a move with 0 < w(y)/w(x) < 1 then takes random(), one
 whole word, which leaves a kept half for the next step.  These are the
 words the per-step Generator.integers and Generator.random calls took, so
-every chain is the one those calls gave.
+every chain is the one those calls gave.  The first block is no longer than
+a chain of config.steps steps can use when no half word is rejected.
+
+Cost.  What a chain takes from its fibre (units, n, demand) and cap alone,
+the move table, the start state, the capped count and the irreducibility
+label, is worked out once per process and kept for the last 8 fibres.  The
+kept values are tuples, ints and strings, so the chains that share them
+stay pure functions of their inputs.  A chain that is long for its fibre,
+count <= max_enumeration (so the count is exact) and
+count * len(table) <= min(config.steps, _MEMO_BUDGET), steps through a memo
+of (state, move) -> (target, num, den) filled as moves are first drawn, so
+a step is one lookup and the acceptance test; the memo holds at most
+_MEMO_BUDGET slots and is dropped with the chain.  Every other chain runs
+the plain loop, whose cost per step does not depend on the fibre.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -59,6 +73,7 @@ IRREDUCIBILITY_FAILED = "failed"
 IRREDUCIBILITY_UNCHECKED = "unchecked"
 
 _RAW_BLOCK = 1024  # PCG64 words drawn at a time; a chain holds one decoded block
+_MEMO_BUDGET = 2 ** 16  # most memo slots of a chain; about 60 B a filled slot, so ~4 MB
 
 
 class Pcg64Draws:
@@ -66,9 +81,10 @@ class Pcg64Draws:
 
     integers() and random() return what numpy's Generator returns for the
     same interleaving of integers(m) and random() calls.  The words come from
-    PCG64.random_raw in fixed-size blocks, so memory does not grow with the
-    number of draws, and each block is decoded the way numpy decodes a word
-    (Lemire, ACM TOMACS 29(1), 2019):
+    PCG64.random_raw in blocks of _RAW_BLOCK, the first of them at most
+    first_block long, so memory does not grow with the number of draws and a
+    short chain decodes few words.  Each block is decoded the way numpy
+    decodes a word (Lemire, ACM TOMACS 29(1), 2019):
 
     * integers(m) takes 32-bit halves in stream order: the low half of a
       fresh word, then its high half on the next call.  A half u is rejected,
@@ -78,7 +94,7 @@ class Pcg64Draws:
       kept high half for the next integers(m).
     """
 
-    def __init__(self, seed: int, m: int):
+    def __init__(self, seed: int, m: int, first_block: int = _RAW_BLOCK):
         if not 1 <= m < 2 ** 32:
             raise DomainError(f"integers bound must be in [1, 2**32), got {m}")
         self._bitgen = np.random.PCG64(seed)
@@ -86,13 +102,14 @@ class Pcg64Draws:
         self._threshold = np.uint64((2 ** 32 - m) % m)
         # both read one iterator of decoded words; the generator behind
         # integers() holds a word's high half until its next call
-        words = chain.from_iterable(iter(self._block, None))
+        sizes = chain((min(first_block, _RAW_BLOCK),), repeat(_RAW_BLOCK))
+        words = chain.from_iterable(map(self._block, sizes))
         self.random = map(itemgetter(2), words).__next__
         self.integers = (repeat(0) if m == 1 else self._halves(words)).__next__
 
-    def _block(self):
+    def _block(self, size: int):
         """(low-half draw, high-half draw, uniform) per raw word; a rejected half reads -1."""
-        words = self._bitgen.random_raw(_RAW_BLOCK)
+        words = self._bitgen.random_raw(size)
         mask, draws = np.uint64(0xFFFF_FFFF), []
         for half in (words & mask, words >> np.uint64(32)):
             scaled = half * self._m
@@ -198,14 +215,22 @@ def propose_pair_move(state: OccupationVector, levels, rng) -> OccupationVector:
     return OccupationVector(counts)
 
 
-def _start_and_irreducibility(units, n: int, demand: int, table, max_enumeration: int):
-    """The first feasible state in walk order and the chain's irreducibility label."""
+@lru_cache(maxsize=8)
+def _fibre_setup(units: tuple[int, ...], n: int, demand: int, max_enumeration: int):
+    """(table, start, irreducibility, count): the part of a chain its seed does not change.
+
+    table is _move_table(units), start the first feasible state in walk order
+    and count min(size of the fibre, max_enumeration + 1).  The values are
+    immutable, so the chains that share them stay independent; an empty
+    fibre raises NoFeasibleState, which is not cached, on every call.
+    """
+    table = _move_table(units)
     count, first = count_feasible(units, n, demand, max_enumeration + 1)
     if count == 0:
         raise NoFeasibleState("no integer allocation satisfies both constraints")
     start = first(1)[0]
     if count > max_enumeration:
-        return start, IRREDUCIBILITY_UNCHECKED
+        return table, start, IRREDUCIBILITY_UNCHECKED, count
     # a state is keyed by its digits in base n+1, so a move adds one fixed delta
     # to the key, and a state gets a list of its own only when first reached
     place = [(n + 1) ** k for k in range(len(units))]
@@ -225,7 +250,80 @@ def _start_and_irreducibility(units, n: int, demand: int, table, max_enumeration
                 moved[j] -= 1
                 moved[down] += 1
                 frontier.append((moved, key + delta))
-    return start, IRREDUCIBILITY_VERIFIED if len(seen) == count else IRREDUCIBILITY_FAILED
+    verified = len(seen) == count
+    return table, start, IRREDUCIBILITY_VERIFIED if verified else IRREDUCIBILITY_FAILED, count
+
+
+def _walk(table, start, config: ChainConfig, draws: Pcg64Draws):
+    """(visits by state in first-record order, accepted moves) of one chain."""
+    index, uniform = draws.integers, draws.random
+    visits: Counter = Counter()
+    accepted = 0
+    state = list(start)
+    record, thin = config.burn_in, config.thin
+    for step in range(config.steps):
+        i, up, j, down = table[index()]
+        num = state[i] * (state[j] - (i == j))
+        den = (state[up] + 1) * (state[down] + 1 + (up == down))
+        if num and (num >= den or uniform() * den < num):
+            state[i] -= 1
+            state[up] += 1
+            state[j] -= 1
+            state[down] += 1
+            accepted += 1
+        if step == record:
+            visits[tuple(state)] += 1
+            record += thin
+    return visits, accepted
+
+
+def _memo_walk(table, start, count: int, config: ChainConfig, draws: Pcg64Draws):
+    """_walk's result, with each (state, move) worked out once, for a fibre of count states.
+
+    A state is interned on first reach as its id times len(table), so the
+    memo slot of (state, move) is that number plus the move's index; the slot
+    holds (target, num, den), target the moved state's number, or the state's
+    own when num is 0.  The draws and the acceptance test are _walk's.
+    """
+    m = len(table)
+    states, numbers = [start], {start: 0}
+    memo: list = [None] * (count * m)
+
+    def transition(slot: int) -> tuple[int, int, int]:
+        at, k = divmod(slot, m)
+        state = states[at]
+        i, up, j, down = table[k]
+        num = state[i] * (state[j] - (i == j))
+        den = (state[up] + 1) * (state[down] + 1 + (up == down))
+        target = slot - k
+        if num:
+            moved = list(state)
+            moved[i] -= 1
+            moved[up] += 1
+            moved[j] -= 1
+            moved[down] += 1
+            moved = tuple(moved)
+            target = numbers.get(moved)
+            if target is None:
+                target = numbers[moved] = len(states) * m
+                states.append(moved)
+        memo[slot] = entry = (target, num, den)
+        return entry
+
+    index, uniform = draws.integers, draws.random
+    visits: Counter = Counter()
+    accepted = at = 0
+    record, thin = config.burn_in, config.thin
+    for step in range(config.steps):
+        slot = at + index()
+        target, num, den = memo[slot] or transition(slot)
+        if num and (num >= den or uniform() * den < num):
+            at = target
+            accepted += 1
+        if step == record:
+            visits[at] += 1
+            record += thin
+    return {states[at // m]: cnt for at, cnt in visits.items()}, accepted
 
 
 def run_chain(params: EconomyParams, config: ChainConfig,
@@ -239,33 +337,17 @@ def run_chain(params: EconomyParams, config: ChainConfig,
     """
     if max_enumeration < 0:
         raise DomainError(f"enumeration cap must be non-negative, got {max_enumeration}")
-    units, n, demand = lattice_fibre(params)
+    table, start, irreducibility, count = _fibre_setup(*lattice_fibre(params), max_enumeration)
 
-    table = _move_table(units)
-    start, irreducibility = _start_and_irreducibility(units, n, demand, table, max_enumeration)
-
-    visits: Counter = Counter()
-    accepted = 0
     if not table:
-        visits[start] = len(range(config.burn_in, config.steps, config.thin))
+        visits, accepted = {start: len(range(config.burn_in, config.steps, config.thin))}, 0
     else:
-        draws = Pcg64Draws(config.seed, len(table))
-        index, uniform = draws.integers, draws.random
-        state = list(start)
-        record, thin = config.burn_in, config.thin
-        for step in range(config.steps):
-            i, up, j, down = table[index()]
-            num = state[i] * (state[j] - (i == j))
-            den = (state[up] + 1) * (state[down] + 1 + (up == down))
-            if num and (num >= den or uniform() * den < num):
-                state[i] -= 1
-                state[up] += 1
-                state[j] -= 1
-                state[down] += 1
-                accepted += 1
-            if step == record:
-                visits[tuple(state)] += 1
-                record += thin
+        # a step takes at most a word and a half unless a half word is rejected
+        draws = Pcg64Draws(config.seed, len(table), (3 * config.steps + 1) // 2 + 1)
+        if count <= max_enumeration and count * len(table) <= min(config.steps, _MEMO_BUDGET):
+            visits, accepted = _memo_walk(table, start, count, config, draws)
+        else:
+            visits, accepted = _walk(table, start, config, draws)
 
     recorded = sum(visits.values())
     freqs = {s: cnt / recorded for s, cnt in visits.items()}

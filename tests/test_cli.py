@@ -536,6 +536,7 @@ NUMPY_FREE_CASES = [
     (["generalized", "--levels", "1,2,3", "--n", "100", "--D", "200", "--c", "-1"], 3),  # crowded
     (["generalized", "--levels", "1,2,3", "--n", "2", "--D", "2.5", "--c", "-1"], 3),  # below fill
     (["generalized", "--levels", "1,2,3", "--n", "2", "--D", "5.5", "--c", "-1"], 3),  # above fill
+    (["solve", "--levels", "0,1,2", "--n", "5e-324", "--D", "5e-324"], 2),  # subnormal n
 ]
 
 

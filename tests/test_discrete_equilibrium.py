@@ -1,5 +1,6 @@
 import math
 import operator
+import sys
 import warnings
 
 import numpy as np
@@ -311,6 +312,19 @@ def test_bad_tolerance_is_domain_error(tol, c):
     # max(nan, floor) is nan, so an unchecked nan would iterate until NoConvergence
     with pytest.raises(DomainError, match="tolerance"):
         solve_generalized(EconomyParams((1, 2, 3), 3, 5), c=c, tol=tol)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, -0.5])
+@pytest.mark.parametrize("g", [3, 200])
+def test_worker_count_below_g_smallest_normals_is_domain_error(g, c):
+    # n/g subnormal: the occupations underflowed and the solver took log(0)
+    levels = tuple(range(g))
+    for n in (5e-324, g * sys.float_info.min * (1 - 2 ** -52)):
+        with pytest.raises(DomainError, match="smallest normal"):
+            solve_generalized(EconomyParams(levels, n, n * (g - 1) / 3), c=c)
+    n = g * sys.float_info.min
+    sol = solve_generalized(EconomyParams(levels, n, n * (g - 1) / 3), c=c)
+    assert math.fsum(sol.occupations) == pytest.approx(n, rel=1e-12)
 
 
 @pytest.mark.parametrize("solve, max_iter", [

@@ -1,6 +1,8 @@
 import math
 import statistics
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from aym import (
     run_chain,
 )
 from aym.discrete_equilibrium import count_feasible, lattice_fibre
+from aym.occupation_sampler import _fibre_setup
 
 ORACLE_PARAMS = EconomyParams((1, 2, 3), 4, 8)
 ORACLE_FREQS = {(0, 4, 0): 1 / 19, (1, 2, 1): 12 / 19, (2, 0, 2): 6 / 19}
@@ -239,6 +242,42 @@ def test_no_feasible_state_raises():
     # odd demand on an even lattice: 2 n1 + 4 n2 = 5 has no integer solution
     with pytest.raises(NoFeasibleState):
         run_chain(EconomyParams((2, 4), 2, 5), ChainConfig(steps=10))
+
+
+def test_fibre_set_up_is_shared_and_keyed_by_fibre_and_cap():
+    # chains on A, then B, then A again: the set-up A left in the cache changes nothing
+    config = ChainConfig(steps=3_000, burn_in=100, seed=5, thin=2)
+    first = run_chain(ORACLE_PARAMS, config)
+    run_chain(SMALL_LADDER_PARAMS, config)
+    hits = _fibre_setup.cache_info().hits
+    again = run_chain(ORACLE_PARAMS, config)
+    assert _fibre_setup.cache_info().hits == hits + 1
+    assert again == first
+    assert list(again.visit_frequencies) == list(first.visit_frequencies)
+    # the 3-state oracle is checked under a cap of 3 and not under one of 2
+    labels = [run_chain(ORACLE_PARAMS, config, cap).irreducibility for cap in (2, 200_000, 2, 3)]
+    assert labels == ["unchecked", "verified", "unchecked", "verified"]
+    for _ in range(3):  # an error is raised afresh, never cached
+        with pytest.raises(NoFeasibleState):
+            run_chain(EconomyParams((2, 4), 2, 5), ChainConfig(steps=10))
+
+
+def test_threads_share_the_fibre_set_up_safely():
+    # more threads than cores and a short switch interval, from an empty cache;
+    # the g=10 ladder runs the plain loop, the others the memo
+    fibres = (ORACLE_PARAMS, SMALL_LADDER_PARAMS, EconomyParams((1, 2, 4, 7, 8), 12, 61),
+              make_ladder(1.0, 10, 60, 180))
+    jobs = [(params, ChainConfig(2_000, 0, seed, 1)) for seed in range(3) for params in fibres]
+    want = [run_chain(*job) for job in jobs]
+    _fibre_setup.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda job: run_chain(*job), jobs * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 2
 
 
 def test_disconnected_state_space_is_flagged():

@@ -13,16 +13,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aym import ChainConfig, DomainError, EconomyParams, make_ladder, run_chain
+from aym import occupation_sampler
 from aym.discrete_equilibrium import lattice_fibre
 from aym.occupation_sampler import (
     RNG_ALGORITHM,
     SampleSummary,
     Pcg64Draws,
     _RAW_BLOCK,
-    _move_table,
-    _start_and_irreducibility,
+    _fibre_setup,
 )
 
 SEEDS = (0, 1, 2 ** 64 - 1)
@@ -45,6 +47,20 @@ def test_decoder_matches_generator_on_random_interleavings(seed, m):
     assert draws.random() == generator.random()
 
 
+@pytest.mark.parametrize("first_block", (0, 1, 2, 3, 7, 300))
+def test_short_first_block_leaves_the_stream_unchanged(first_block):
+    # the interleavings cross the end of the short block on a low or a high half
+    for trial in range(8):
+        generator = np.random.Generator(np.random.PCG64(trial))
+        draws = Pcg64Draws(trial, 5 + trial, first_block)
+        calls = random.Random(f"{first_block}/{trial}")
+        for step in range(first_block + _RAW_BLOCK // 2):
+            if calls.random() < 1 / 3:
+                assert draws.random() == generator.random(), (trial, step)
+            else:
+                assert draws.integers() == int(generator.integers(5 + trial)), (trial, step)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_alone_is_the_raw_stream(seed):
     draws = Pcg64Draws(seed, 3)
@@ -61,9 +77,7 @@ def test_bound_outside_32_bits_is_rejected(m):
 def generator_chain(params: EconomyParams, config: ChainConfig,
                     max_enumeration: int = 200_000) -> SampleSummary:
     """run_chain as it was with one Generator call per draw: the reference."""
-    units, n, demand = lattice_fibre(params)
-    table = _move_table(units)
-    start, irreducibility = _start_and_irreducibility(units, n, demand, table, max_enumeration)
+    table, start, irreducibility, _ = _fibre_setup(*lattice_fibre(params), max_enumeration)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     state = list(start)
@@ -112,3 +126,49 @@ def test_long_chain_equals_generator_loop(params, config):
     want = generator_chain(params, config)
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
     assert list(got.visit_frequencies) == list(want.visit_frequencies)
+
+
+@st.composite
+def small_fibre_chains(draw):
+    """(params, config, max_enumeration) on g 1-5, n 0-9, with the steps and the cap
+    drawn around the two memo thresholds, count * len(table) and count."""
+    g = draw(st.sampled_from([3, 4, 5, 1, 2]))  # below 3 sectors the table is empty
+    units = sorted(draw(st.sets(st.integers(1, 6), min_size=g, max_size=g)))
+    n = draw(st.sampled_from([*range(1, 10), 0]))
+    demand = sum(draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)))
+    fibre = (tuple(units), n, demand)
+    table, _, _, count = _fibre_setup(*fibre, 10 ** 6)
+    slots = count * len(table)
+    near = st.sampled_from([max(1, slots - 1), slots + 1, max(1, slots)])
+    steps = draw(near | st.integers(1, 3_000))
+    cap = draw(st.sampled_from([count, count + 1, max(0, count - 1)]) | st.integers(0, 50))
+    burn_in = draw(st.integers(0, steps - 1))
+    seed, thin = draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(1, 9))
+    config = ChainConfig(steps, burn_in, seed, thin)
+    return EconomyParams(tuple(units), n, demand), config, cap
+
+
+def test_both_step_loops_equal_the_generator_loop(monkeypatch):
+    ran = Counter()
+    for name in ("_walk", "_memo_walk"):
+        loop = getattr(occupation_sampler, name)
+        def counted(*args, _loop=loop, _name=name):
+            ran[_name] += 1
+            return _loop(*args)
+        monkeypatch.setattr(occupation_sampler, name, counted)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(small_fibre_chains())
+    def check(chain):
+        params, config, cap = chain
+        if params.n == 0:  # an empty economy has no chain
+            with pytest.raises(DomainError):
+                run_chain(params, config, cap)
+            return
+        got, want = run_chain(params, config, cap), generator_chain(params, config, cap)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        assert list(got.visit_frequencies) == list(want.visit_frequencies)
+        assert got.mean_occupation == want.mean_occupation
+
+    check()
+    assert ran["_walk"] >= 20 and ran["_memo_walk"] >= 20, ran
