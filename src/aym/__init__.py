@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "model_core": (
         "EconomyParams", "LadderRatio", "OccupationVector", "integer_lattice", "ladder_ratio",
-        "make_ladder", "params_from_json", "params_to_json", "validate",
+        "load_params", "make_ladder", "params_from_json", "params_to_json", "validate",
     ),
     "discrete_equilibrium": (
         "EnumerationResult", "EquilibriumSolution", "Multipliers", "StirlingReport",

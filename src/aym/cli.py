@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -82,12 +81,7 @@ def _add_economy_flags(sub):
 
 def _economy_from_args(args) -> aym.EconomyParams:
     if args.params_json is not None:
-        try:
-            text = Path(args.params_json).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise aym.DomainError(f"not UTF-8 text in {args.params_json}: "
-                                  f"{exc.reason} at byte {exc.start}") from None
-        return aym.params_from_json(text)
+        return aym.load_params(args.params_json)
     if args.levels is None or args.n is None or args.D is None:
         raise aym.DomainError("provide --levels, --n and --D (or --params-json)")
     return aym.EconomyParams(args.levels, args.n, args.D, args.a0)
@@ -101,9 +95,7 @@ def _add_grid_flags(sub):
 
 
 def _grid_from_args(args) -> list[float]:
-    grid: list[float] = []
-    if args.grid is not None:
-        grid.extend(args.grid)
+    grid = list(args.grid or ())  # --grid is None or a non-empty tuple
     if args.linspace is not None:
         try:
             start, stop, count = float(args.linspace[0]), float(args.linspace[1]), int(args.linspace[2])
@@ -116,8 +108,6 @@ def _grid_from_args(args) -> list[float]:
         else:
             step = (stop - start) / (count - 1) if count > 1 else 0.0
             grid.extend(start + j * step for j in range(count))
-    if not all(map(math.isfinite, grid)):
-        raise aym.DomainError(f"grid cuts must be finite, got {grid}")
     return sorted(set(grid))
 
 

@@ -26,15 +26,32 @@ from .errors import (
     MonotonicityError,
     ParseError,
 )
-from .model_core import _check_a0, _csv_text
+from .model_core import _check_a0, _csv_text, _finite_cuts, _text_lines
 
 DEFAULT_MIN_P_GT = 1e-6  # log-space leverage guard: drop deeper tail points
+_NO_POINT = (-math.inf, 1.0)  # the point before the first: every valid (a, p_gt) may follow it
+
+
+def _point_fault(point, prev) -> tuple[type[ParseError], str] | None:
+    """(error type, message) of the first rule that point = (a, p_gt[, w]) breaks, or None.
+    In order: all finite, 0 < p_gt <= 1, a above prev's, p_gt not above prev's, w >= 0."""
+    a, p, *w = point
+    if not all(map(math.isfinite, point)):
+        return ParseError, "non-finite value"
+    if not 0.0 < p <= 1.0:
+        return ParseError, f"p_gt must lie in (0, 1], got {p}"
+    if a <= prev[0]:
+        return MonotonicityError, f"cuts must be strictly increasing, got {a}"
+    if p > prev[1]:
+        return MonotonicityError, f"p_gt must be non-increasing, got {p}"
+    if w and w[0] < 0:
+        return ParseError, f"weights must be non-negative, got {w[0]}"
+    return None
 
 
 @dataclass(frozen=True)
 class TailDataset:
-    """Empirical cumulative tail under load_csv's rules: finite cuts strictly increasing,
-    p_gt in (0,1] non-increasing, weights finite and non-negative."""
+    """Empirical cumulative tail; every point keeps _point_fault's rules, as in load_csv."""
 
     cuts: tuple[float, ...]
     p_gt: tuple[float, ...]
@@ -50,20 +67,11 @@ class TailDataset:
             raise DomainError("cuts and p_gt must have equal length")
         if self.weights is not None and len(self.weights) != len(self.cuts):
             raise DomainError("weights must match the number of points")
-        if not all(map(math.isfinite, self.cuts)):
-            raise DomainError(f"cuts must be finite, got {self.cuts}")
-        for a, b in zip(self.cuts, self.cuts[1:]):
-            if not a < b:
-                raise DomainError("cuts must be strictly increasing")
-        for p, q in zip(self.p_gt, self.p_gt[1:]):
-            if q > p:
-                raise DomainError("p_gt must be non-increasing")
-        for p in self.p_gt:
-            if not 0.0 < p <= 1.0:
-                raise DomainError(f"p_gt values must lie in (0, 1], got {p}")
-        for w in self.weights or ():
-            if not 0.0 <= w < math.inf:
-                raise DomainError(f"weights must be non-negative and finite, got {w}")
+        rows = list(zip(self.cuts, self.p_gt, *([] if self.weights is None else [self.weights])))
+        for j, point in enumerate(rows):
+            fault = _point_fault(point, rows[j - 1] if j else _NO_POINT)
+            if fault is not None:
+                raise DomainError(f"point {j + 1} {point}: {fault[1]}")
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -90,59 +98,33 @@ def load_csv(path) -> TailDataset:
     bytes that are not UTF-8 or out-of-range values, MonotonicityError for
     ordering violations, EmptyDataset when no data rows remain.
     """
-    cuts: list[float] = []
-    p_gt: list[float] = []
-    weights: list[float] = []
-    header_seen = False
-    has_weights = False
-    # a byte that is not UTF-8 decodes to a lone surrogate, which does not encode back
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError(lineno, f"not UTF-8 text in {path}") from None
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                cols = [c.strip() for c in line.split(",")]
-                if cols == ["a", "p_gt"]:
-                    has_weights = False
-                elif cols == ["a", "p_gt", "w"]:
-                    has_weights = True
-                else:
-                    raise ParseError(lineno, f"expected header a,p_gt — got {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            expected = 3 if has_weights else 2
-            if len(parts) != expected:
-                raise ParseError(lineno, f"expected {expected} columns, got {len(parts)}")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(lineno, f"non-numeric value in {line!r}") from None
-            if not all(map(math.isfinite, values)):
-                raise ParseError(lineno, f"non-finite value in {line!r}")
-            a, p = values[0], values[1]
-            if not 0.0 < p <= 1.0:
-                raise ParseError(lineno, f"p_gt must lie in (0, 1], got {p}")
-            if cuts and a <= cuts[-1]:
-                raise MonotonicityError(lineno, f"cuts must be strictly increasing, got {a}")
-            if p_gt and p > p_gt[-1]:
-                raise MonotonicityError(lineno, f"p_gt must be non-increasing, got {p}")
-            if has_weights:
-                if values[2] < 0:
-                    raise ParseError(lineno, f"weights must be non-negative, got {values[2]}")
-                weights.append(values[2])
-            cuts.append(a)
-            p_gt.append(p)
-    if not cuts:
+    rows: list[tuple[float, ...]] = []
+    expected = 0  # columns per data row, set by the header
+    for lineno, raw in _text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not expected:
+            cols = [c.strip() for c in line.split(",")]
+            if cols not in (["a", "p_gt"], ["a", "p_gt", "w"]):
+                raise ParseError(lineno, f"expected header a,p_gt — got {line!r}")
+            expected = len(cols)
+            continue
+        parts = line.split(",")
+        if len(parts) != expected:
+            raise ParseError(lineno, f"expected {expected} columns, got {len(parts)}")
+        try:
+            point = tuple(float(p) for p in parts)
+        except ValueError:
+            raise ParseError(lineno, f"non-numeric value in {line!r}") from None
+        fault = _point_fault(point, rows[-1] if rows else _NO_POINT)
+        if fault is not None:
+            raise fault[0](lineno, f"{fault[1]} in {line!r}")
+        rows.append(point)
+    if not rows:
         raise EmptyDataset(f"no data rows in {path}")
-    return TailDataset(tuple(cuts), tuple(p_gt),
-                       tuple(weights) if has_weights else None,
-                       source_label=str(path))
+    cuts, p_gt, *weights = zip(*rows)  # weights: [] or the third column
+    return TailDataset(cuts, p_gt, *weights, source_label=str(path))
 
 
 def save_csv(dataset: TailDataset) -> str:
@@ -227,10 +209,11 @@ def emit_overlay(data: TailDataset | None, d_over_n_values, a0: float, grid) -> 
     column is empty where no datum exists.  One tail column per requested
     D/n value, sorted ascending, named tail_<value>.
     """
+    grid = _finite_cuts(grid)
     values = sorted(float(v) for v in d_over_n_values)
     dists = [make(v, a0) for v in values]
     data_map = dict(data.points) if data is not None else {}
-    cuts = sorted(set(float(a) for a in grid) | set(data_map))
+    cuts = sorted(set(grid) | set(data_map))
     tails = [dist.tail(np.array(cuts)) for dist in dists]
     return _csv_text(["a", "p_gt_data"] + [f"tail_{v:g}" for v in values],
                      ([a, data_map.get(a), *row] for a, *row in zip(cuts, *tails)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model_core import _check_a0, _csv_text
+from .model_core import _check_a0, _csv_text, _finite_cuts
 
 
 def _like_input(x, val):
@@ -126,7 +126,7 @@ def make(mean_demand: float, a0: float = 0.0) -> EpiDistribution:
 
 
 def curve_csv(dist: EpiDistribution, grid) -> str:
-    """CSV table with columns a,pdf,tail over the supplied grid of cuts."""
-    cuts = [float(a) for a in grid]
+    """CSV table with columns a,pdf,tail over the supplied grid of finite cuts."""
+    cuts = _finite_cuts(grid)
     a = np.array(cuts)
     return _csv_text(("a", "pdf", "tail"), zip(cuts, dist.pdf(a), dist.tail(a)))

@@ -25,6 +25,7 @@ from .errors import (
     EmptyLadder,
     InfeasibleDemand,
     NonMonotoneLevels,
+    ParseError,
 )
 
 # largest evaluation grid a caller may request: the verifier's grid_points and
@@ -220,6 +221,14 @@ def integer_lattice(values: Sequence[float]) -> tuple[tuple[int, ...], float]:
     return units, float(Fraction(step, denominator))
 
 
+def _finite_cuts(grid) -> list[float]:
+    """A grid's cuts as floats; DomainError unless every one is finite."""
+    cuts = [float(a) for a in grid]
+    if not all(map(math.isfinite, cuts)):  # min by isfinite: the first cut that is not
+        raise DomainError(f"grid cuts must be finite, got {min(cuts, key=math.isfinite)}")
+    return cuts
+
+
 def _state_text(counts: Sequence[int]) -> str:
     """An occupation's counts as one CSV cell or JSON key: "1;2;1"."""
     return ";".join(map(str, counts))
@@ -233,6 +242,18 @@ def _csv_text(header: Sequence[str], rows) -> str:
                           for v in row) for row in rows)
     lines.append("")  # the final newline, without copying the joined text again
     return "\n".join(lines)
+
+
+def _text_lines(path):
+    """Yield (line number, line) of a UTF-8 file; ParseError at the first line that is not."""
+    # a byte that is not UTF-8 decodes to a lone surrogate, which does not encode back
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(lineno, f"not UTF-8 text in {path}, column {exc.start + 1}") from None
+            yield lineno, line
 
 
 # --- JSON interchange (field names are part of the CLI contract) ---
@@ -278,3 +299,8 @@ def params_from_json(text: str) -> EconomyParams:
     return EconomyParams(tuple(_json_number(a, f"levels[{i}]") for i, a in enumerate(levels)),
                          _json_number(payload["n"], "n"), _json_number(payload["D"], "D"),
                          None if a0 is None else _json_number(a0, "a0"))
+
+
+def load_params(path) -> EconomyParams:
+    """params_from_json on a UTF-8 file; ParseError names the file and line of a bad byte."""
+    return params_from_json("".join(line for _, line in _text_lines(path)))

@@ -243,7 +243,8 @@ def _grid(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
     q = _trial(base, x, eps)
     if derivative == "analytic":
         # (q0 (1 + eps x))'' = q0'' (1 + eps x) + 2 eps q0' with q0' = -alpha q0
-        return q, _alpha_squared(dist) * q - 2.0 * eps * dist.alpha * base
+        d2q = _alpha_squared(dist) * q
+        return q, d2q - 2.0 * eps * dist.alpha * base if eps else d2q
     if derivative == "fd":
         h = step if step is not None else cfg.step_x(dist)
         up, down = (_trial(dist.amplitude(y, clipped=False), y, eps) for y in (x + h, x - h))

@@ -478,7 +478,7 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         f"{argv[0]}.out" for argv in invocations)
 
 
-# the package's 73 public names; a lazy export table that drops one breaks `from aym import`
+# the package's 74 public names; a lazy export table that drops one breaks `from aym import`
 PUBLIC_NAMES = sorted("""
 AymError ChainConfig ComparisonMetrics DegenerateFit Displacement DomainError
 DomainViolation EconomyParams EmptyDataset EmptyLadder EnumerationResult EpiDistribution
@@ -491,7 +491,7 @@ boundary_identity_residual closed_form_ladder compare compare_sweep_csv curve_cs
 emit_overlay enumerate_feasible epi_binned_ladder epi_binned_zero_min
 euler_lagrange_residual fisher_kinematical fisher_metric_form fisher_statistical
 fit_tail generating_equation_residual integer_lattice ladder_limit_form ladder_ratio
-load_csv log_multinomial_weight make make_ladder merge_summaries params_from_json
+load_csv load_params log_multinomial_weight make make_ladder merge_summaries params_from_json
 params_to_json pointwise_information_density propose_pair_move qtilde_recovered
 regularity_residual run_chain save_csv solve_boltzmann solve_generalized
 stirling_consistency structural_principle validate verify_all
@@ -559,7 +559,7 @@ def test_import_and_usage_paths_load_no_numpy(capsys):
 def test_every_public_name_resolves():
     import aym
 
-    assert len(PUBLIC_NAMES) == 73
+    assert len(PUBLIC_NAMES) == 74
     assert all(getattr(aym, name) is not None for name in PUBLIC_NAMES)
     assert sorted(aym.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(aym))

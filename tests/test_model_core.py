@@ -10,10 +10,14 @@ from aym import (
     InfeasibleDemand,
     NonMonotoneLevels,
     OccupationVector,
+    ParseError,
     TailDataset,
+    curve_csv,
+    emit_overlay,
     fit_tail,
     integer_lattice,
     ladder_ratio,
+    load_params,
     make,
     make_ladder,
     params_from_json,
@@ -129,6 +133,46 @@ def test_params_from_json_rejects_unknown_fields():
 def test_params_from_json_a0_null_is_the_default():
     text = '{"levels": [1, 2, 3], "n": 6, "D": 12, "a0": null}'
     assert params_from_json(text) == EconomyParams((1, 2, 3), 6, 12)
+
+
+@pytest.mark.parametrize("text", [
+    '{"levels": [1, 2, 3], "n": 6, "D": 12}',
+    '{\r\n  "levels": [0, 1.5, 2e1],\r\n  "n": 4,\r\n  "D": 30,\r\n  "a0": null\r\n}\r\n',
+    '{"D": 9, "a0": 0.5, "n": 3, "levels": [1, 2, 3]}',
+], ids=["one-line", "crlf-lines", "fields-reordered"])
+def test_load_params_is_params_from_json_on_the_file_text(tmp_path, text):
+    path = tmp_path / "economy.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_params(path) == params_from_json(text)
+
+
+# a byte that is not UTF-8 is named with the file and its line, as load_csv names it
+@pytest.mark.parametrize("raw,line", [
+    (b'{"levels": [1, 2, 3], "n": 6, "D": \xff9}', 1),
+    (b'{\n  "levels": [1, 2, 3],\n  "n": 6,\n  "D": 9, "a0": "\xe9"\n}\n', 4),
+    (b'not json\n\n\xc3', 3),  # the byte is reported before the JSON is read
+], ids=["byte-ff", "latin-1-line-4", "truncated-after-garbage"])
+def test_load_params_rejects_bytes_that_are_not_utf8(tmp_path, raw, line):
+    path = tmp_path / "economy.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="not UTF-8 text in") as info:
+        load_params(path)
+    assert info.value.line == line and str(path) in str(info.value)
+
+
+# every entry point that takes grid cuts
+GRID_ENTRY_POINTS = {
+    "curve_csv": lambda grid: curve_csv(make(5.0), grid),
+    "emit_overlay": lambda grid: emit_overlay(None, [5.0, 2.0], 0.0, grid),
+    "emit_overlay-data": lambda grid: emit_overlay(TailDataset((1.0,), (0.5,)), [5.0], 0.0, grid),
+}
+
+
+@pytest.mark.parametrize("cut", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_non_finite_grid_cut(entry, cut):
+    with pytest.raises(DomainError, match=f"grid cuts must be finite, got {cut}"):
+        GRID_ENTRY_POINTS[entry]([2.0, cut, 1.0, cut])
 
 
 # every entry point that takes a minimal productivity (a ladder step for make_ladder)

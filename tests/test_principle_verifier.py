@@ -311,6 +311,20 @@ def test_fd_grid_at_zero_perturbation_is_the_amplitude(dist):
         assert d2q.tobytes() == ((up - 2.0 * q0 + down) / (h * h)).tobytes()
 
 
+@pytest.mark.parametrize("dist", FAMILY, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
+def test_analytic_grid_at_zero_perturbation_keeps_its_values(dist):
+    # the reference applies q'' = alpha^2 q - 2 eps alpha q0 at eps = 0 too; the analytic
+    # grid skips the eps term there and must give the same values
+    alpha_sq = dist.alpha ** 2
+    for cfg in _numerics(dist):
+        q = dist.amplitude(cfg.x_grid(dist), clipped=False)
+        d2q = alpha_sq * q - 2.0 * 0.0 * dist.alpha * q
+        density = float(np.abs(-0.5 * q * d2q + 0.25 * q * q * (2.0 * alpha_sq)).max())
+        profile = 2.0 * d2q / q
+        assert pointwise_information_density(dist, cfg) == density
+        assert qtilde_recovered(dist, cfg) == (float(profile.mean()), float(profile.std()))
+
+
 def _euler_lagrange_reference(dist, cfg, derivative, eps):
     """max |q'' - alpha^2 q| for q = q0 (1 + eps x), the factor applied at every eps."""
     x = cfg.x_grid(dist)
