@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import (
@@ -105,8 +104,9 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     D/n must lie strictly inside (a_1, a_g) (InfeasibleDemand).
     For c < 0 each n_i is below 1/|c|, so a solution needs n <= g/|c| and
     D between the outputs of filling the sectors bottom-up and top-down at
-    1/|c| workers each, summed exactly; DomainViolation is raised otherwise.
-    Boundary instances are attempted.
+    1/|c| workers each; DomainViolation is raised otherwise.  The fill sums
+    are exact integers in units of 2**-2148, since every finite float is an
+    integer times 2**-1074.  Boundary instances are attempted.
 
     Stop rule: the solve returns once |sum a_i n_i - D| <= max(tol, floor_D),
     floor_D = 4 eps (g D + |beta| V), the rounding of the sum plus one ulp
@@ -133,16 +133,18 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
         # the k-th sector filled takes fill[k] workers (cap = inf, for subnormal c, is fine)
         filled = [0.0] + [min(n, cap * k) for k in range(1, g + 1)]
         fill = [after - before for before, after in zip(filled, filled[1:])]
-        lo, hi = (sum(map(mul, map(Fraction, order), map(Fraction, fill)))  # exact: no D flips
-                  for order in (levels, levels[::-1]))
-        if n > g * cap or not lo <= D <= hi:
+        # x = p/2**k with k <= 1074, so x * 2**1074 is an integer: no D flips by rounding
+        *units, D_units = (p << 1075 - q.bit_length()
+                           for p, q in map(float.as_integer_ratio, (*levels, *fill, D)))
+        lo, hi = (sum(map(mul, order, units[g:])) for order in (units[:g], units[g - 1::-1]))
+        if n > g * cap or not lo <= D_units << 1074 <= hi:
             lo, hi = (sum(map(mul, order, fill)) for order in (levels, levels[::-1]))  # inf past range
             raise DomainViolation(
                 f"c = {c} caps each occupation at {cap}, so a solution needs n <= {g * cap} "
                 f"and D in [{lo}, {hi}]; got n = {n}, D = {D}")
     import numpy as np  # only now: a rejected input is decided without loading numpy
     a = np.asarray(levels, dtype=float)
-    eps = float(np.finfo(float).eps)
+    add, eps = np.add.reduce, sys.float_info.epsilon  # add(x): x.sum() minus its Python wrapper
     pole = c > 0 and c * n >= 1
 
     def root(f, x, lo, hi, what):
@@ -167,7 +169,7 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
 
     def inner(beta):
         z = -beta * a
-        z_max = z.max()
+        z_max = np.maximum.reduce(z)
         d = z_max - z
         if pole:
             s0 = math.log1p(g / (c * n))  # every n_i <= n/g at s = s0
@@ -177,7 +179,7 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
                 s = s0 * math.exp(-x)
                 return 1.0 / (c * np.expm1(s + d)), s, -math.log(c) - s
         else:
-            t0 = math.log(n) - math.log(float(np.exp(-d).sum()))  # the c = 0 root
+            t0 = math.log(n) - math.log(float(add(np.exp(-d))))  # the c = 0 root
             hi, E = math.inf, np.exp(d - t0)
 
             def occupations(x):
@@ -185,25 +187,27 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
 
         def f(x):
             occ, dt_dx, t = occupations(x)
-            N = float(occ.sum())
-            w = occ * (1.0 + c * occ)
-            slope = float(w.sum()) * dt_dx
-            return math.log(N / n), slope / N, abs(N - n) <= 4 * eps * g * n, (t - z_max, occ, w)
+            N = float(add(occ))
+            # w_i = n_i (1 + c n_i) is n_i at c = 0, where t0 <= ln n < 710 keeps n_i finite
+            w = occ if c == 0 else occ * (1.0 + c * occ)
+            W = N if c == 0 else float(add(w))
+            done = abs(N - n) <= 4 * eps * g * n
+            return math.log(N / n), W * dt_dx / N, done, (t - z_max, occ, w, N, W)
 
         return root(f, 0.0, 0.0 if pole else -math.inf, hi, "sum n_i")
 
     def outer(beta):
-        nu, occ, w = inner(beta)
-        m = float((a * w).sum() / w.sum())
-        V = float(((a - m) ** 2 * w).sum())
-        M = float((a * occ).sum())
+        nu, occ, w, N, W = inner(beta)
+        M = float(add(a * occ))
+        m = (M if c == 0 else float(add(a * w))) / W
+        V = float(add((a - m) ** 2 * w))
         done = abs(M - D) <= max(tol, 4 * eps * (g * D + abs(beta) * V))
-        return D - M, V, done, (nu, beta, occ, M)
+        return D - M, V, done, (nu, beta, occ, M, N)
 
     with np.errstate(over="ignore"):  # exp overflow past the top sector means n_i = 0
-        nu, beta, occ, M = root(outer, 0.0, -math.inf, math.inf, "sum a_i n_i")
-    return EquilibriumSolution(Multipliers(nu, beta, float(c)), tuple(float(x) for x in occ),
-                               (abs(float(occ.sum()) - n), abs(M - D)))
+        nu, beta, occ, M, N = root(outer, 0.0, -math.inf, math.inf, "sum a_i n_i")
+    return EquilibriumSolution(Multipliers(nu, beta, float(c)), tuple(occ.tolist()),
+                               (abs(N - n), abs(M - D)))
 
 
 def solve_boltzmann(params: EconomyParams, tol: float = _DEFAULT_TOL,

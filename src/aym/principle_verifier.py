@@ -82,8 +82,10 @@ class NumericsConfig:
         return self.fd_step_x if self.fd_step_x is not None else 1e-3 * dist.scale
 
     def x_grid(self, dist: EpiDistribution) -> np.ndarray:
-        return np.linspace(dist.x_min, dist.x_min + self.grid_span_gaps * dist.scale,
-                           self.grid_points)
+        end = dist.x_min + self.grid_span_gaps * dist.scale
+        if end == math.inf:
+            raise DomainError(f"grid of {self.grid_span_gaps} mean gaps ends past the float range")
+        return np.linspace(dist.x_min, end, self.grid_points)
 
 
 DEFAULT_NUMERICS = NumericsConfig()
@@ -262,6 +264,8 @@ def _max_generating(q, d2q, alpha_sq: float) -> float:
 
 
 def _qtilde_profile(q, d2q):
+    if not q[-1] > 0:  # q falls along the grid from q[0] > 0; past its underflow q''/q is 0/0
+        q, d2q = q[q > 0], d2q[q > 0]
     return 2.0 * d2q / q
 
 

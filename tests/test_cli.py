@@ -177,6 +177,21 @@ def test_verify_extreme_means(capsys, mean, expected):
         assert "error:" in err
 
 
+# past about 1,490 mean gaps the amplitude underflows to 0, where 2 q''/q is 0/0; a grid
+# end past the float range would put nan on the grid
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mean,span,expected", [("1", "1500", 0), ("1", "1e300", 0),
+                                                ("1e10", "1e300", 2)])
+def test_verify_wide_grids_report_finite_json_or_exit_2(capsys, mean, span, expected):
+    code, out, err = _run(capsys, ["verify", "--mean-demand", mean, "--grid-span", span])
+    assert code == expected
+    if expected == 0:
+        assert all(math.isfinite(v) for v in json.loads(out).values())
+    else:
+        assert out == ""
+        assert "float range" in err
+
+
 def test_compare_tv_column_scales(capsys):
     code, out, _ = _run(capsys, ["compare", "--r", "10,100,1000"])
     assert code == 0

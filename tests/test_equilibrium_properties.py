@@ -9,13 +9,14 @@ between the bottom-up and the top-down fill.
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aym import (DomainViolation, EconomyParams, NoConvergence, solve_boltzmann,
+from aym import (AymError, DomainViolation, EconomyParams, NoConvergence, solve_boltzmann,
                  solve_generalized)
 
 TOL = 1e-10
@@ -116,14 +117,17 @@ def numpy_and_exact_fill_bounds(levels, n, cap):
 
 
 def rejected(levels, n, D, c):
-    """True when solve_generalized decides (n, D) infeasible before iterating."""
+    """True (DomainViolation) or False (feasible) from the cap check, None when an input
+    rule decides first; max_iter=0 stops the solve before its first iteration."""
     try:
-        solve_generalized(EconomyParams(levels, n, D), c, max_iter=1)
+        solve_generalized(EconomyParams(levels, n, D), c, max_iter=0)
     except DomainViolation:
         return True
-    except NoConvergence:  # feasible: the one iteration allowed was not enough
-        pass
-    return False
+    except NoConvergence:
+        return False
+    except AymError:  # InfeasibleDemand or DomainError: the hull, D > 0 or c n^2
+        return None
+    raise AssertionError("a solve with no iterations returned")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -156,3 +160,72 @@ def test_fermi_like_feasibility_matches_the_numpy_decision(levels, cap_in, share
             gap = min(abs(Fraction(D) - b) / max(b, Fraction(1, 2 ** 1074)) for b in bounds)
             assert gap <= (g + 2) * np.finfo(float).eps
     assume(checked)
+
+
+def nearest_floats(x):
+    """The float nearest the Fraction x and one ulp either side; none past the float range."""
+    try:
+        near = float(x)
+    except OverflowError:
+        return []
+    return [near, math.nextafter(near, -math.inf), math.nextafter(near, math.inf)]
+
+
+@st.composite
+def extreme_fermi_instances(draw):
+    """(levels, n, c): ladders scaled to the subnormals or to the top of the float range,
+    or starting at 0, with c = -1, -1/2, any -c in [1e-12, 4] or a subnormal c, whose cap
+    1/|c| is inf."""
+    levels = list(draw(ladders()))
+    if draw(st.booleans()):
+        levels[0] = 0.0
+    scale = draw(st.sampled_from([1.0, 5e-324, 1e-320, 1e-307, 1e306, 1e307]))
+    levels = [a * scale for a in levels]
+    assume(len(set(levels)) == len(levels) and levels[-1] < math.inf)  # scaling kept the order
+    c = -draw(st.one_of(st.sampled_from([1.0, 0.5, 5e-324, 1e-310, 4e-309]),
+                        log_uniform(1e-12, 4.0)))
+    room = len(levels) * (-1.0 / c)  # every sector at its cap
+    n = min(room, 1e300) if draw(st.booleans()) else draw(st.floats(0.01, 1.5)) * min(room, 1e3)
+    return tuple(levels), n, c
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(extreme_fermi_instances())
+def test_integer_fill_bounds_decide_as_exact_fractions(instance):
+    """The cap check accepts and rejects what exact Fraction sums of the fills decide.
+
+    D is drawn at the float nearest each exact bound and one ulp either side;
+    the decision is read from solve_generalized before its first iteration.
+    """
+    levels, n, c = instance
+    g, cap = len(levels), -1.0 / c  # the fill exactly as the solver forms it
+    filled = [0.0] + [min(n, cap * k) for k in range(1, g + 1)]
+    fill = [after - before for before, after in zip(filled, filled[1:])]
+    lo, hi = (sum(map(mul, map(Fraction, order), map(Fraction, fill)))
+              for order in (levels, levels[::-1]))
+    checked = 0
+    for D in nearest_floats(lo) + nearest_floats(hi):
+        decided = rejected(levels, n, D, c)
+        if decided is not None:
+            checked += 1
+            assert decided == (n > g * cap or not lo <= Fraction(D) <= hi), D
+    assume(checked)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(ladders().map(lambda levels: tuple(a + 0.5 for a in levels)),
+       st.sampled_from([-1.0, -0.5, -2.0]), st.floats(0.3, 0.97), log_uniform(1e-12, 1e-6),
+       st.sampled_from(["lo", "hi"]), st.sampled_from([1e-10, 0.0]))
+def test_near_fill_bound_solves_end_in_typed_errors(levels, c, share, gap, bound, tol):
+    """A D inside a fill bound by 1e-12 to 1e-6 relative solves or raises an AymError.
+
+    Such solves push the occupations against the cap 1/|c|, where the inner
+    solve can overflow its exponentials; none may end in an untyped error.
+    """
+    n = share * len(levels) / -c
+    lo, hi = fill_bounds(levels, n, -1.0 / c)
+    D = lo * (1.0 + gap) if bound == "lo" else hi * (1.0 - gap)
+    try:
+        solve_generalized(EconomyParams(levels, n, D), c, tol=tol)
+    except AymError:
+        pass

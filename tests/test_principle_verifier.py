@@ -212,6 +212,28 @@ def test_grid_points_bounded_before_allocation():
             NumericsConfig(grid_points=points)
 
 
+@pytest.mark.parametrize("span", [1500.0, 1e300])
+def test_qtilde_skips_the_nodes_past_the_amplitude_underflow(span):
+    # past about 1,490 mean gaps the amplitude is 0.0, where 2 q''/q would be 0/0 = nan
+    dist, cfg = make(1.0, 0.0), NumericsConfig(grid_span_gaps=span)
+    q, d2q = _grid(dist, cfg, "analytic")
+    assert q[0] > 0.0 == q[-1]
+    profile = 2.0 * d2q[q > 0] / q[q > 0]
+    with np.errstate(divide="raise", invalid="raise"):
+        assert qtilde_recovered(dist, cfg) == (float(profile.mean()), float(profile.std()))
+        assert verify_all(dist, cfg).qtilde_value == float(profile.mean())
+    assert math.isfinite(profile.mean())
+
+
+def test_grid_ending_past_the_float_range_is_a_domain_error():
+    # 1e300 gaps of 1e10 end at inf, and linspace would put nan on the grid
+    dist, cfg = make(1e10, 0.0), NumericsConfig(grid_span_gaps=1e300)
+    for check in (verify_all, pointwise_information_density, qtilde_recovered,
+                  generating_equation_residual):
+        with pytest.raises(DomainError, match="float range"):
+            check(dist, cfg)
+
+
 def test_explicit_steps_are_honored():
     dist = make(135.0, 0.0)
     cfg = NumericsConfig(fd_step_theta=1e-4 * dist.scale, fd_step_x=1e-3 * dist.scale)
