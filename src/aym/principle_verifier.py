@@ -23,12 +23,20 @@ differences — and reports the residuals.
 theta-derivatives and x-derivatives are distinct conventions (the family's
 support edge stays fixed while the displacement coordinate moves with
 theta); each identity is asserted in the convention where it is exact.
+
+The family is location-scale, so every identity is evaluated once per numerics
+on the standard law (s = D/n - a0 = 1, a0 = 0) in t = (a - a0)/s, and each value
+is then multiplied by its power of s: s^-2 for the capacities, Q, qtilde, the
+boundary constant and the integral residuals, s^-5/2 for the generating
+residuals, s^-3 for the pointwise density.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
@@ -48,15 +56,20 @@ _QUAD_SPAN_GAPS = 60.0  # quadrature nodes stop here, in mean gaps; tail mass < 
                               for t, w in (laggauss(48), laggauss(96)))
 _NODES, _SPLIT = np.concatenate((_T48, _T96)), len(_T48)
 
+_STANDARD = make(1.0)  # s = 1 and a0 = 0: t = a, and the displacement is x = t - 1
+_ALPHA_SQ = _STANDARD.alpha ** 2  # 1/4
+_EDGE = _STANDARD.amplitude(_STANDARD.x_min)  # q at the support edge, 2
+_NORMAL_MIN = sys.float_info.min
+
 
 @dataclass(frozen=True)
 class NumericsConfig:
     """Finite-difference steps, quadrature tolerance, evaluation grid.
 
-    Steps are absolute (productivity units); leave them None to use the
-    defaults 1e-4*(theta - a0) for theta and 1e-3*(theta - a0) for x.
-    The grid covers grid_span_gaps mean gaps (at least 40) from the lower
-    support edge with grid_points uniform nodes, at most MAX_GRID_POINTS.
+    Steps are absolute (productivity units); leave them None to use the defaults
+    of 1e-4 mean gaps for theta and 1e-3 for x, exactly 1e-4 and 1e-3 in t.  The
+    grid covers grid_span_gaps mean gaps (at least 40) from the lower support
+    edge with grid_points uniform nodes, at most MAX_GRID_POINTS.
     """
 
     fd_step_theta: float | None = None
@@ -82,10 +95,8 @@ class NumericsConfig:
         return self.fd_step_x if self.fd_step_x is not None else 1e-3 * dist.scale
 
     def x_grid(self, dist: EpiDistribution) -> np.ndarray:
-        end = dist.x_min + self.grid_span_gaps * dist.scale
-        if end == math.inf:
-            raise DomainError(f"grid of {self.grid_span_gaps} mean gaps ends past the float range")
-        return np.linspace(dist.x_min, end, self.grid_points)
+        return np.linspace(dist.x_min, dist.x_min + self.grid_span_gaps * dist.scale,
+                           self.grid_points)
 
 
 DEFAULT_NUMERICS = NumericsConfig()
@@ -99,7 +110,8 @@ class PrincipleReport:
     structural_Q use theta finite differences; fisher_kinematical,
     generating_residual and euler_lagrange_residual use x finite
     differences; epi_residual_pointwise and qtilde_value use analytic x
-    derivatives (so they expose pure algebra, not step error).
+    derivatives (so they expose pure algebra, not step error).  Each field
+    is the standard law's value times its power of the mean gap.
     """
 
     fisher_metric: float
@@ -147,64 +159,138 @@ def _rule_sums(integrands, lo: float, scale: float) -> dict[str, tuple[float, fl
                        scale * float(np.dot(_W96, f[_SPLIT:]))) for name, f in values.items()}
 
 
-def _theta_quads(dist: EpiDistribution, cfg: NumericsConfig) -> dict[str, tuple[float, float]]:
-    """Ungated (48-point, 96-point) integrals of the four theta integrands by name.
+def _in_units(dist: EpiDistribution, value: float = 1.0, power: float = 2.0) -> float:
+    """A standard-law value times s^-power, power 2, 2.5 or 3 (by default s^-2 itself);
+    DomainError unless s^-2 is a positive normal float and the product is finite.  The
+    factors lie on one side of 1, so no partial product overflows unless the product does."""
+    inverse = 1.0 / dist.scale
+    capacity = inverse * inverse
+    product = value * capacity * {2.0: 1.0, 2.5: math.sqrt(inverse), 3.0: inverse}[power]
+    if not (_NORMAL_MIN <= capacity < math.inf and math.isfinite(product)):
+        raise DomainError(f"mean gap D/n - a0 = {dist.scale} puts the capacity 1/(D/n - a0)^2 "
+                          "or a verifier value outside the normal float range")
+    return product
+
+
+def _gated(dist: EpiDistribution, pair: tuple[float, float], tol: float,
+           magnitude: float = 0.0) -> float:
+    """A standard-law (48-point, 96-point) pair times s^-2, gated with the absolute tol."""
+    capacity = _in_units(dist)
+    return _gate(pair[0] * capacity, pair[1] * capacity, tol, magnitude)
+
+
+def _quadratures(cfg: NumericsConfig) -> dict[str, tuple[float, float]]:
+    """The standard law's ungated (48-point, 96-point) integrals by name, cfg in t.
 
     The pdfs of the family members at theta - h, theta and theta + h,
-    h = cfg.step_theta(dist), are evaluated once for both rules; the support
-    edge a0 is theta-free, so all three share the quadrature nodes.
+    h = cfg.step_theta, are evaluated once for both rules; the support edge
+    a0 is theta-free, so all three share the quadrature nodes.  x = a - 1 is
+    the displacement: (dq/dx)^2 by central differences of step cfg.step_x, and
+    (q')^2 and q q'' of the boundary identity from q' = -alpha q, q'' = alpha^2 q.
     """
-    h = cfg.step_theta(dist)
-    family = (make(dist.mean_demand - h, dist.a0), dist, make(dist.mean_demand + h, dist.a0))
+    h, h_x, alpha = cfg.step_theta(_STANDARD), cfg.step_x(_STANDARD), _STANDARD.alpha
+    family = (make(1.0 - h), _STANDARD, make(1.0 + h))
 
     def integrands(a):
         down, p, up = (member.pdf(a) for member in family)
         qm, q0, qp = (2.0 * np.sqrt(x) for x in (down, p, up))
         dp, dq = (up - down) / (2.0 * h), (qp - qm) / (2.0 * h)
         d2q = (qp - 2.0 * q0 + qm) / (h * h)
+        x = a - 1.0
+        q_x = _STANDARD.amplitude(x, clipped=False)
+        dq_x = (_STANDARD.amplitude(x + h_x, clipped=False)
+                - _STANDARD.amplitude(x - h_x, clipped=False)) / (2.0 * h_x)
         return {
             "metric": dp * dp / p,
             "statistical": -q0 * d2q,
             "regularity": (up - 2.0 * p + down) / (h * h),
             "structural": 0.5 * (q0 * d2q - dq * dq),
+            "kinematical": dq_x * dq_x,
+            "dq_sq": (-alpha * q_x) ** 2,
+            "q_d2q": q_x * (alpha * alpha * q_x),
         }
 
-    return _rule_sums(integrands, dist.a0, dist.scale)
+    return _rule_sums(integrands, _STANDARD.a0, _STANDARD.scale)
+
+
+def _trial(q0, x, eps: float):
+    """The trial amplitude q0 (1 + eps x); q0 itself at eps = 0, where the factor is 1."""
+    return q0 * (1.0 + eps * x) if eps else q0
+
+
+def _grid(cfg: NumericsConfig, eps: float = 0.0) -> dict:
+    """The standard law's trial amplitude q (1 + eps x) on the grid, cfg in t (the
+    amplitude itself, bit for bit, at eps = 0), and its q'' per derivative mode:
+    analytic, or by central differences of step cfg.step_x."""
+    x = cfg.x_grid(_STANDARD)
+    base = _STANDARD.amplitude(x, clipped=False)
+    q = _trial(base, x, eps)
+    # (q0 (1 + eps x))'' = q0'' (1 + eps x) + 2 eps q0' with q0' = -alpha q0
+    d2q = _ALPHA_SQ * q - 2.0 * eps * _STANDARD.alpha * base if eps else _ALPHA_SQ * q
+    h = cfg.step_x(_STANDARD)
+    up, down = (_trial(_STANDARD.amplitude(y, clipped=False), y, eps) for y in (x + h, x - h))
+    return {"analytic": (q, d2q), "fd": (q, (up - 2.0 * q + down) / (h * h))}
+
+
+def _grid_values(q, d2q) -> tuple[float, float, float, float]:
+    """max |k|, max |q'' - alpha^2 q|, and the mean and spread of 2 q''/q over the nodes
+    where neither q nor q'' is below the smallest normal float in size (nan if none)."""
+    density = float(np.abs(-0.5 * q * d2q + 0.25 * q * q * (2.0 * _ALPHA_SQ)).max())
+    normal = (np.abs(q) >= _NORMAL_MIN) & (np.abs(d2q) >= _NORMAL_MIN)
+    profile = 2.0 * d2q[normal] / q[normal]
+    spread = (float(profile.mean()), float(profile.std())) if profile.size else (math.nan,) * 2
+    return density, float(np.abs(d2q - _ALPHA_SQ * q).max()), *spread
+
+
+@lru_cache(maxsize=4)
+def _standard_law(cfg: NumericsConfig, eps: float) -> dict:
+    """The standard law's values under cfg in t, computed once per numerics: ungated
+    (48-point, 96-point) integrals by name and, per derivative mode, the _grid_values
+    of the trial amplitude q (1 + eps x)."""
+    with np.errstate(all="ignore"):
+        law = _quadratures(cfg)
+        for derivative, (q, d2q) in _grid(cfg, eps).items():
+            law[derivative] = _grid_values(q, d2q)
+    return law
+
+
+def _law(dist: EpiDistribution, cfg: NumericsConfig, step_x: float | None = None,
+         eps: float = 0.0) -> dict:
+    """_standard_law with cfg's explicit steps (step_x in place of its own) over s and
+    eps times s; default steps stay None, so exactly 1e-4 and 1e-3 in t."""
+    steps = {"fd_step_theta": cfg.fd_step_theta,
+             "fd_step_x": cfg.fd_step_x if step_x is None else step_x}
+    given = {name: step / dist.scale for name, step in steps.items() if step is not None}
+    return _standard_law(replace(cfg, **given) if given else cfg, eps * dist.scale)
+
+
+def _grid_law(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
+              step: float | None = None, eps: float = 0.0) -> tuple[float, float, float, float]:
+    if derivative not in ("analytic", "fd"):
+        raise DomainError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
+    return _law(dist, cfg, step, eps)[derivative]
 
 
 def fisher_metric_form(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Metric-form channel capacity: integral of (dp/dtheta)^2 / p over the support."""
-    return _gate(*_theta_quads(dist, cfg)["metric"], cfg.quadrature_tol)
+    return _gated(dist, _law(dist, cfg)["metric"], cfg.quadrature_tol)
 
 
 def fisher_kinematical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Kinematical-form capacity: integral of (dq/dx)^2 over the displacement support."""
-    h = cfg.step_x(dist)
-
-    def integrand(x):
-        dq = (dist.amplitude(x + h, clipped=False)
-              - dist.amplitude(x - h, clipped=False)) / (2.0 * h)
-        return {"kinematical": dq * dq}
-
-    return _gate(*_rule_sums(integrand, dist.x_min, dist.scale)["kinematical"],
-                 cfg.quadrature_tol)
+    return _gated(dist, _law(dist, cfg)["kinematical"], cfg.quadrature_tol)
 
 
 def fisher_statistical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Statistical-form capacity: -integral q * d^2 q/dtheta^2 over the support."""
-    return _gate(*_theta_quads(dist, cfg)["statistical"], cfg.quadrature_tol)
+    return _gated(dist, _law(dist, cfg)["statistical"], cfg.quadrature_tol)
 
 
 def regularity_residual(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """|integral d^2 p/dtheta^2 da|; zero because the support edge is theta-free."""
-    quads = _theta_quads(dist, cfg)["regularity"]
     # the integral cancels to ~0; gate the quad error against the capacity scale
-    try:
-        magnitude = 1.0 / dist.scale ** 2
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"mean gap D/n - a0 = {dist.scale} leaves no float capacity "
-                          "scale 1/(D/n - a0)^2") from None
-    return abs(_gate(*quads, cfg.quadrature_tol, magnitude=magnitude))
+    return abs(_gated(dist, _law(dist, cfg)["regularity"], cfg.quadrature_tol,
+                      magnitude=_in_units(dist)))
 
 
 def structural_principle(dist: EpiDistribution,
@@ -214,59 +300,9 @@ def structural_principle(dist: EpiDistribution,
     Q = (1/2) integral (q d^2q/dtheta^2 - (dq/dtheta)^2) da; the capacity I
     is taken from the metric form.  Expected Q = -I.
     """
-    quads = _theta_quads(dist, cfg)
-    q_value = _gate(*quads["structural"], cfg.quadrature_tol)
-    return q_value, abs(_gate(*quads["metric"], cfg.quadrature_tol) + q_value)
-
-
-def _alpha_squared(dist: EpiDistribution) -> float:
-    """alpha^2, the generating equation's coefficient, as a float."""
-    try:
-        return dist.alpha ** 2
-    except OverflowError:
-        raise DomainError(f"mean gap D/n - a0 = {dist.scale} puts alpha^2 "
-                          "past the float range") from None
-
-
-def _trial(q0, x, eps: float):
-    """The trial amplitude q0 (1 + eps x); q0 itself at eps = 0, where the factor is 1."""
-    return q0 * (1.0 + eps * x) if eps else q0
-
-
-def _grid(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
-          step: float | None = None, eps: float = 0.0):
-    """(q, q'') on the grid for the trial amplitude q (1 + eps x).
-
-    q'' is analytic or by central differences of the given step (default
-    cfg.step_x); eps = 0 gives the amplitude itself, bit for bit.
-    """
-    x = cfg.x_grid(dist)
-    base = dist.amplitude(x, clipped=False)
-    q = _trial(base, x, eps)
-    if derivative == "analytic":
-        # (q0 (1 + eps x))'' = q0'' (1 + eps x) + 2 eps q0' with q0' = -alpha q0
-        d2q = _alpha_squared(dist) * q
-        return q, d2q - 2.0 * eps * dist.alpha * base if eps else d2q
-    if derivative == "fd":
-        h = step if step is not None else cfg.step_x(dist)
-        up, down = (_trial(dist.amplitude(y, clipped=False), y, eps) for y in (x + h, x - h))
-        return q, (up - 2.0 * q + down) / (h * h)
-    raise DomainError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
-
-
-# the grid identities, each a function of (q, q'') on the grid
-def _max_density(q, d2q, alpha_sq: float) -> float:
-    return float(np.abs(-0.5 * q * d2q + 0.25 * q * q * (2.0 * alpha_sq)).max())
-
-
-def _max_generating(q, d2q, alpha_sq: float) -> float:
-    return float(np.abs(d2q - alpha_sq * q).max())
-
-
-def _qtilde_profile(q, d2q):
-    if not q[-1] > 0:  # q falls along the grid from q[0] > 0; past its underflow q''/q is 0/0
-        q, d2q = q[q > 0], d2q[q > 0]
-    return 2.0 * d2q / q
+    law = _law(dist, cfg)
+    q_value = _gated(dist, law["structural"], cfg.quadrature_tol)
+    return q_value, abs(_gated(dist, law["metric"], cfg.quadrature_tol) + q_value)
 
 
 def pointwise_information_density(dist: EpiDistribution,
@@ -274,7 +310,7 @@ def pointwise_information_density(dist: EpiDistribution,
                                   derivative: str = "analytic",
                                   step: float | None = None) -> float:
     """max |k(x)| with k = -(1/2) q q'' + (1/4) q^2 * 2 alpha^2; identically 0."""
-    return _max_density(*_grid(dist, cfg, derivative, step), _alpha_squared(dist))
+    return _in_units(dist, _grid_law(dist, cfg, derivative, step)[0], 3.0)
 
 
 def generating_equation_residual(dist: EpiDistribution,
@@ -282,7 +318,7 @@ def generating_equation_residual(dist: EpiDistribution,
                                  derivative: str = "fd",
                                  step: float | None = None) -> float:
     """max |q'' - alpha^2 q| over the grid; 0 analytically, O(h^2) under FD."""
-    return _max_generating(*_grid(dist, cfg, derivative, step), _alpha_squared(dist))
+    return _in_units(dist, _grid_law(dist, cfg, derivative, step)[1], 2.5)
 
 
 def euler_lagrange_residual(dist: EpiDistribution,
@@ -295,10 +331,10 @@ def euler_lagrange_residual(dist: EpiDistribution,
     Algebraically identical to the generating residual at the solution;
     reported separately for traceability.  perturbation = eps evaluates the
     residual for the trial amplitude q*(1 + eps*x), which grows linearly in
-    eps (the solution is the unique zero of the functional derivative).
+    eps (the solution is the unique zero of the functional derivative); in
+    t the trial is q*(1 + eps*s*x).
     """
-    return _max_generating(*_grid(dist, cfg, derivative, step, perturbation),
-                           _alpha_squared(dist))
+    return _in_units(dist, _grid_law(dist, cfg, derivative, step, perturbation)[1], 2.5)
 
 
 def qtilde_recovered(dist: EpiDistribution,
@@ -306,10 +342,11 @@ def qtilde_recovered(dist: EpiDistribution,
                      derivative: str = "analytic") -> tuple[float, float]:
     """Recover the structural density coefficient 2 q''/q over the grid.
 
-    Returns (mean, standard deviation); constant 2*alpha^2 on the solution.
+    Returns (mean, standard deviation) over the nodes where q and q'' are
+    normal floats; constant 2*alpha^2 on the solution.
     """
-    profile = _qtilde_profile(*_grid(dist, cfg, derivative))
-    return float(profile.mean()), float(profile.std())
+    values = _grid_law(dist, cfg, derivative)
+    return _in_units(dist, values[2]), _in_units(dist, values[3])
 
 
 def boundary_constant(dist: EpiDistribution) -> float:
@@ -317,8 +354,7 @@ def boundary_constant(dist: EpiDistribution) -> float:
 
     The term at the upper (infinite) end vanishes with the amplitude.
     """
-    q_edge = dist.amplitude(dist.x_min)
-    return dist.alpha * q_edge * q_edge
+    return _in_units(dist, _STANDARD.alpha * _EDGE * _EDGE)
 
 
 def boundary_identity_residual(dist: EpiDistribution,
@@ -329,41 +365,32 @@ def boundary_identity_residual(dist: EpiDistribution,
     the residual is pure quadrature error: the check pits the surface term
     c_a against the numerically integrated amplitude norm.
     """
-    alpha = dist.alpha
-
-    def integrands(x):
-        q0 = dist.amplitude(x, clipped=False)
-        dq = -alpha * q0
-        return {"dq_sq": dq * dq, "q_d2q": q0 * (alpha * alpha * q0)}
-
-    sums = _rule_sums(integrands, dist.x_min, dist.scale)
-    lhs = _gate(*sums["dq_sq"], cfg.quadrature_tol)
-    rhs = boundary_constant(dist) - _gate(*sums["q_d2q"], cfg.quadrature_tol)
+    law, tol = _law(dist, cfg), cfg.quadrature_tol
+    lhs = _gated(dist, law["dq_sq"], tol)
+    rhs = boundary_constant(dist) - _gated(dist, law["q_d2q"], tol)
     return abs(lhs - rhs)
 
 
 def verify_all(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> PrincipleReport:
     """Evaluate every identity and assemble the report (kappa fixed at 1).
 
-    The theta family and the x grid are each evaluated once; the quadrature
-    gates run in the order metric, structural, statistical, kinematical.
+    Every field is read from the standard law's values for cfg; the quadrature gates
+    run in the order metric, structural, statistical, kinematical.  DomainError unless
+    1/s^2 is a positive normal float and every field is finite.
     """
-    quads, tol = _theta_quads(dist, cfg), cfg.quadrature_tol
-    capacity, q_value = _gate(*quads["metric"], tol), _gate(*quads["structural"], tol)
-    q, d2q = _grid(dist, cfg, "fd")
-    alpha_sq = _alpha_squared(dist)
-    exact = alpha_sq * q
-    generating = _max_generating(q, d2q, alpha_sq)
+    law, tol = _law(dist, cfg), cfg.quadrature_tol
+    capacity, q_value = _gated(dist, law["metric"], tol), _gated(dist, law["structural"], tol)
+    generating = _in_units(dist, law["fd"][1], 2.5)
     return PrincipleReport(
         fisher_metric=capacity,
-        fisher_statistical=_gate(*quads["statistical"], tol),
-        fisher_kinematical=fisher_kinematical(dist, cfg),
+        fisher_statistical=_gated(dist, law["statistical"], tol),
+        fisher_kinematical=_gated(dist, law["kinematical"], tol),
         structural_Q=q_value,
         structural_residual=abs(capacity + q_value),
-        epi_residual_pointwise=_max_density(q, exact, alpha_sq),
+        epi_residual_pointwise=_in_units(dist, law["analytic"][0], 3.0),
         generating_residual=generating,
         euler_lagrange_residual=generating,  # the same equation at the solution
-        qtilde_value=float(_qtilde_profile(q, exact).mean()),
+        qtilde_value=_in_units(dist, law["analytic"][2]),
         boundary_constant=boundary_constant(dist),
         kappa=1.0,
     )

@@ -162,34 +162,36 @@ def test_verify_table_format(capsys):
     assert len(lines) == 11
 
 
-# 1e200 underflows every integrand to 0 without NaN; the other three overflow or
-# underflow into NaN or inf, which must surface as a solver failure, not as JSON
+# the identities are evaluated in t = a/s and scaled by powers of s: a report wherever
+# the capacity 1/s^2 is a normal float and every field is finite, else exit 2 naming
+# the mean gap (1e200, 1e300 and 1e308 underflow 1/s^2, 1e-300 overflows it)
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mean,expected", [("1e200", 0), ("1e-300", 3), ("1e300", 3),
-                                           ("1e308", 3)])
+@pytest.mark.parametrize("mean,expected", [("1e200", 2), ("1e-300", 2), ("1e300", 2),
+                                           ("1e308", 2), ("1e90", 0), ("1e-60", 0)])
 def test_verify_extreme_means(capsys, mean, expected):
     code, out, err = _run(capsys, ["verify", "--mean-demand", mean, "--a0", "0"])
     assert code == expected
     if expected == 0:
-        assert all(math.isfinite(v) for v in json.loads(out).values())
+        payload = json.loads(out)
+        assert all(math.isfinite(v) for v in payload.values())
+        assert payload["structural_residual"] < 1e-6 * payload["fisher_metric"]
+        assert payload["fisher_metric"] == pytest.approx(float(mean) ** -2, rel=1e-6)
     else:
         assert out == ""
-        assert "error:" in err
+        assert "error:" in err and "mean gap" in err
 
 
-# past about 1,490 mean gaps the amplitude underflows to 0, where 2 q''/q is 0/0; a grid
-# end past the float range would put nan on the grid
+# past about 1,490 mean gaps the amplitude underflows to 0, where 2 q''/q is 0/0; the
+# grid runs in t = a/s, so 1e300 gaps of 1e10 end at 1e300 - 1, inside the float range
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mean,span,expected", [("1", "1500", 0), ("1", "1e300", 0),
-                                                ("1e10", "1e300", 2)])
-def test_verify_wide_grids_report_finite_json_or_exit_2(capsys, mean, span, expected):
+@pytest.mark.parametrize("mean,span", [("1", "1500"), ("1", "1e300"), ("1e10", "1e300")])
+def test_verify_wide_grids_report_finite_json(capsys, mean, span):
     code, out, err = _run(capsys, ["verify", "--mean-demand", mean, "--grid-span", span])
-    assert code == expected
-    if expected == 0:
-        assert all(math.isfinite(v) for v in json.loads(out).values())
-    else:
-        assert out == ""
-        assert "float range" in err
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert all(math.isfinite(v) for v in payload.values())
+    inverse = 1.0 / float(mean)
+    assert payload["qtilde_value"] == 0.5 * (inverse * inverse)
 
 
 def test_compare_tv_column_scales(capsys):

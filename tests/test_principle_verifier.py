@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from aym import (
     structural_principle,
     verify_all,
 )
-from aym.principle_verifier import DEFAULT_NUMERICS, _gate, _grid, _rule_sums
+from aym.principle_verifier import DEFAULT_NUMERICS, _gate, _grid, _rule_sums, _standard_law
 
 FAMILY = [make(2.0, 0.0), make(2.0, 1.0), make(135.0, 0.0), make(135.0, 1.0),
           make(1000.0, 0.0), make(1000.0, 1.0)]
+# laws far from s = 1: in productivity units the integrand (dp/dtheta)^2/p ~ s^-4
+# underflows at D/n = 1e90, and the grid residuals ~ s^-5/2 reach 1e142 at 1e-60
+WIDE = FAMILY + [make(1e90, 0.0), make(1e-60, 0.0)]
 
 
 def _expected_capacity(dist):
@@ -154,7 +158,7 @@ def _numerics(dist):
                                             fd_step_x=5e-4 * dist.scale, grid_points=1001)
 
 
-@pytest.mark.parametrize("dist", FAMILY, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
+@pytest.mark.parametrize("dist", WIDE, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
 def test_report_assembles_all_fields(dist):
     for cfg in _numerics(dist):
         report = verify_all(dist, cfg)
@@ -167,6 +171,7 @@ def test_report_assembles_all_fields(dist):
         assert report.structural_residual == abs(report.fisher_metric + report.structural_Q)
         assert report.euler_lagrange_residual == \
             generating_equation_residual(dist, cfg, derivative="fd")
+        assert report.euler_lagrange_residual == euler_lagrange_residual(dist, cfg)
         # the shared evaluation computes what each identity computes alone, bit for bit
         assert report.fisher_metric == fisher_metric_form(dist, cfg)
         assert report.fisher_statistical == fisher_statistical(dist, cfg)
@@ -212,26 +217,69 @@ def test_grid_points_bounded_before_allocation():
             NumericsConfig(grid_points=points)
 
 
-@pytest.mark.parametrize("span", [1500.0, 1e300])
+def _t_numerics(dist, cfg):
+    """cfg in t = (a - a0)/s: explicit steps over the mean gap, default ones left None."""
+    return replace(cfg, **{name: getattr(cfg, name) / dist.scale
+                           for name in ("fd_step_theta", "fd_step_x") if getattr(cfg, name)})
+
+
+def _in_units(dist, value, power=2.0):
+    """The reference scaling: value * s^-2, times s^-1/2 or s^-1 more, left to right."""
+    inverse = 1.0 / dist.scale
+    capacity = inverse * inverse
+    return value * capacity * {2.0: 1.0, 2.5: math.sqrt(inverse), 3.0: inverse}[power]
+
+
+def _t_reference(dist, cfg, derivative, eps):
+    """(q, q'') in t for q = q0 (1 + eps s x) on the standard law's grid x = t - 1, the
+    factor and the eps term applied at every eps; steps 1e-3 in t or fd_step_x / s."""
+    x = np.linspace(-1.0, -1.0 + cfg.grid_span_gaps, cfg.grid_points)
+    eps_t = eps * dist.scale
+
+    def trial(y):
+        return 2.0 * np.exp(-(y + 1.0) / 2.0) * (1.0 + eps_t * y)
+
+    q0, q = 2.0 * np.exp(-(x + 1.0) / 2.0), trial(x)
+    if derivative == "analytic":
+        return q, 0.25 * q - 2.0 * eps_t * 0.5 * q0
+    h = cfg.fd_step_x / dist.scale if cfg.fd_step_x else 1e-3
+    return q, (trial(x + h) - 2.0 * q + trial(x - h)) / (h * h)
+
+
+def _profile(q, d2q):
+    """2 q''/q over the nodes where q and q'' are normal floats."""
+    normal = (np.abs(q) >= 2.0 ** -1022) & (np.abs(d2q) >= 2.0 ** -1022)
+    return 2.0 * d2q[normal] / q[normal]
+
+
+@pytest.mark.parametrize("span", [1450.0, 1480.0, 1500.0, 1e300])
 def test_qtilde_skips_the_nodes_past_the_amplitude_underflow(span):
-    # past about 1,490 mean gaps the amplitude is 0.0, where 2 q''/q would be 0/0 = nan
+    # past about 708 mean gaps q/4 is subnormal and past about 1,490 q is 0.0, where
+    # 2 q''/q would lose digits or be 0/0 = nan: at every span the mean is exactly 0.5
     dist, cfg = make(1.0, 0.0), NumericsConfig(grid_span_gaps=span)
-    q, d2q = _grid(dist, cfg, "analytic")
-    assert q[0] > 0.0 == q[-1]
-    profile = 2.0 * d2q[q > 0] / q[q > 0]
+    q, d2q = _grid(cfg)["analytic"]
+    assert q[0] > 0.0 and q[-1] < 2.0 ** -1022
+    ref_q, ref_d2q = _t_reference(dist, cfg, "analytic", 0.0)
+    assert (q.tobytes(), d2q.tobytes()) == (ref_q.tobytes(), ref_d2q.tobytes())
+    assert set(_profile(q, d2q).tolist()) == {0.5}
     with np.errstate(divide="raise", invalid="raise"):
-        assert qtilde_recovered(dist, cfg) == (float(profile.mean()), float(profile.std()))
-        assert verify_all(dist, cfg).qtilde_value == float(profile.mean())
-    assert math.isfinite(profile.mean())
+        assert qtilde_recovered(dist, cfg) == (0.5, 0.0)
+        assert verify_all(dist, cfg).qtilde_value == 0.5
 
 
-def test_grid_ending_past_the_float_range_is_a_domain_error():
-    # 1e300 gaps of 1e10 end at inf, and linspace would put nan on the grid
+@pytest.mark.filterwarnings("error")
+def test_grid_of_any_span_stays_inside_the_float_range():
+    # 1e300 gaps of 1e10 end past the float range in productivity units; in t the grid
+    # ends at 1e300 - 1, and every grid value is the standard law's, scaled
     dist, cfg = make(1e10, 0.0), NumericsConfig(grid_span_gaps=1e300)
-    for check in (verify_all, pointwise_information_density, qtilde_recovered,
-                  generating_equation_residual):
-        with pytest.raises(DomainError, match="float range"):
-            check(dist, cfg)
+    report = verify_all(dist, cfg)
+    assert all(map(math.isfinite, report.to_json_dict().values()))
+    assert report.qtilde_value == _in_units(dist, 0.5)
+    assert qtilde_recovered(dist, cfg) == (_in_units(dist, 0.5), 0.0)
+    assert pointwise_information_density(dist, cfg) == report.epi_residual_pointwise == 0.0
+    q, d2q = _t_reference(dist, cfg, "fd", 0.0)
+    assert generating_equation_residual(dist, cfg) == report.generating_residual == \
+        _in_units(dist, float(np.abs(d2q - 0.25 * q).max()), 2.5)
 
 
 def test_explicit_steps_are_honored():
@@ -322,43 +370,29 @@ def test_rule_sums_equal_each_rule_on_its_own_nodes(lo, scale, family, delta):
         assert _bits(pair) == _bits(expected[name]), name
 
 
-@pytest.mark.parametrize("dist", FAMILY, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
+@pytest.mark.parametrize("dist", WIDE, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
 def test_fd_grid_at_zero_perturbation_is_the_amplitude(dist):
     for cfg in _numerics(dist):
-        x, h = cfg.x_grid(dist), cfg.step_x(dist)
-        q0 = dist.amplitude(x, clipped=False)
-        up, down = dist.amplitude(x + h, clipped=False), dist.amplitude(x - h, clipped=False)
-        q, d2q = _grid(dist, cfg, "fd")
-        assert q.tobytes() == q0.tobytes()
-        assert d2q.tobytes() == ((up - 2.0 * q0 + down) / (h * h)).tobytes()
+        x = np.linspace(-1.0, -1.0 + cfg.grid_span_gaps, cfg.grid_points)
+        q, d2q = _grid(_t_numerics(dist, cfg))["fd"]
+        ref_q, ref_d2q = _t_reference(dist, cfg, "fd", 0.0)
+        assert q.tobytes() == (2.0 * np.exp(-(x + 1.0) / 2.0)).tobytes() == ref_q.tobytes()
+        assert d2q.tobytes() == ref_d2q.tobytes()
+        assert generating_equation_residual(dist, cfg) == \
+            _in_units(dist, float(np.abs(ref_d2q - 0.25 * ref_q).max()), 2.5)
 
 
-@pytest.mark.parametrize("dist", FAMILY, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
+@pytest.mark.parametrize("dist", WIDE, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
 def test_analytic_grid_at_zero_perturbation_keeps_its_values(dist):
-    # the reference applies q'' = alpha^2 q - 2 eps alpha q0 at eps = 0 too; the analytic
-    # grid skips the eps term there and must give the same values
-    alpha_sq = dist.alpha ** 2
+    # the reference applies q'' = q/4 - 2 eps (1/2) q0 at eps = 0 too; the analytic grid
+    # skips the eps term there and must give the same values
     for cfg in _numerics(dist):
-        q = dist.amplitude(cfg.x_grid(dist), clipped=False)
-        d2q = alpha_sq * q - 2.0 * 0.0 * dist.alpha * q
-        density = float(np.abs(-0.5 * q * d2q + 0.25 * q * q * (2.0 * alpha_sq)).max())
-        profile = 2.0 * d2q / q
-        assert pointwise_information_density(dist, cfg) == density
-        assert qtilde_recovered(dist, cfg) == (float(profile.mean()), float(profile.std()))
-
-
-def _euler_lagrange_reference(dist, cfg, derivative, eps):
-    """max |q'' - alpha^2 q| for q = q0 (1 + eps x), the factor applied at every eps."""
-    x = cfg.x_grid(dist)
-    q0 = dist.amplitude(x, clipped=False)
-    q = q0 * (1.0 + eps * x)
-    if derivative == "analytic":
-        d2q = dist.alpha ** 2 * q - 2.0 * eps * dist.alpha * q0
-    else:
-        h = cfg.step_x(dist)
-        up, down = (dist.amplitude(y, clipped=False) * (1.0 + eps * y) for y in (x + h, x - h))
-        d2q = (up - 2.0 * q + down) / (h * h)
-    return float(np.abs(d2q - dist.alpha ** 2 * q).max())
+        q, d2q = _t_reference(dist, cfg, "analytic", 0.0)
+        density = float(np.abs(-0.5 * q * d2q + 0.25 * q * q * (2.0 * 0.25)).max())
+        profile = _profile(q, d2q)
+        assert pointwise_information_density(dist, cfg) == _in_units(dist, density, 3.0)
+        assert qtilde_recovered(dist, cfg) == (_in_units(dist, float(profile.mean())),
+                                               _in_units(dist, float(profile.std())))
 
 
 @pytest.mark.parametrize("eps", [1e-3, 0.0, -2e-2])
@@ -367,23 +401,66 @@ def _euler_lagrange_reference(dist, cfg, derivative, eps):
                          ids=("mean135", "mean2", "mean1000"))
 def test_euler_lagrange_residual_keeps_the_perturbation_arithmetic(dist, derivative, eps):
     for cfg in _numerics(dist):
+        q, d2q = _t_reference(dist, cfg, derivative, eps)
         assert euler_lagrange_residual(dist, cfg, derivative, perturbation=eps) == \
-            _euler_lagrange_reference(dist, cfg, derivative, eps)
+            _in_units(dist, float(np.abs(d2q - 0.25 * q).max()), 2.5)
 
 
-# at D/n = 1e200 the mean gap squared overflows; at D/n = 1e-300 alpha squared
-# overflows (and the gap squared underflows to 0): both are DomainError, while
-# the grid residuals at 1e200 underflow harmlessly to finite values
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# at D/n = 1e200 the capacity 1/s^2 underflows, at 1e-300 it overflows: every identity
+# raises DomainError, before any partial product can under- or overflow
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mean_demand", [1e200, 1e-300], ids=["huge", "tiny"])
 @pytest.mark.parametrize("function", [
-    regularity_residual, generating_equation_residual, pointwise_information_density,
-    euler_lagrange_residual, qtilde_recovered,
+    verify_all, fisher_metric_form, fisher_statistical, fisher_kinematical,
+    structural_principle, regularity_residual, generating_equation_residual,
+    pointwise_information_density, euler_lagrange_residual, qtilde_recovered,
+    boundary_constant, boundary_identity_residual,
 ], ids=lambda f: f.__name__)
 def test_extreme_mean_gap_is_a_domain_error(function, mean_demand):
-    dist = make(mean_demand, 0.0)
-    if mean_demand < 1.0 or function is regularity_residual:
-        with pytest.raises(DomainError, match="mean gap"):
-            function(dist)
-    else:
-        assert all(map(math.isfinite, np.atleast_1d(function(dist))))
+    with pytest.raises(DomainError, match="mean gap"):
+        function(make(mean_demand, 0.0))
+
+
+# log10(D/n) over the whole float range, a0 at 0, 1 and half the mean: a report has
+# finite fields and the closed forms, anything else is a DomainError, and no partial
+# product warns.  Every mean gap s inside (1e-126, 6.7e153) reports: there 1/s^2 is
+# a normal float and the generating residual, about 1e-8 s^-5/2, is finite
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(exponent=st.floats(-300.0, 300.0), a0=st.sampled_from(["0", "1", "half"]))
+def test_verify_all_reports_or_raises_domain_error_at_every_scale(exponent, a0):
+    mean = 10.0 ** exponent
+    a0 = {"0": 0.0, "1": 1.0, "half": mean / 2.0}[a0]
+    try:
+        dist = make(mean, a0)
+        report = verify_all(dist)
+    except DomainError:
+        assert not 1e-126 < mean - a0 < 6.7e153
+        return
+    assert all(map(math.isfinite, report.to_json_dict().values()))
+    capacity = (1.0 / dist.scale) ** 2
+    for value in (report.fisher_metric, report.fisher_statistical, report.fisher_kinematical,
+                  -report.structural_Q):
+        assert value == pytest.approx(capacity, rel=1e-6)
+    # within 1e-15, or two ulps where 2 alpha^2 or 8 alpha^2 is subnormal
+    alpha_sq = dist.alpha ** 2
+    assert math.isclose(report.qtilde_value, 2.0 * alpha_sq, rel_tol=1e-15, abs_tol=1e-323)
+    assert math.isclose(report.boundary_constant, 8.0 * alpha_sq, rel_tol=1e-15, abs_tol=1e-323)
+
+
+def test_cold_and_warm_cache_give_the_same_bits():
+    laws = [make(135.0, 0.0), make(2.0, 1.0), make(1e90, 0.0), make(1e-60, 0.0)]
+
+    def values(dist, cfg):
+        return _bits([*verify_all(dist, cfg).to_json_dict().values(),
+                      regularity_residual(dist, cfg), boundary_identity_residual(dist, cfg),
+                      *qtilde_recovered(dist, cfg, "fd"),
+                      pointwise_information_density(dist, cfg, "fd")])
+
+    cases = [(dist, cfg) for dist in laws for cfg in _numerics(dist)]
+    cold = []
+    for dist, cfg in cases:
+        _standard_law.cache_clear()
+        cold.append(values(dist, cfg))
+        assert values(dist, cfg) == cold[-1]
+    assert [values(dist, cfg) for dist, cfg in cases] == cold
