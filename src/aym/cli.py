@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -237,14 +238,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+# argparse keeps no state of a parse in its parser: each parse_args fills a new
+# namespace from the actions and their immutable defaults, so one parser serves
+# every main call of a process
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def _resolve_output(path: str | None) -> Path | None:
     """The --output path, under $AYM_OUTPUT_DIR when relative; an absolute path replaces it."""
     return None if path is None else Path(os.environ.get(OUTPUT_DIR_ENV) or "", path)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     destination = _resolve_output(args.output)
     try:
         text = args.handler(args)

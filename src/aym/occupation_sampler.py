@@ -38,17 +38,17 @@ words the per-step Generator.integers and Generator.random calls took, so
 every chain is the one those calls gave.  The first block is no longer than
 a chain of config.steps steps can use when no half word is rejected.
 
-Cost.  What a chain takes from its fibre (units, n, demand) and cap alone,
-the move table, the start state, the capped count and the irreducibility
-label, is worked out once per process and kept for the last 8 fibres.  The
-kept values are tuples, ints and strings, so the chains that share them
-stay pure functions of their inputs.  A chain that is long for its fibre,
-count <= max_enumeration (so the count is exact) and
-count * len(table) <= min(config.steps, _MEMO_BUDGET), steps through a memo
-of (state, move) -> (target, num, den) filled as moves are first drawn, so
-a step is one lookup and the acceptance test; the memo holds at most
-_MEMO_BUDGET slots and is dropped with the chain.  Every other chain runs
-the plain loop, whose cost per step does not depend on the fibre.
+Cost.  What a chain takes from its fibre (units, n, demand) and cap alone
+is worked out once per process and kept, as tuples, ints and strings, for
+the last 8 fibres: the move table, the start state, the irreducibility
+label and, when the fibre's count is at most max_enumeration and
+count * len(table) <= _MEMO_BUDGET, the transition table the
+irreducibility search fills as it visits every (state, move) pair.  Every
+chain on such a fibre walks that table, a lookup and the acceptance test a
+step, and counts the slots it passes once per _PATH_CHUNK steps.  A table
+takes about 77 B a slot, up to 236 B where its ints pass 256, so 8 tables
+hold about 40 MB (124 MB at 236 B a slot).  Every other chain runs the
+plain loop, whose cost per step does not depend on the fibre.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -73,14 +73,16 @@ IRREDUCIBILITY_FAILED = "failed"
 IRREDUCIBILITY_UNCHECKED = "unchecked"
 
 _RAW_BLOCK = 1024  # PCG64 words drawn at a time; a chain holds one decoded block
-_MEMO_BUDGET = 2 ** 16  # most memo slots of a chain; about 60 B a filled slot, so ~4 MB
+_MEMO_BUDGET = 2 ** 16  # most transition slots a fibre keeps; about 77 B a slot, so ~5 MB
+_PATH_CHUNK = 2 ** 16  # steps a table walk records before it counts them
 
 
 class Pcg64Draws:
     """Generator(PCG64(seed)).integers(m) and .random() for one bound m, from raw words.
 
     integers() and random() return what numpy's Generator returns for the
-    same interleaving of integers(m) and random() calls.  The words come from
+    same interleaving of integers(m) and random() calls; indices is the
+    iterator whose next item integers() returns.  The words come from
     PCG64.random_raw in blocks of _RAW_BLOCK, the first of them at most
     first_block long, so memory does not grow with the number of draws and a
     short chain decodes few words.  Each block is decoded the way numpy
@@ -105,7 +107,8 @@ class Pcg64Draws:
         sizes = chain((min(first_block, _RAW_BLOCK),), repeat(_RAW_BLOCK))
         words = chain.from_iterable(map(self._block, sizes))
         self.random = map(itemgetter(2), words).__next__
-        self.integers = (repeat(0) if m == 1 else self._halves(words)).__next__
+        self.indices = repeat(0) if m == 1 else self._halves(words)
+        self.integers = self.indices.__next__
 
     def _block(self, size: int):
         """(low-half draw, high-half draw, uniform) per raw word; a rejected half reads -1."""
@@ -217,12 +220,17 @@ def propose_pair_move(state: OccupationVector, levels, rng) -> OccupationVector:
 
 @lru_cache(maxsize=8)
 def _fibre_setup(units: tuple[int, ...], n: int, demand: int, max_enumeration: int):
-    """(table, start, irreducibility, count): the part of a chain its seed does not change.
+    """(table, start, irreducibility, states, transitions): what no seed changes.
 
-    table is _move_table(units), start the first feasible state in walk order
-    and count min(size of the fibre, max_enumeration + 1).  The values are
-    immutable, so the chains that share them stay independent; an empty
-    fibre raises NoFeasibleState, which is not cached, on every call.
+    table is _move_table(units) and start the first feasible state in walk
+    order.  When the fibre has count <= max_enumeration states and
+    count * len(table) <= _MEMO_BUDGET, the search numbers the states it
+    reaches, start first, and fills transitions, whose slot
+    number * len(table) + move holds (target, num, den): target the moved
+    state's number times len(table), or the state's own when num is 0;
+    otherwise both are None.  The values are immutable, so the chains that
+    share them stay independent; an empty fibre raises NoFeasibleState,
+    which is not cached, on every call.
     """
     table = _move_table(units)
     count, first = count_feasible(units, n, demand, max_enumeration + 1)
@@ -230,14 +238,19 @@ def _fibre_setup(units: tuple[int, ...], n: int, demand: int, max_enumeration: i
         raise NoFeasibleState("no integer allocation satisfies both constraints")
     start = first(1)[0]
     if count > max_enumeration:
-        return table, start, IRREDUCIBILITY_UNCHECKED, count
+        return table, start, IRREDUCIBILITY_UNCHECKED, None, None
     # a state is keyed by its digits in base n+1, so a move adds one fixed delta
     # to the key, and a state gets a list of its own only when first reached
+    m = len(table)
     place = [(n + 1) ** k for k in range(len(units))]
     steps = [(i, up, j, down, place[up] + place[down] - place[i] - place[j])
              for i, up, j, down in table]
     key = sum(c * p for c, p in zip(start, place))
     seen = {key}
+    numbers = {key: 0}  # a filled key's state number times m, in order of first reach
+    states = transitions = None
+    if 0 < count * m <= _MEMO_BUDGET:
+        states, transitions = [None] * count, [None] * (count * m)
     frontier = [(list(start), key)]
     while frontier:
         state, key = frontier.pop()
@@ -250,8 +263,19 @@ def _fibre_setup(units: tuple[int, ...], n: int, demand: int, max_enumeration: i
                 moved[j] -= 1
                 moved[down] += 1
                 frontier.append((moved, key + delta))
-    verified = len(seen) == count
-    return table, start, IRREDUCIBILITY_VERIFIED if verified else IRREDUCIBILITY_FAILED, count
+        if transitions is not None:
+            at = numbers[key]
+            states[at // m] = tuple(state)
+            for k, (i, up, j, down, delta) in enumerate(steps, at):
+                num = state[i] * (state[j] - (i == j))
+                den = (state[up] + 1) * (state[down] + 1 + (up == down))
+                target = numbers.setdefault(key + delta, len(numbers) * m) if num else at
+                transitions[k] = (target, num, den)
+    reached = len(seen)
+    irreducibility = IRREDUCIBILITY_VERIFIED if reached == count else IRREDUCIBILITY_FAILED
+    if transitions is not None:
+        states, transitions = tuple(states[:reached]), tuple(transitions[:reached * m])
+    return table, start, irreducibility, states, transitions
 
 
 def _walk(table, start, config: ChainConfig, draws: Pcg64Draws):
@@ -277,52 +301,27 @@ def _walk(table, start, config: ChainConfig, draws: Pcg64Draws):
     return visits, accepted
 
 
-def _memo_walk(table, start, count: int, config: ChainConfig, draws: Pcg64Draws):
-    """_walk's result, with each (state, move) worked out once, for a fibre of count states.
-
-    A state is interned on first reach as its id times len(table), so the
-    memo slot of (state, move) is that number plus the move's index; the slot
-    holds (target, num, den), target the moved state's number, or the state's
-    own when num is 0.  The draws and the acceptance test are _walk's.
-    """
-    m = len(table)
-    states, numbers = [start], {start: 0}
-    memo: list = [None] * (count * m)
-
-    def transition(slot: int) -> tuple[int, int, int]:
-        at, k = divmod(slot, m)
-        state = states[at]
-        i, up, j, down = table[k]
-        num = state[i] * (state[j] - (i == j))
-        den = (state[up] + 1) * (state[down] + 1 + (up == down))
-        target = slot - k
-        if num:
-            moved = list(state)
-            moved[i] -= 1
-            moved[up] += 1
-            moved[j] -= 1
-            moved[down] += 1
-            moved = tuple(moved)
-            target = numbers.get(moved)
-            if target is None:
-                target = numbers[moved] = len(states) * m
-                states.append(moved)
-        memo[slot] = entry = (target, num, den)
-        return entry
-
-    index, uniform = draws.integers, draws.random
+def _table_walk(states, transitions, config: ChainConfig, draws: Pcg64Draws):
+    """_walk's result on a fibre whose transitions _fibre_setup has filled: the chain is at
+    its state's slot number * m, and the drawn move's slot is that plus the move's index.
+    The draws and the acceptance test are _walk's.  A chunk of _PATH_CHUNK steps counts
+    its slots at its end from skip, its first recorded step (in the burn-in or thin's phase)."""
+    uniform, indices, thin = draws.random, draws.indices, config.thin
     visits: Counter = Counter()
     accepted = at = 0
-    record, thin = config.burn_in, config.thin
-    for step in range(config.steps):
-        slot = at + index()
-        target, num, den = memo[slot] or transition(slot)
-        if num and (num >= den or uniform() * den < num):
-            at = target
-            accepted += 1
-        if step == record:
-            visits[at] += 1
-            record += thin
+    skip = config.burn_in
+    for done in range(0, config.steps, _PATH_CHUNK):
+        path: list[int] = []
+        record = path.append
+        for k in islice(indices, min(_PATH_CHUNK, config.steps - done)):
+            target, num, den = transitions[at + k]
+            if num and (num >= den or uniform() * den < num):
+                at = target
+                accepted += 1
+            record(at)
+        visits.update(islice(path, skip, None, thin))
+        skip = max(skip - len(path), (skip - len(path)) % thin)
+    m = len(transitions) // len(states)
     return {states[at // m]: cnt for at, cnt in visits.items()}, accepted
 
 
@@ -337,15 +336,16 @@ def run_chain(params: EconomyParams, config: ChainConfig,
     """
     if max_enumeration < 0:
         raise DomainError(f"enumeration cap must be non-negative, got {max_enumeration}")
-    table, start, irreducibility, count = _fibre_setup(*lattice_fibre(params), max_enumeration)
+    table, start, irreducibility, states, transitions = _fibre_setup(*lattice_fibre(params),
+                                                                     max_enumeration)
 
     if not table:
         visits, accepted = {start: len(range(config.burn_in, config.steps, config.thin))}, 0
     else:
         # a step takes at most a word and a half unless a half word is rejected
         draws = Pcg64Draws(config.seed, len(table), (3 * config.steps + 1) // 2 + 1)
-        if count <= max_enumeration and count * len(table) <= min(config.steps, _MEMO_BUDGET):
-            visits, accepted = _memo_walk(table, start, count, config, draws)
+        if transitions:
+            visits, accepted = _table_walk(states, transitions, config, draws)
         else:
             visits, accepted = _walk(table, start, config, draws)
 

@@ -246,7 +246,9 @@ def _grid_values(q, d2q) -> tuple[float, float, float, float]:
 def _standard_law(cfg: NumericsConfig, eps: float) -> dict:
     """The standard law's values under cfg in t, computed once per numerics: ungated
     (48-point, 96-point) integrals by name and, per derivative mode, the _grid_values
-    of the trial amplitude q (1 + eps x)."""
+    of the trial amplitude q (1 + eps x).  DomainError if a step's square is 0."""
+    if 0.0 in (cfg.step_theta(_STANDARD) ** 2, cfg.step_x(_STANDARD) ** 2):
+        raise DomainError("a finite-difference step's square underflows to 0")
     with np.errstate(all="ignore"):
         law = _quadratures(cfg)
         for derivative, (q, d2q) in _grid(cfg, eps).items():
@@ -261,7 +263,26 @@ def _law(dist: EpiDistribution, cfg: NumericsConfig, step_x: float | None = None
     steps = {"fd_step_theta": cfg.fd_step_theta,
              "fd_step_x": cfg.fd_step_x if step_x is None else step_x}
     given = {name: step / dist.scale for name, step in steps.items() if step is not None}
-    return _standard_law(replace(cfg, **given) if given else cfg, eps * dist.scale)
+    try:
+        return _standard_law(replace(cfg, **given) if given else cfg, eps * dist.scale)
+    except DomainError:
+        faults = (_step_fault(name, steps[name], t, dist.scale) for name, t in given.items())
+        fault = next(filter(None, faults), None)
+        if fault is None:
+            raise
+        raise DomainError(fault) from None
+
+
+def _step_fault(name: str, step: float, t: float, scale: float) -> str | None:
+    """Why the explicit step, t mean gaps of scale, leaves no standard law to evaluate, or None."""
+    gap = f"the mean gap D/n - a0 = {scale}"
+    if name == "fd_step_theta" and t >= 1.0:  # the family member at D/n - step has no law
+        return f"{name} = {step} must be below {gap}"
+    if t == math.inf:
+        return f"{name} = {step} is too large for {gap}: step / gap overflows"
+    if t * t == 0.0:
+        return f"{name} = {step} is too small for {gap}: (step / gap)^2 underflows to 0"
+    return None
 
 
 def _grid_law(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,

@@ -194,6 +194,27 @@ def test_verify_wide_grids_report_finite_json(capsys, mean, span):
     assert payload["qtilde_value"] == 0.5 * (inverse * inverse)
 
 
+# the steps are divided by the mean gap s for the standard law; a step that leaves no
+# law there is named in the units it was given in, never blamed on the mean or the gap
+@pytest.mark.parametrize("mean,flag,step,message", [
+    ("135", "--fd-step-theta", "200", "fd_step_theta = 200.0 must be below the mean gap "
+                                      "D/n - a0 = 135.0"),
+    ("135", "--fd-step-theta", "135", "fd_step_theta = 135.0 must be below the mean gap"),
+    ("1e-10", "--fd-step-theta", "1e300", "fd_step_theta = 1e+300 must be below the mean gap"),
+    ("1e10", "--fd-step-x", "1e-320", "fd_step_x = 1e-320 is too small for the mean gap "
+                                      "D/n - a0 = 10000000000.0: (step / gap)^2 underflows to 0"),
+    ("1", "--fd-step-x", "5e-324", "fd_step_x = 5e-324 is too small"),
+    ("1", "--fd-step-theta", "1e-170", "fd_step_theta = 1e-170 is too small"),
+    ("1e-10", "--fd-step-x", "1e300", "fd_step_x = 1e+300 is too large for the mean gap "
+                                      "D/n - a0 = 1e-10: step / gap overflows"),
+])
+def test_verify_step_errors_name_the_step(capsys, mean, flag, step, message):
+    code, out, err = _run(capsys, ["verify", "--mean-demand", mean, flag, step])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"aym verify: error: {message}"), err
+    assert "mean demand" not in err and "got 0.0" not in err
+
+
 def test_compare_tv_column_scales(capsys):
     code, out, _ = _run(capsys, ["compare", "--r", "10,100,1000"])
     assert code == 0

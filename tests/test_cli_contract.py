@@ -23,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aym.cli import OUTPUT_DIR_ENV, main
+from aym import cli
+from aym.cli import OUTPUT_DIR_ENV, build_parser, main
 
 NUMBERS = ["0", "1", "2", "3", "2.5", "6", "8", "9", "12", "135", "-1", "-1e-3", "1e-300",
            "5e-324", "1e300", "inf", "-inf", "nan", "-nan"]
@@ -203,3 +204,26 @@ def test_every_argv_keeps_the_exit_code_contract(pool, drawn):
     elif fmt != "table":  # a CSV table: a header, and as many cells in every row
         rows = out.splitlines()
         assert rows and all(row.count(",") == rows[0].count(",") for row in rows), argv
+
+
+def _parse(parser, argv):
+    """What parser makes of argv, as text so that nan equals nan: its namespace, or the
+    exit code and stderr of a refusal."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return repr(vars(parser.parse_args(argv)))
+        except SystemExit as exc:
+            return repr((exc.code, err.getvalue()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(drawn=st.lists(argvs(), min_size=1, max_size=3))
+def test_one_parser_serves_every_call(pool, drawn):
+    # main parses every argv with one parser per process; whatever it parsed before,
+    # an argv parses to what a parser built for it alone makes of it
+    misses = cli._parser.cache_info().misses
+    for argv in drawn:
+        assert _parse(cli._parser(), argv) == _parse(build_parser(), argv), argv
+        _run([token.replace(POOL, str(pool)) for token in argv])
+    assert cli._parser.cache_info().misses <= max(misses, 1)

@@ -264,7 +264,7 @@ def test_fibre_set_up_is_shared_and_keyed_by_fibre_and_cap():
 
 def test_threads_share_the_fibre_set_up_safely():
     # more threads than cores and a short switch interval, from an empty cache;
-    # the g=10 ladder runs the plain loop, the others the memo
+    # the g=10 ladder runs the plain loop, the others their transition tables
     fibres = (ORACLE_PARAMS, SMALL_LADDER_PARAMS, EconomyParams((1, 2, 4, 7, 8), 12, 61),
               make_ladder(1.0, 10, 60, 180))
     jobs = [(params, ChainConfig(2_000, 0, seed, 1)) for seed in range(3) for params in fibres]

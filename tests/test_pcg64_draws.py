@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from aym import ChainConfig, DomainError, EconomyParams, make_ladder, run_chain
 from aym import occupation_sampler
-from aym.discrete_equilibrium import lattice_fibre
+from aym.discrete_equilibrium import count_feasible, lattice_fibre
 from aym.occupation_sampler import (
     RNG_ALGORITHM,
     SampleSummary,
@@ -77,7 +77,7 @@ def test_bound_outside_32_bits_is_rejected(m):
 def generator_chain(params: EconomyParams, config: ChainConfig,
                     max_enumeration: int = 200_000) -> SampleSummary:
     """run_chain as it was with one Generator call per draw: the reference."""
-    table, start, irreducibility, _ = _fibre_setup(*lattice_fibre(params), max_enumeration)
+    table, start, irreducibility, *_ = _fibre_setup(*lattice_fibre(params), max_enumeration)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     state = list(start)
@@ -110,9 +110,18 @@ def generator_chain(params: EconomyParams, config: ChainConfig,
     )
 
 
+def _assert_same_chain(params, config, cap=200_000):
+    got, want = run_chain(params, config, cap), generator_chain(params, config, cap)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert list(got.visit_frequencies) == list(want.visit_frequencies)
+    assert got.mean_occupation == want.mean_occupation
+
+
 LONG_CHAINS = [
     ("oracle", EconomyParams((1, 2, 3), 4, 8), ChainConfig(60_000, 6_000, 2 ** 64 - 1, 5)),
     ("small_ladder", EconomyParams((1, 2, 3, 4, 5), 7, 17), ChainConfig(40_000, 0, 0, 1)),
+    # past one path chunk of 2**16 steps
+    ("two_chunks", EconomyParams((1, 2, 3, 4, 5), 7, 17), ChainConfig(70_000, 1_000, 12, 3)),
     ("non_uniform", EconomyParams((1, 2, 4, 7, 8), 12, 61), ChainConfig(30_000, 999, 11, 3)),
     ("ladder_g10", make_ladder(1.0, 10, 60, 180), ChainConfig(30_000, 10_000, 1, 7)),
     ("one_sector", EconomyParams((2.0,), 3, 6), ChainConfig(5_000, 7, 3, 4)),
@@ -122,25 +131,20 @@ LONG_CHAINS = [
 @pytest.mark.parametrize("params, config", [case[1:] for case in LONG_CHAINS],
                          ids=[case[0] for case in LONG_CHAINS])
 def test_long_chain_equals_generator_loop(params, config):
-    got = run_chain(params, config)
-    want = generator_chain(params, config)
-    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
-    assert list(got.visit_frequencies) == list(want.visit_frequencies)
+    _assert_same_chain(params, config)
 
 
 @st.composite
 def small_fibre_chains(draw):
-    """(params, config, max_enumeration) on g 1-5, n 0-9, with the steps and the cap
-    drawn around the two memo thresholds, count * len(table) and count."""
+    """(params, config, max_enumeration) on g 1-5, n 0-9, with the cap drawn around
+    count, the threshold between the plain loop and the table walk."""
     g = draw(st.sampled_from([3, 4, 5, 1, 2]))  # below 3 sectors the table is empty
     units = sorted(draw(st.sets(st.integers(1, 6), min_size=g, max_size=g)))
     n = draw(st.sampled_from([*range(1, 10), 0]))
     demand = sum(draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)))
     fibre = (tuple(units), n, demand)
-    table, _, _, count = _fibre_setup(*fibre, 10 ** 6)
-    slots = count * len(table)
-    near = st.sampled_from([max(1, slots - 1), slots + 1, max(1, slots)])
-    steps = draw(near | st.integers(1, 3_000))
+    count = count_feasible(*fibre, 10 ** 6)[0]
+    steps = draw(st.integers(1, 3_000))
     cap = draw(st.sampled_from([count, count + 1, max(0, count - 1)]) | st.integers(0, 50))
     burn_in = draw(st.integers(0, steps - 1))
     seed, thin = draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(1, 9))
@@ -148,14 +152,20 @@ def small_fibre_chains(draw):
     return EconomyParams(tuple(units), n, demand), config, cap
 
 
-def test_both_step_loops_equal_the_generator_loop(monkeypatch):
+def _count_loops(monkeypatch) -> Counter:
+    """Calls of each step loop from now on, by name."""
     ran = Counter()
-    for name in ("_walk", "_memo_walk"):
+    for name in ("_walk", "_table_walk"):
         loop = getattr(occupation_sampler, name)
         def counted(*args, _loop=loop, _name=name):
             ran[_name] += 1
             return _loop(*args)
         monkeypatch.setattr(occupation_sampler, name, counted)
+    return ran
+
+
+def test_both_step_loops_equal_the_generator_loop(monkeypatch):
+    ran = _count_loops(monkeypatch)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(small_fibre_chains())
@@ -165,10 +175,77 @@ def test_both_step_loops_equal_the_generator_loop(monkeypatch):
             with pytest.raises(DomainError):
                 run_chain(params, config, cap)
             return
-        got, want = run_chain(params, config, cap), generator_chain(params, config, cap)
-        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
-        assert list(got.visit_frequencies) == list(want.visit_frequencies)
-        assert got.mean_occupation == want.mean_occupation
+        _assert_same_chain(params, config, cap)
 
     check()
-    assert ran["_walk"] >= 20 and ran["_memo_walk"] >= 20, ran
+    assert ran["_walk"] >= 20 and ran["_table_walk"] >= 20, ran
+
+
+# on levels 1..6 with 40 moves: 1,638 states fill 65,520 slots, 1,645 would need 65,800
+BELOW_BUDGET = EconomyParams((1, 2, 3, 4, 5, 6), 22, 67)
+ABOVE_BUDGET = EconomyParams((1, 2, 3, 4, 5, 6), 21, 72)
+
+
+@pytest.mark.parametrize("params, loop", [(BELOW_BUDGET, "_table_walk"), (ABOVE_BUDGET, "_walk")],
+                         ids=["below", "above"])
+def test_the_memo_budget_picks_the_loop(monkeypatch, params, loop):
+    fibre = lattice_fibre(params)
+    table, _, irreducibility, _, transitions = _fibre_setup(*fibre, 200_000)
+    slots = count_feasible(*fibre, 200_000)[0] * len(table)
+    assert irreducibility == "verified"
+    assert (slots <= occupation_sampler._MEMO_BUDGET) == (loop == "_table_walk")
+    assert (transitions is not None) == (loop == "_table_walk")
+    ran = _count_loops(monkeypatch)
+    _assert_same_chain(params, ChainConfig(3_000, 500, 7, 3))
+    assert ran == {loop: 1}
+
+
+def test_a_verified_fibre_over_the_budget_keeps_no_table():
+    fibre = lattice_fibre(ABOVE_BUDGET)
+    assert count_feasible(*fibre, 10 ** 6)[0] == 1645
+    assert _fibre_setup(*fibre, 200_000)[2:] == ("verified", None, None)
+    # nor does an unchecked fibre, whose count is only a bound
+    assert _fibre_setup(*fibre, 1_000)[2:] == ("unchecked", None, None)
+
+
+TABLED = ("oracle", "small_ladder", "non_uniform")  # the last is not irreducible
+
+
+@pytest.mark.parametrize("params", [case[1] for case in LONG_CHAINS if case[0] in TABLED],
+                         ids=TABLED)
+def test_each_transition_slot_holds_its_move(params):
+    # the slot of (state, move) holds the moved state's slot, or the state's own when the
+    # move would empty a sector, and the weight ratio's integer numerator and denominator
+    fibre = lattice_fibre(params)
+    table, start, irreducibility, states, transitions = _fibre_setup(*fibre, 200_000)
+    count = count_feasible(*fibre, 200_000)[0]
+    m = len(table)
+    assert isinstance(states, tuple) and isinstance(transitions, tuple)
+    assert states[0] == start and len(set(states)) == len(states)
+    assert len(states) == count if irreducibility == "verified" else len(states) < count
+    assert len(transitions) == len(states) * m
+    slots = {state: number * m for number, state in enumerate(states)}
+    for number, state in enumerate(states):
+        for k, (i, up, j, down) in enumerate(table):
+            num = state[i] * (state[j] - (i == j))
+            den = (state[up] + 1) * (state[down] + 1 + (up == down))
+            moved = list(state)
+            if num:
+                moved[i] -= 1
+                moved[up] += 1
+                moved[j] -= 1
+                moved[down] += 1
+            assert transitions[number * m + k] == (slots[tuple(moved)], num, den)
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, 7, 64))
+def test_table_walk_counts_across_path_chunks(monkeypatch, chunk):
+    # each chunk of the path is counted on its own, from the first record inside it
+    monkeypatch.setattr(occupation_sampler, "_PATH_CHUNK", chunk)
+    ran = _count_loops(monkeypatch)
+    for params, config in [(EconomyParams((1, 2, 3), 4, 8), ChainConfig(500, 0, 1, 1)),
+                           (EconomyParams((1, 2, 3, 4, 5), 7, 17), ChainConfig(701, 13, 2, 5)),
+                           (EconomyParams((1, 2, 3, 4, 5), 7, 17), ChainConfig(300, 299, 3, 9)),
+                           (EconomyParams((1, 2, 4, 7, 8), 12, 61), ChainConfig(999, 70, 4, 64))]:
+        _assert_same_chain(params, config)
+    assert ran == {"_table_walk": 4}

@@ -209,6 +209,27 @@ def test_numerics_config_validation():
                 NumericsConfig(**{field: value})
 
 
+def test_step_faults_are_worked_out_only_on_the_error_path(monkeypatch):
+    # a step that leaves no standard law raises DomainError naming the step in the
+    # caller's units; a valid one, on a cold cache too, never builds that message
+    from aym import principle_verifier
+
+    dist = make(135.0, 0.0)
+    with pytest.raises(DomainError, match=r"^fd_step_theta = 200.0 must be below the mean gap"):
+        verify_all(dist, NumericsConfig(fd_step_theta=200.0))
+    with pytest.raises(DomainError, match=r"^fd_step_x = 1e-170 is too small"):
+        generating_equation_residual(dist, step=1e-170)
+
+    def unexpected(*args):
+        raise AssertionError(f"step fault worked out on valid input {args}")
+
+    monkeypatch.setattr(principle_verifier, "_step_fault", unexpected)
+    _standard_law.cache_clear()
+    for cfg in (DEFAULT_NUMERICS, NumericsConfig(fd_step_theta=1e-2, fd_step_x=0.1)):
+        verify_all(dist, cfg)
+        verify_all(dist, cfg)
+
+
 def test_grid_points_bounded_before_allocation():
     # 1e11 points would ask numpy for 800 GB; the 1e6 bound rejects it up front
     assert NumericsConfig(grid_points=10 ** 6).grid_points == 10 ** 6
