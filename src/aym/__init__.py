@@ -27,12 +27,12 @@ _EXPORTS = {
         "load_params", "make_ladder", "params_from_json", "params_to_json", "validate",
     ),
     "discrete_equilibrium": (
-        "EnumerationResult", "EquilibriumSolution", "Multipliers", "StirlingReport",
-        "closed_form_ladder", "enumerate_feasible", "ladder_limit_form", "log_multinomial_weight",
-        "solve_boltzmann", "solve_generalized", "stirling_consistency",
+        "EnumerationResult", "EquilibriumSolution", "Multipliers", "closed_form_ladder",
+        "enumerate_feasible", "ladder_limit_form", "log_multinomial_weight", "solve_boltzmann",
+        "solve_generalized",
     ),
     "occupation_sampler": (
-        "ChainConfig", "SampleSummary", "merge_summaries", "propose_pair_move", "run_chain",
+        "ChainConfig", "SampleSummary", "merge_summaries", "run_chain",
     ),
     "epi_distribution": ("Displacement", "EpiDistribution", "curve_csv", "make"),
     "principle_verifier": (

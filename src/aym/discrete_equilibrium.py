@@ -12,8 +12,8 @@ Boltzmann (c = 0), Bose-like (c = 1) and Fermi-like (c = -1) occupation
 forms.  One solver serves every c: a monotone 1-D solve for nu nested in
 one for beta.  For c < 0 the occupations are capped at 1/|c|, which makes
 some (n, D) provably infeasible; that is checked before any iteration.
-Exact small-instance oracles (full enumeration with big-integer weights)
-cross-check the continuous solutions.
+Exact enumeration lists a small instance's allocations with big-integer
+weights; the tests cross-check the continuous solutions against it.
 
 All functions here are pure; results are deterministic.
 """
@@ -441,50 +441,3 @@ def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> Enu
     # vectors are sorted, so the first maximum weight is the lexicographically smallest
     argmax = vectors[weights.index(max(weights))] if vectors else None
     return EnumerationResult(vectors, weights, log_weights, argmax)
-
-
-@dataclass(frozen=True)
-class StirlingReport:
-    """Exact argmax versus the rounded continuous solution.
-
-    log_weight_gap = ln w(exact argmax) - ln w(projected) >= 0.
-    small_n_caveat flags instances where the large-n approximation behind
-    the continuous solution is not trustworthy.
-    """
-
-    exact_argmax: OccupationVector
-    projected: OccupationVector
-    coincide: bool
-    log_weight_gap: float
-    small_n_caveat: bool
-
-
-SMALL_N_THRESHOLD = 20
-
-
-def stirling_consistency(params: EconomyParams, tol: float = _DEFAULT_TOL,
-                         max_vectors: int = 500_000) -> StirlingReport:
-    """Compare the enumeration argmax with the projected Boltzmann solution.
-
-    The real-valued solution is projected onto the feasible integer set by
-    L1 distance (ties toward the lexicographically smallest vector).
-    """
-    enumeration = enumerate_feasible(params, max_vectors=max_vectors)
-    if enumeration.argmax is None:
-        raise DomainError("no feasible integer vectors to compare against")
-    import numpy as np
-    solution = solve_boltzmann(params, tol=tol)
-    real = np.asarray(solution.occupations)
-
-    def l1(vec: OccupationVector) -> float:
-        return float(np.abs(np.asarray(vec.counts, dtype=float) - real).sum())
-
-    projected = min(enumeration.vectors, key=lambda v: (l1(v), v.counts))
-    gap = (log_multinomial_weight(enumeration.argmax) - log_multinomial_weight(projected))
-    return StirlingReport(
-        exact_argmax=enumeration.argmax,
-        projected=projected,
-        coincide=projected == enumeration.argmax,
-        log_weight_gap=gap,
-        small_n_caveat=params.n < SMALL_N_THRESHOLD,
-    )

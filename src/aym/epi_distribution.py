@@ -89,17 +89,6 @@ class EpiDistribution:
                 q = np.where(x >= self.x_min, q, 0.0)
         return _like_input(x, q)
 
-    def moments(self) -> tuple[float, float]:
-        """(mean, variance) = (D/n, (D/n - a0)^2)."""
-        return self.mean_demand, self.scale ** 2
-
-    def sample(self, rng, count: int) -> np.ndarray:
-        """Inverse-transform draws a = a0 - scale*ln(u), u uniform in (0, 1]."""
-        if count < 0:
-            raise DomainError("sample count must be non-negative")
-        u = 1.0 - rng.random(count)  # maps [0,1) onto (0,1]
-        return self.a0 - self.scale * np.log(u)
-
 
 @dataclass(frozen=True)
 class Displacement:

@@ -62,8 +62,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, NoFeasibleState
-from .model_core import (EconomyParams, OccupationVector, _csv_text, _state_text,
-                         integer_lattice)
+from .model_core import EconomyParams, _csv_text, _state_text
 from .discrete_equilibrium import count_feasible, lattice_fibre
 
 RNG_ALGORITHM = "numpy:PCG64"
@@ -192,30 +191,6 @@ def _move_table(units: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]
     return tuple((i, i + k, j, j - k)
                  for i in range(g) for k in range(1, g - i) for j in range(k, g)
                  if j != i + k and units[j] - units[j - k] == units[i + k] - units[i])
-
-
-def propose_pair_move(state: OccupationVector, levels, rng) -> OccupationVector:
-    """One draw of run_chain's proposal: a uniform move-table entry, or the state itself.
-
-    The state stays put when the table is empty or the drawn move would empty
-    a sector.  The proposal is symmetric, so a Metropolis step built on it
-    needs no Hastings term.
-    """
-    units, _ = integer_lattice(levels)
-    if len(units) != len(state.counts):
-        raise DomainError("levels and state must have equal length")
-    table = _move_table(units)
-    if not table:
-        return state
-    i, up, j, down = table[int(rng.integers(len(table)))]
-    counts = list(state.counts)
-    if not counts[i] * (counts[j] - (i == j)):
-        return state
-    counts[i] -= 1
-    counts[up] += 1
-    counts[j] -= 1
-    counts[down] += 1
-    return OccupationVector(counts)
 
 
 @lru_cache(maxsize=8)
@@ -363,15 +338,19 @@ def run_chain(params: EconomyParams, config: ChainConfig,
 
 
 def merge_summaries(summaries: list[SampleSummary]) -> SampleSummary:
-    """Associative merge: frequencies and means averaged by sample count."""
+    """Associative merge: frequencies and means averaged by sample count; the summaries
+    must have equal sector counts (DomainError otherwise)."""
     if not summaries:
         raise DomainError("nothing to merge")
+    g = len(summaries[0].mean_occupation)
+    other = next((len(s.mean_occupation) for s in summaries if len(s.mean_occupation) != g), g)
+    if other != g:
+        raise DomainError(f"cannot merge chains with {g} and {other} sectors")
     total = sum(s.sample_count for s in summaries)
     freqs: dict[tuple[int, ...], float] = {}
     for s in summaries:
         for state, f in s.visit_frequencies.items():
             freqs[state] = freqs.get(state, 0.0) + f * (s.sample_count / total)
-    g = len(summaries[0].mean_occupation)
     mean = tuple(
         sum(s.mean_occupation[j] * s.sample_count for s in summaries) / total
         for j in range(g)

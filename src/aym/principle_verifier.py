@@ -159,14 +159,19 @@ def _rule_sums(integrands, lo: float, scale: float) -> dict[str, tuple[float, fl
                        scale * float(np.dot(_W96, f[_SPLIT:]))) for name, f in values.items()}
 
 
-def _in_units(dist: EpiDistribution, value: float = 1.0, power: float = 2.0) -> float:
+def _in_units(dist: EpiDistribution, value: float = 1.0, power: float = 2.0,
+              step_x: float | None = None) -> float:
     """A standard-law value times s^-power, power 2, 2.5 or 3 (by default s^-2 itself);
     DomainError unless s^-2 is a positive normal float and the product is finite.  The
-    factors lie on one side of 1, so no partial product overflows unless the product does."""
+    factors lie on one side of 1, so no partial product overflows unless the product does.
+    step_x is the explicit x step of a finite-difference value, which a non-finite value blames."""
     inverse = 1.0 / dist.scale
     capacity = inverse * inverse
     product = value * capacity * {2.0: 1.0, 2.5: math.sqrt(inverse), 3.0: inverse}[power]
     if not (_NORMAL_MIN <= capacity < math.inf and math.isfinite(product)):
+        if step_x is not None and not math.isfinite(value):
+            raise DomainError(f"fd_step_x = {step_x} gives a non-finite finite difference "
+                              f"for the mean gap D/n - a0 = {dist.scale}")
         raise DomainError(f"mean gap D/n - a0 = {dist.scale} puts the capacity 1/(D/n - a0)^2 "
                           "or a verifier value outside the normal float range")
     return product
@@ -286,10 +291,13 @@ def _step_fault(name: str, step: float, t: float, scale: float) -> str | None:
 
 
 def _grid_law(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
-              step: float | None = None, eps: float = 0.0) -> tuple[float, float, float, float]:
+              step: float | None = None, eps: float = 0.0) -> tuple[tuple, float | None]:
+    """The standard law's _grid_values in the derivative mode, and the explicit x step a
+    non-finite one blames (None under analytic derivatives)."""
     if derivative not in ("analytic", "fd"):
         raise DomainError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
-    return _law(dist, cfg, step, eps)[derivative]
+    step_x = (cfg.fd_step_x if step is None else step) if derivative == "fd" else None
+    return _law(dist, cfg, step, eps)[derivative], step_x
 
 
 def fisher_metric_form(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
@@ -331,7 +339,8 @@ def pointwise_information_density(dist: EpiDistribution,
                                   derivative: str = "analytic",
                                   step: float | None = None) -> float:
     """max |k(x)| with k = -(1/2) q q'' + (1/4) q^2 * 2 alpha^2; identically 0."""
-    return _in_units(dist, _grid_law(dist, cfg, derivative, step)[0], 3.0)
+    values, step_x = _grid_law(dist, cfg, derivative, step)
+    return _in_units(dist, values[0], 3.0, step_x)
 
 
 def generating_equation_residual(dist: EpiDistribution,
@@ -339,7 +348,8 @@ def generating_equation_residual(dist: EpiDistribution,
                                  derivative: str = "fd",
                                  step: float | None = None) -> float:
     """max |q'' - alpha^2 q| over the grid; 0 analytically, O(h^2) under FD."""
-    return _in_units(dist, _grid_law(dist, cfg, derivative, step)[1], 2.5)
+    values, step_x = _grid_law(dist, cfg, derivative, step)
+    return _in_units(dist, values[1], 2.5, step_x)
 
 
 def euler_lagrange_residual(dist: EpiDistribution,
@@ -355,7 +365,8 @@ def euler_lagrange_residual(dist: EpiDistribution,
     eps (the solution is the unique zero of the functional derivative); in
     t the trial is q*(1 + eps*s*x).
     """
-    return _in_units(dist, _grid_law(dist, cfg, derivative, step, perturbation)[1], 2.5)
+    values, step_x = _grid_law(dist, cfg, derivative, step, perturbation)
+    return _in_units(dist, values[1], 2.5, step_x)
 
 
 def qtilde_recovered(dist: EpiDistribution,
@@ -366,8 +377,8 @@ def qtilde_recovered(dist: EpiDistribution,
     Returns (mean, standard deviation) over the nodes where q and q'' are
     normal floats; constant 2*alpha^2 on the solution.
     """
-    values = _grid_law(dist, cfg, derivative)
-    return _in_units(dist, values[2]), _in_units(dist, values[3])
+    values, step_x = _grid_law(dist, cfg, derivative)
+    return _in_units(dist, values[2], 2.0, step_x), _in_units(dist, values[3], 2.0, step_x)
 
 
 def boundary_constant(dist: EpiDistribution) -> float:
@@ -401,7 +412,7 @@ def verify_all(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) ->
     """
     law, tol = _law(dist, cfg), cfg.quadrature_tol
     capacity, q_value = _gated(dist, law["metric"], tol), _gated(dist, law["structural"], tol)
-    generating = _in_units(dist, law["fd"][1], 2.5)
+    generating = _in_units(dist, law["fd"][1], 2.5, cfg.fd_step_x)
     return PrincipleReport(
         fisher_metric=capacity,
         fisher_statistical=_gated(dist, law["statistical"], tol),

@@ -23,7 +23,6 @@ from aym import (
     make_ladder,
     solve_boltzmann,
     solve_generalized,
-    stirling_consistency,
 )
 
 TOL = 1e-10
@@ -359,30 +358,25 @@ def test_enumeration_counts_conserve_constraints():
         assert vec.output(params.levels) == 30
 
 
+def _projected(params: EconomyParams, enumeration) -> OccupationVector:
+    """solve_boltzmann's occupations projected onto the enumerated vectors by L1 distance,
+    ties toward the smallest counts: the rounded first-order (Stirling) solution."""
+    real = solve_boltzmann(params).occupations
+    return min(enumeration.vectors,
+               key=lambda v: (sum(abs(k - x) for k, x in zip(v.counts, real)), v.counts))
+
+
 def test_stirling_agreement_small_instance():
-    report = stirling_consistency(EconomyParams((1, 2, 3), 4, 8))
-    assert report.exact_argmax.counts == (1, 2, 1)
-    assert report.projected.counts == (1, 2, 1)
-    assert report.coincide
-    assert report.log_weight_gap == 0.0
+    params = EconomyParams((1, 2, 3), 4, 8)
+    enumeration = enumerate_feasible(params)
+    assert enumeration.argmax.counts == (1, 2, 1)
+    assert _projected(params, enumeration) == enumeration.argmax
 
 
 def test_stirling_agreement_scaled_instance():
-    report = stirling_consistency(EconomyParams((1, 2, 3), 100, 200))
-    assert report.coincide
-    assert not report.small_n_caveat
-
-
-def test_stirling_on_an_empty_fibre_is_domain_error():
-    # 2 n_1 + 4 n_2 = 3 with n_1 + n_2 = 1 has no integer solution
-    with pytest.raises(DomainError, match="no feasible"):
-        stirling_consistency(EconomyParams((2, 4), 1, 3))
-
-
-def test_stirling_small_n_flag():
-    report = stirling_consistency(EconomyParams((1, 2, 3), 2, 4))
-    assert report.small_n_caveat
-    assert report.log_weight_gap >= 0.0
+    params = EconomyParams((1, 2, 3), 100, 200)
+    enumeration = enumerate_feasible(params)
+    assert _projected(params, enumeration) == enumeration.argmax
 
 
 @pytest.mark.parametrize("levels,n,D", [
@@ -396,9 +390,8 @@ def test_projected_solution_near_exact_maximum(levels, n, D):
     # the rounded continuous solution loses < 0.5% of the best log weight
     params = EconomyParams(levels, n, D)
     enum = enumerate_feasible(params)
-    report = stirling_consistency(params)
     best = max(enum.log_weights)
-    projected_lw = log_multinomial_weight(report.projected)
+    projected_lw = log_multinomial_weight(_projected(params, enum))
     assert best - projected_lw <= 0.005 * abs(best)
 
 

@@ -9,16 +9,6 @@ from scipy import integrate
 from aym import Displacement, DomainError, curve_csv, make
 
 
-class _ConstRng:
-    """Stub generator whose uniforms are all equal (for inverse-CDF endpoints)."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, count):
-        return np.full(count, self.value)
-
-
 def test_make_fixes_rate_from_mean_constraint():
     dist = make(135.0, 0.0)
     assert dist.alpha == pytest.approx(1.0 / 270.0, rel=1e-14)
@@ -96,20 +86,14 @@ def test_amplitude_density_link_pointwise():
     np.testing.assert_allclose(q * q / 4.0, dist.pdf(grid), rtol=1e-12)
 
 
-def test_moments():
-    dist = make(135.0, 0.0)
-    assert dist.moments() == pytest.approx((135.0, 18225.0), rel=1e-14)
-    assert make(2.0, 1.0).moments() == pytest.approx((2.0, 1.0), rel=1e-14)
-
-
 def test_moments_against_quadrature():
     dist = make(2.0, 1.0)
     hi = dist.a0 + 60.0 * dist.scale
     mean, _ = integrate.quad(lambda a: a * dist.pdf(a), dist.a0, hi, epsabs=1e-13, limit=200)
     var, _ = integrate.quad(lambda a: (a - mean) ** 2 * dist.pdf(a), dist.a0, hi,
                             epsabs=1e-13, limit=200)
-    assert mean == pytest.approx(dist.moments()[0], rel=1e-9)
-    assert var == pytest.approx(dist.moments()[1], rel=1e-9)
+    assert mean == pytest.approx(dist.mean_demand, rel=1e-9)
+    assert var == pytest.approx(dist.scale ** 2, rel=1e-9)
 
 
 def test_mean_constraint_by_quadrature():
@@ -117,37 +101,6 @@ def test_mean_constraint_by_quadrature():
     hi = dist.a0 + 60.0 * dist.scale
     val, _ = integrate.quad(lambda a: a * dist.pdf(a), dist.a0, hi, epsabs=1e-12, limit=200)
     assert val == pytest.approx(135.0, rel=1e-9)
-
-
-def test_sample_inverse_cdf_endpoints():
-    dist = make(135.0, 0.0)
-    at_one = dist.sample(_ConstRng(0.0), 3)  # u = 1 maps to the support minimum
-    np.testing.assert_allclose(at_one, dist.a0, atol=1e-14)
-    at_mean_tail = dist.sample(_ConstRng(1.0 - math.exp(-1.0)), 3)  # u = e^-1
-    np.testing.assert_allclose(at_mean_tail, dist.a0 + dist.scale, rtol=1e-12)
-
-
-def test_sample_statistics():
-    dist = make(135.0, 0.0)
-    rng = np.random.Generator(np.random.PCG64(77))
-    draws = dist.sample(rng, 1_000_000)
-    assert draws.min() >= dist.a0
-    sigma = 135.0 / 1000.0
-    assert abs(draws.mean() - 135.0) < 3.0 * sigma
-
-
-def test_sample_deterministic_per_seed():
-    dist = make(135.0, 0.0)
-    d1 = dist.sample(np.random.Generator(np.random.PCG64(5)), 100)
-    d2 = dist.sample(np.random.Generator(np.random.PCG64(5)), 100)
-    np.testing.assert_array_equal(d1, d2)
-
-
-def test_sample_count_validation():
-    dist = make(2.0, 0.0)
-    assert dist.sample(np.random.Generator(np.random.PCG64(0)), 0).size == 0
-    with pytest.raises(DomainError):
-        dist.sample(np.random.Generator(np.random.PCG64(0)), -1)
 
 
 def test_displacement_validation():

@@ -19,11 +19,10 @@ from aym import (
     enumerate_feasible,
     make_ladder,
     merge_summaries,
-    propose_pair_move,
     run_chain,
 )
 from aym.discrete_equilibrium import count_feasible, lattice_fibre
-from aym.occupation_sampler import _fibre_setup
+from aym.occupation_sampler import _fibre_setup, _move_table
 
 ORACLE_PARAMS = EconomyParams((1, 2, 3), 4, 8)
 ORACLE_FREQS = {(0, 4, 0): 1 / 19, (1, 2, 1): 12 / 19, (2, 0, 2): 6 / 19}
@@ -45,11 +44,27 @@ def test_config_validation():
         ChainConfig(steps=10, seed=-1)
 
 
+def _propose(state: OccupationVector, table, rng) -> OccupationVector:
+    """One draw of run_chain's proposal: a uniform entry of the move table, or the state
+    itself when the table is empty or the drawn move would empty a sector."""
+    if not table:
+        return state
+    i, up, j, down = table[int(rng.integers(len(table)))]
+    counts = list(state.counts)
+    if not counts[i] * (counts[j] - (i == j)):
+        return state
+    counts[i] -= 1
+    counts[up] += 1
+    counts[j] -= 1
+    counts[down] += 1
+    return OccupationVector(counts)
+
+
 def test_proposals_from_interior_state():
     seen = set()
-    rng = _rng(1)
+    rng, table = _rng(1), _move_table((1, 2, 3))
     for _ in range(300):
-        seen.add(propose_pair_move(OccupationVector((1, 2, 1)), (1, 2, 3), rng).counts)
+        seen.add(_propose(OccupationVector((1, 2, 1)), table, rng).counts)
     assert seen == {(0, 4, 0), (2, 0, 2)}
 
 
@@ -58,12 +73,13 @@ def test_stacked_state_proposes_its_one_move_or_stays():
     # would empty sector 0, so the proposal returns the state itself
     rng = _rng(2)
     state = OccupationVector((0, 2, 0))
-    seen = {propose_pair_move(state, (1, 2, 3), rng).counts for _ in range(40)}
+    table = _move_table((1, 2, 3))
+    seen = {_propose(state, table, rng).counts for _ in range(40)}
     assert seen == {(1, 0, 1), (0, 2, 0)}
 
 
 def _proposal_chain(params: EconomyParams, config: ChainConfig) -> tuple[dict, float]:
-    """run_chain's visits and acceptance from propose_pair_move and the integer rule.
+    """run_chain's visits and acceptance from its proposal and the integer rule.
 
     w(y)/w(x) = prod x_k!/y_k! is num/den with num the falling factorials of
     the sectors the move empties and den those of the sectors it fills;
@@ -72,10 +88,10 @@ def _proposal_chain(params: EconomyParams, config: ChainConfig) -> tuple[dict, f
     units, n, demand = lattice_fibre(params)
     _, first = count_feasible(units, n, demand, 1)
     state = OccupationVector(first(1)[0])
-    rng = _rng(config.seed)
+    rng, table = _rng(config.seed), _move_table(units)
     visits, accepted = Counter(), 0
     for step in range(config.steps):
-        cand = propose_pair_move(state, params.levels, rng)
+        cand = _propose(state, table, rng)
         num = math.prod(math.perm(x, x - y) for x, y in zip(state.counts, cand.counts) if x > y)
         den = math.prod(math.perm(y, y - x) for x, y in zip(state.counts, cand.counts) if y > x)
         if cand is not state and (num >= den or rng.random() * den < num):
@@ -101,27 +117,16 @@ def test_proposal_returns_state_when_stuck():
     # two sectors, both workers pinned at the top: no pair move exists
     state = OccupationVector((0, 2))
     rng = _rng(3)
-    assert propose_pair_move(state, (1, 2), rng) is state
-
-
-def test_proposal_takes_levels_as_any_sequence():
-    # a list of levels draws the moves its tuple does
-    state = OccupationVector((2, 3, 1, 2))
-    by_list, by_tuple = _rng(5), _rng(5)
-    for _ in range(50):
-        moved = propose_pair_move(state, [1, 2, 3, 5], by_list)
-        assert moved == propose_pair_move(state, (1, 2, 3, 5), by_tuple)
-        state = moved
-    with pytest.raises(DomainError):
-        propose_pair_move(state, [1, 2, 3], by_list)
+    assert _propose(state, _move_table((1, 2)), rng) is state
 
 
 def test_proposals_conserve_both_sums():
     rng = _rng(4)
     levels = (1, 2, 3, 5)
+    table = _move_table(levels)
     state = OccupationVector((2, 3, 1, 2))
     for _ in range(200):
-        cand = propose_pair_move(state, levels, rng)
+        cand = _propose(state, table, rng)
         assert cand.total == state.total
         assert cand.output(levels) == state.output(levels)
         state = cand
@@ -346,3 +351,13 @@ def test_summary_serialization():
     csv_text = summary.to_csv()
     assert csv_text.startswith("state,frequency\n")
     assert csv_text.count("\n") == len(summary.visit_frequencies) + 1
+
+
+def test_merge_rejects_chains_with_different_sector_counts():
+    three = SampleSummary({(1, 2, 1): 1.0}, (1.0, 2.0, 1.0), 0.5, 10, "numpy:PCG64", "verified")
+    four = SampleSummary({(1, 1, 1, 1): 1.0}, (1.0, 1.0, 1.0, 1.0), 0.5, 10, "numpy:PCG64",
+                         "verified")
+    with pytest.raises(DomainError, match="3 and 4 sectors"):
+        merge_summaries([three, four])
+    with pytest.raises(DomainError, match="4 and 3 sectors"):
+        merge_summaries([four, three, three])

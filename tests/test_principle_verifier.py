@@ -230,6 +230,24 @@ def test_step_faults_are_worked_out_only_on_the_error_path(monkeypatch):
         verify_all(dist, cfg)
 
 
+def test_non_finite_differences_blame_the_explicit_step():
+    # 1e9 is 7.4e6 gaps of 135 in t: the amplitude across the step overflows, so the
+    # standard law's finite-difference values are inf; the analytic ones stay finite
+    dist, cfg = make(135.0, 0.0), NumericsConfig(fd_step_x=1e9)
+    message = r"^fd_step_x = 1000000000.0 gives a non-finite finite difference"
+    with pytest.raises(DomainError, match=message):
+        verify_all(dist, cfg)
+    with pytest.raises(DomainError, match=message):
+        pointwise_information_density(dist, derivative="fd", step=1e9)
+    with pytest.raises(DomainError, match=message):
+        generating_equation_residual(dist, cfg)
+    with pytest.raises(DomainError, match=message):
+        qtilde_recovered(dist, cfg, derivative="fd")
+    with pytest.raises(DomainError, match=message):
+        euler_lagrange_residual(dist, cfg, perturbation=1e-3)
+    assert pointwise_information_density(dist, cfg) == 0.0
+
+
 def test_grid_points_bounded_before_allocation():
     # 1e11 points would ask numpy for 800 GB; the 1e6 bound rejects it up front
     assert NumericsConfig(grid_points=10 ** 6).grid_points == 10 ** 6
