@@ -379,6 +379,15 @@ def test_stirling_agreement_scaled_instance():
     assert _projected(params, enumeration) == enumeration.argmax
 
 
+def test_stirling_small_n_flag():
+    # two workers, far below any Stirling regime: the rounding still lands on the argmax
+    params = EconomyParams((1, 2, 3), 2, 4)
+    enumeration = enumerate_feasible(params)
+    projected = _projected(params, enumeration)
+    assert projected.counts == (1, 0, 1) == enumeration.argmax.counts
+    assert max(enumeration.log_weights) - log_multinomial_weight(projected) == 0.0
+
+
 @pytest.mark.parametrize("levels,n,D", [
     ((1, 2, 3), 30, 60),
     ((1, 2, 3), 24, 50),

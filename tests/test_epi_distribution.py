@@ -86,6 +86,14 @@ def test_amplitude_density_link_pointwise():
     np.testing.assert_allclose(q * q / 4.0, dist.pdf(grid), rtol=1e-12)
 
 
+def test_moments():
+    # the mean is D/n and the variance the squared mean gap (D/n - a0)^2
+    dist = make(135.0, 0.0)
+    assert (dist.mean_demand, dist.scale ** 2) == pytest.approx((135.0, 18225.0), rel=1e-14)
+    dist = make(2.0, 1.0)
+    assert (dist.mean_demand, dist.scale ** 2) == pytest.approx((2.0, 1.0), rel=1e-14)
+
+
 def test_moments_against_quadrature():
     dist = make(2.0, 1.0)
     hi = dist.a0 + 60.0 * dist.scale
@@ -101,6 +109,31 @@ def test_mean_constraint_by_quadrature():
     hi = dist.a0 + 60.0 * dist.scale
     val, _ = integrate.quad(lambda a: a * dist.pdf(a), dist.a0, hi, epsabs=1e-12, limit=200)
     assert val == pytest.approx(135.0, rel=1e-9)
+
+
+def _inverse_tail(dist, u):
+    """Inverse-transform draws a = a0 - scale*ln(u) for u in (0, 1]: tail(a) = u."""
+    return dist.a0 - dist.scale * np.log(u)
+
+
+def test_sample_inverse_cdf_endpoints():
+    dist = make(2.0, 1.0)
+    assert _inverse_tail(dist, 1.0) == dist.a0 and dist.tail(dist.a0) == 1.0
+    at_mean_tail = _inverse_tail(dist, math.exp(-1.0))  # u = e^-1 lands one mean gap above a0
+    assert at_mean_tail == pytest.approx(dist.a0 + dist.scale, rel=1e-12)
+    assert dist.tail(at_mean_tail) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    u = np.linspace(1e-6, 1.0, 1001)
+    np.testing.assert_allclose(dist.tail(_inverse_tail(dist, u)), u, rtol=1e-9)
+
+
+def test_sample_statistics():
+    # draws through the inverse tail keep the support and the mean constraint
+    dist = make(135.0, 0.0)
+    rng = np.random.Generator(np.random.PCG64(77))
+    draws = _inverse_tail(dist, 1.0 - rng.random(1_000_000))
+    assert draws.min() >= dist.a0
+    sigma = 135.0 / 1000.0
+    assert abs(draws.mean() - 135.0) < 3.0 * sigma
 
 
 def test_displacement_validation():

@@ -120,6 +120,20 @@ def test_proposal_returns_state_when_stuck():
     assert _propose(state, _move_table((1, 2)), rng) is state
 
 
+def test_proposal_takes_levels_as_any_sequence():
+    # a list of levels draws the moves and the chain its tuple does
+    state = OccupationVector((2, 3, 1, 2))
+    by_list, by_tuple = _rng(5), _rng(5)
+    from_list, from_tuple = _move_table([1, 2, 3, 5]), _move_table((1, 2, 3, 5))
+    for _ in range(50):
+        moved = _propose(state, from_list, by_list)
+        assert moved == _propose(state, from_tuple, by_tuple)
+        state = moved
+    config = ChainConfig(steps=2_000, seed=5)
+    assert (run_chain(EconomyParams([1, 2, 3, 5], 8, 20), config)
+            == run_chain(EconomyParams((1, 2, 3, 5), 8, 20), config))
+
+
 def test_proposals_conserve_both_sums():
     rng = _rng(4)
     levels = (1, 2, 3, 5)
