@@ -73,16 +73,6 @@ class TailDataset:
             if fault is not None:
                 raise DomainError(f"point {j + 1} {point}: {fault[1]}")
 
-    @classmethod
-    def _of_checked_rows(cls, rows, source_label: str) -> TailDataset:
-        """The dataset of float rows (a, p_gt[, w]) that already keep _point_fault's rules,
-        as load_csv's row loop leaves them, built without checking them again."""
-        dataset = object.__new__(cls)
-        cuts, p_gt, *weights = zip(*rows)  # weights: [] or the third column
-        dataset.__dict__.update(cuts=cuts, p_gt=p_gt, weights=weights[0] if weights else None,
-                                source_label=source_label)
-        return dataset
-
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.cuts, self.p_gt))
@@ -133,7 +123,7 @@ def load_csv(path) -> TailDataset:
         rows.append(point)
     if not rows:
         raise EmptyDataset(f"no data rows in {path}")
-    return TailDataset._of_checked_rows(rows, str(path))
+    return TailDataset(*zip(*rows), source_label=str(path))  # columns: cuts, p_gt[, weights]
 
 
 def save_csv(dataset: TailDataset) -> str:

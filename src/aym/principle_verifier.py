@@ -60,15 +60,16 @@ _STANDARD = make(1.0)  # s = 1 and a0 = 0: t = a, and the displacement is x = t 
 _ALPHA_SQ = _STANDARD.alpha ** 2  # 1/4
 _EDGE = _STANDARD.amplitude(_STANDARD.x_min)  # q at the support edge, 2
 _NORMAL_MIN = sys.float_info.min
+_STEP_X_FAULT = "fd_step_x = {} gives a non-finite finite difference for the mean gap D/n - a0 = {}"
 
 
 @dataclass(frozen=True)
 class NumericsConfig:
     """Finite-difference steps, quadrature tolerance, evaluation grid.
 
-    Steps are absolute (productivity units); leave them None to use the defaults
-    of 1e-4 mean gaps for theta and 1e-3 for x, exactly 1e-4 and 1e-3 in t.  The
-    grid covers grid_span_gaps mean gaps (at least 40) from the lower support
+    The one place every verifier step is set, in productivity units; leave a step None
+    for the default of 1e-4 mean gaps for theta and 1e-3 for x, exactly 1e-4 and 1e-3
+    in t.  The grid covers grid_span_gaps mean gaps (at least 40) from the lower support
     edge with grid_points uniform nodes, at most MAX_GRID_POINTS.
     """
 
@@ -88,18 +89,14 @@ class NumericsConfig:
         if not 40.0 <= self.grid_span_gaps < math.inf:
             raise DomainError(f"grid_span_gaps must be in [40, inf), got {self.grid_span_gaps}")
 
-    def step_theta(self, dist: EpiDistribution) -> float:
-        return self.fd_step_theta if self.fd_step_theta is not None else 1e-4 * dist.scale
-
-    def step_x(self, dist: EpiDistribution) -> float:
-        return self.fd_step_x if self.fd_step_x is not None else 1e-3 * dist.scale
-
-    def x_grid(self, dist: EpiDistribution) -> np.ndarray:
-        return np.linspace(dist.x_min, dist.x_min + self.grid_span_gaps * dist.scale,
-                           self.grid_points)
-
 
 DEFAULT_NUMERICS = NumericsConfig()
+
+
+def _steps(cfg: NumericsConfig) -> tuple[float, float]:
+    """cfg's (theta, x) steps in t: its own, or the defaults, exactly 1e-4 and 1e-3."""
+    return (1e-4 if cfg.fd_step_theta is None else cfg.fd_step_theta,
+            1e-3 if cfg.fd_step_x is None else cfg.fd_step_x)
 
 
 @dataclass(frozen=True)
@@ -170,30 +167,35 @@ def _in_units(dist: EpiDistribution, value: float = 1.0, power: float = 2.0,
     product = value * capacity * {2.0: 1.0, 2.5: math.sqrt(inverse), 3.0: inverse}[power]
     if not (_NORMAL_MIN <= capacity < math.inf and math.isfinite(product)):
         if step_x is not None and not math.isfinite(value):
-            raise DomainError(f"fd_step_x = {step_x} gives a non-finite finite difference "
-                              f"for the mean gap D/n - a0 = {dist.scale}")
+            raise DomainError(_STEP_X_FAULT.format(step_x, dist.scale))
         raise DomainError(f"mean gap D/n - a0 = {dist.scale} puts the capacity 1/(D/n - a0)^2 "
                           "or a verifier value outside the normal float range")
     return product
 
 
 def _gated(dist: EpiDistribution, pair: tuple[float, float], tol: float,
-           magnitude: float = 0.0) -> float:
-    """A standard-law (48-point, 96-point) pair times s^-2, gated with the absolute tol."""
+           magnitude: float = 0.0, step_x: float | None = None) -> float:
+    """A standard-law (48-point, 96-point) pair times s^-2, gated with the absolute tol;
+    step_x is the explicit x step of a finite-difference pair, which a non-finite one blames."""
     capacity = _in_units(dist)
-    return _gate(pair[0] * capacity, pair[1] * capacity, tol, magnitude)
+    try:
+        return _gate(pair[0] * capacity, pair[1] * capacity, tol, magnitude)
+    except QuadratureFailure:
+        if step_x is None or all(map(math.isfinite, pair)):
+            raise
+        raise DomainError(_STEP_X_FAULT.format(step_x, dist.scale)) from None
 
 
 def _quadratures(cfg: NumericsConfig) -> dict[str, tuple[float, float]]:
     """The standard law's ungated (48-point, 96-point) integrals by name, cfg in t.
 
     The pdfs of the family members at theta - h, theta and theta + h,
-    h = cfg.step_theta, are evaluated once for both rules; the support edge
+    h = cfg's theta step, are evaluated once for both rules; the support edge
     a0 is theta-free, so all three share the quadrature nodes.  x = a - 1 is
-    the displacement: (dq/dx)^2 by central differences of step cfg.step_x, and
+    the displacement: (dq/dx)^2 by central differences of cfg's x step, and
     (q')^2 and q q'' of the boundary identity from q' = -alpha q, q'' = alpha^2 q.
     """
-    h, h_x, alpha = cfg.step_theta(_STANDARD), cfg.step_x(_STANDARD), _STANDARD.alpha
+    (h, h_x), alpha = _steps(cfg), _STANDARD.alpha
     family = (make(1.0 - h), _STANDARD, make(1.0 + h))
 
     def integrands(a):
@@ -226,13 +228,13 @@ def _trial(q0, x, eps: float):
 def _grid(cfg: NumericsConfig, eps: float = 0.0) -> dict:
     """The standard law's trial amplitude q (1 + eps x) on the grid, cfg in t (the
     amplitude itself, bit for bit, at eps = 0), and its q'' per derivative mode:
-    analytic, or by central differences of step cfg.step_x."""
-    x = cfg.x_grid(_STANDARD)
+    analytic, or by central differences of cfg's x step."""
+    x = np.linspace(_STANDARD.x_min, _STANDARD.x_min + cfg.grid_span_gaps, cfg.grid_points)
     base = _STANDARD.amplitude(x, clipped=False)
     q = _trial(base, x, eps)
     # (q0 (1 + eps x))'' = q0'' (1 + eps x) + 2 eps q0' with q0' = -alpha q0
     d2q = _ALPHA_SQ * q - 2.0 * eps * _STANDARD.alpha * base if eps else _ALPHA_SQ * q
-    h = cfg.step_x(_STANDARD)
+    h = _steps(cfg)[1]
     up, down = (_trial(_STANDARD.amplitude(y, clipped=False), y, eps) for y in (x + h, x - h))
     return {"analytic": (q, d2q), "fd": (q, (up - 2.0 * q + down) / (h * h))}
 
@@ -251,9 +253,11 @@ def _grid_values(q, d2q) -> tuple[float, float, float, float]:
 def _standard_law(cfg: NumericsConfig, eps: float) -> dict:
     """The standard law's values under cfg in t, computed once per numerics: ungated
     (48-point, 96-point) integrals by name and, per derivative mode, the _grid_values
-    of the trial amplitude q (1 + eps x).  DomainError if a step's square is 0."""
-    if 0.0 in (cfg.step_theta(_STANDARD) ** 2, cfg.step_x(_STANDARD) ** 2):
-        raise DomainError("a finite-difference step's square underflows to 0")
+    of the trial amplitude q (1 + eps x).  DomainError if 1 - the theta step is 1, so
+    the family members coincide, or if the x step's square is 0."""
+    h, h_x = _steps(cfg)
+    if 1.0 - h == 1.0 or h_x * h_x == 0.0:
+        raise DomainError("a finite-difference step is below the float resolution")
     with np.errstate(all="ignore"):
         law = _quadratures(cfg)
         for derivative, (q, d2q) in _grid(cfg, eps).items():
@@ -261,12 +265,9 @@ def _standard_law(cfg: NumericsConfig, eps: float) -> dict:
     return law
 
 
-def _law(dist: EpiDistribution, cfg: NumericsConfig, step_x: float | None = None,
-         eps: float = 0.0) -> dict:
-    """_standard_law with cfg's explicit steps (step_x in place of its own) over s and
-    eps times s; default steps stay None, so exactly 1e-4 and 1e-3 in t."""
-    steps = {"fd_step_theta": cfg.fd_step_theta,
-             "fd_step_x": cfg.fd_step_x if step_x is None else step_x}
+def _law(dist: EpiDistribution, cfg: NumericsConfig, eps: float = 0.0) -> dict:
+    """_standard_law with cfg's explicit steps over s, eps times s; default steps stay None."""
+    steps = {"fd_step_theta": cfg.fd_step_theta, "fd_step_x": cfg.fd_step_x}
     given = {name: step / dist.scale for name, step in steps.items() if step is not None}
     try:
         return _standard_law(replace(cfg, **given) if given else cfg, eps * dist.scale)
@@ -287,17 +288,18 @@ def _step_fault(name: str, step: float, t: float, scale: float) -> str | None:
         return f"{name} = {step} is too large for {gap}: step / gap overflows"
     if t * t == 0.0:
         return f"{name} = {step} is too small for {gap}: (step / gap)^2 underflows to 0"
+    if name == "fd_step_theta" and 1.0 - t == 1.0:  # the family members coincide
+        return f"{name} = {step} is too small for {gap}: 1 - step / gap rounds to 1"
     return None
 
 
 def _grid_law(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
-              step: float | None = None, eps: float = 0.0) -> tuple[tuple, float | None]:
+              eps: float = 0.0) -> tuple[tuple, float | None]:
     """The standard law's _grid_values in the derivative mode, and the explicit x step a
     non-finite one blames (None under analytic derivatives)."""
     if derivative not in ("analytic", "fd"):
         raise DomainError(f"derivative must be 'analytic' or 'fd', got {derivative!r}")
-    step_x = (cfg.fd_step_x if step is None else step) if derivative == "fd" else None
-    return _law(dist, cfg, step, eps)[derivative], step_x
+    return _law(dist, cfg, eps)[derivative], cfg.fd_step_x if derivative == "fd" else None
 
 
 def fisher_metric_form(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
@@ -307,7 +309,7 @@ def fisher_metric_form(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUME
 
 def fisher_kinematical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Kinematical-form capacity: integral of (dq/dx)^2 over the displacement support."""
-    return _gated(dist, _law(dist, cfg)["kinematical"], cfg.quadrature_tol)
+    return _gated(dist, _law(dist, cfg)["kinematical"], cfg.quadrature_tol, step_x=cfg.fd_step_x)
 
 
 def fisher_statistical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
@@ -336,37 +338,41 @@ def structural_principle(dist: EpiDistribution,
 
 def pointwise_information_density(dist: EpiDistribution,
                                   cfg: NumericsConfig = DEFAULT_NUMERICS,
-                                  derivative: str = "analytic",
-                                  step: float | None = None) -> float:
+                                  derivative: str = "analytic") -> float:
     """max |k(x)| with k = -(1/2) q q'' + (1/4) q^2 * 2 alpha^2; identically 0."""
-    values, step_x = _grid_law(dist, cfg, derivative, step)
+    values, step_x = _grid_law(dist, cfg, derivative)
     return _in_units(dist, values[0], 3.0, step_x)
 
 
 def generating_equation_residual(dist: EpiDistribution,
                                  cfg: NumericsConfig = DEFAULT_NUMERICS,
-                                 derivative: str = "fd",
-                                 step: float | None = None) -> float:
+                                 derivative: str = "fd") -> float:
     """max |q'' - alpha^2 q| over the grid; 0 analytically, O(h^2) under FD."""
-    values, step_x = _grid_law(dist, cfg, derivative, step)
+    values, step_x = _grid_law(dist, cfg, derivative)
     return _in_units(dist, values[1], 2.5, step_x)
 
 
 def euler_lagrange_residual(dist: EpiDistribution,
                             cfg: NumericsConfig = DEFAULT_NUMERICS,
                             derivative: str = "fd",
-                            step: float | None = None,
-                            perturbation: float = 0.0) -> float:
+                            *, perturbation: float = 0.0) -> float:
     """Residual of the variational equation q'' = alpha^2 q (qtilde constant).
 
-    Algebraically identical to the generating residual at the solution;
-    reported separately for traceability.  perturbation = eps evaluates the
-    residual for the trial amplitude q*(1 + eps*x), which grows linearly in
-    eps (the solution is the unique zero of the functional derivative); in
-    t the trial is q*(1 + eps*s*x).
+    Algebraically identical to the generating residual at the solution; reported
+    separately for traceability.  perturbation = eps evaluates the residual for the
+    trial amplitude q*(1 + eps*x), which grows linearly in eps (the solution is the
+    unique zero of the functional derivative); in t the trial is q*(1 + eps*s*x).  A
+    non-finite residual names the perturbation when the trial itself is non-finite.
     """
-    values, step_x = _grid_law(dist, cfg, derivative, step, perturbation)
-    return _in_units(dist, values[1], 2.5, step_x)
+    values, step_x = _grid_law(dist, cfg, derivative, perturbation)
+    try:
+        return _in_units(dist, values[1], 2.5, step_x)
+    except DomainError:
+        with np.errstate(all="ignore"):  # the grid's span and points need no change into t
+            if np.isfinite(_grid(cfg, perturbation * dist.scale)["analytic"][0]).all():
+                raise
+        raise DomainError(f"perturbation = {perturbation} makes the trial amplitude q (1 + eps x) "
+                          f"non-finite for the mean gap D/n - a0 = {dist.scale}") from None
 
 
 def qtilde_recovered(dist: EpiDistribution,
@@ -416,7 +422,7 @@ def verify_all(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) ->
     return PrincipleReport(
         fisher_metric=capacity,
         fisher_statistical=_gated(dist, law["statistical"], tol),
-        fisher_kinematical=_gated(dist, law["kinematical"], tol),
+        fisher_kinematical=_gated(dist, law["kinematical"], tol, step_x=cfg.fd_step_x),
         structural_Q=q_value,
         structural_residual=abs(capacity + q_value),
         epi_residual_pointwise=_in_units(dist, law["analytic"][0], 3.0),

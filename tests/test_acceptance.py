@@ -13,6 +13,7 @@ from scipy import stats
 from aym import (
     ChainConfig,
     EconomyParams,
+    NumericsConfig,
     aym_ladder_pmf,
     boundary_constant,
     boundary_identity_residual,
@@ -156,8 +157,10 @@ def test_criterion_06_structural_principle():
 
 def test_criterion_07_generating_equation():
     dist = make(135.0, 0.0)
-    coarse = generating_equation_residual(dist, derivative="fd", step=0.05 * dist.scale)
-    fine = generating_equation_residual(dist, derivative="fd", step=0.025 * dist.scale)
+    coarse = generating_equation_residual(dist, NumericsConfig(fd_step_x=0.05 * dist.scale),
+                                          derivative="fd")
+    fine = generating_equation_residual(dist, NumericsConfig(fd_step_x=0.025 * dist.scale),
+                                        derivative="fd")
     ratio = coarse / fine
     exact = generating_equation_residual(dist, derivative="analytic")
     _check("7 generating equation", 3.5 <= ratio <= 4.5 and exact == 0.0,

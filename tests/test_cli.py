@@ -210,6 +210,14 @@ def test_verify_wide_grids_report_finite_json(capsys, mean, span):
     # finite in t, but the amplitude across 7.4e6 gaps is not: the standard-law value is inf
     ("135", "--fd-step-x", "1e9", "fd_step_x = 1000000000.0 gives a non-finite finite "
                                   "difference for the mean gap D/n - a0 = 135.0"),
+    # (step / gap)^2 overflows: a float square, not a power, which would raise
+    ("1", "--fd-step-x", "1e200", "fd_step_x = 1e+200 gives a non-finite finite difference"),
+    # finite grid values, but the kinematical integrand across 740 gaps is inf
+    ("135", "--fd-step-x", "1e5", "fd_step_x = 100000.0 gives a non-finite finite "
+                                  "difference for the mean gap D/n - a0 = 135.0"),
+    # 1 - step / gap rounds to 1: the family members coincide, every theta difference is 0
+    ("135", "--fd-step-theta", "1e-15", "fd_step_theta = 1e-15 is too small for the mean gap "
+                                        "D/n - a0 = 135.0: 1 - step / gap rounds to 1"),
 ])
 def test_verify_step_errors_name_the_step(capsys, mean, flag, step, message):
     code, out, err = _run(capsys, ["verify", "--mean-demand", mean, flag, step])

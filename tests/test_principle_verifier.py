@@ -92,8 +92,10 @@ def test_pointwise_density_vanishes_analytically():
 
 def test_pointwise_density_second_order_in_step():
     dist = make(135.0, 0.0)
-    coarse = pointwise_information_density(dist, derivative="fd", step=0.05 * dist.scale)
-    fine = pointwise_information_density(dist, derivative="fd", step=0.025 * dist.scale)
+    coarse = pointwise_information_density(dist, NumericsConfig(fd_step_x=0.05 * dist.scale),
+                                           derivative="fd")
+    fine = pointwise_information_density(dist, NumericsConfig(fd_step_x=0.025 * dist.scale),
+                                         derivative="fd")
     assert 3.5 <= coarse / fine <= 4.5
 
 
@@ -110,8 +112,10 @@ def test_generating_residual_small_at_default_step():
 
 def test_generating_residual_second_order_convergence():
     for dist in (make(135.0, 0.0), make(2.0, 1.0)):
-        coarse = generating_equation_residual(dist, derivative="fd", step=0.05 * dist.scale)
-        fine = generating_equation_residual(dist, derivative="fd", step=0.025 * dist.scale)
+        coarse = generating_equation_residual(dist, NumericsConfig(fd_step_x=0.05 * dist.scale),
+                                              derivative="fd")
+        fine = generating_equation_residual(dist, NumericsConfig(fd_step_x=0.025 * dist.scale),
+                                            derivative="fd")
         assert 3.5 <= coarse / fine <= 4.5
 
 
@@ -218,7 +222,14 @@ def test_step_faults_are_worked_out_only_on_the_error_path(monkeypatch):
     with pytest.raises(DomainError, match=r"^fd_step_theta = 200.0 must be below the mean gap"):
         verify_all(dist, NumericsConfig(fd_step_theta=200.0))
     with pytest.raises(DomainError, match=r"^fd_step_x = 1e-170 is too small"):
-        generating_equation_residual(dist, step=1e-170)
+        generating_equation_residual(dist, NumericsConfig(fd_step_x=1e-170))
+    # at t = 2^-54, 1 - t rounds to 1, so the family members coincide and every theta
+    # difference would be an exact 0; one ulp above, 1 - t is a distinct float
+    with pytest.raises(DomainError, match=r"^fd_step_theta = 5.55\d*e-17 is too small for the "
+                                          r"mean gap D/n - a0 = 1.0: 1 - step / gap rounds to 1"):
+        verify_all(make(1.0), NumericsConfig(fd_step_theta=2.0 ** -54))
+    with pytest.raises(QuadratureFailure):
+        verify_all(make(1.0), NumericsConfig(fd_step_theta=math.nextafter(2.0 ** -54, 1.0)))
 
     def unexpected(*args):
         raise AssertionError(f"step fault worked out on valid input {args}")
@@ -238,7 +249,7 @@ def test_non_finite_differences_blame_the_explicit_step():
     with pytest.raises(DomainError, match=message):
         verify_all(dist, cfg)
     with pytest.raises(DomainError, match=message):
-        pointwise_information_density(dist, derivative="fd", step=1e9)
+        pointwise_information_density(dist, cfg, derivative="fd")
     with pytest.raises(DomainError, match=message):
         generating_equation_residual(dist, cfg)
     with pytest.raises(DomainError, match=message):
@@ -246,6 +257,30 @@ def test_non_finite_differences_blame_the_explicit_step():
     with pytest.raises(DomainError, match=message):
         euler_lagrange_residual(dist, cfg, perturbation=1e-3)
     assert pointwise_information_density(dist, cfg) == 0.0
+    # 1e5 is 740 gaps in t: only the kinematical integrand's finite difference is inf
+    cfg = NumericsConfig(fd_step_x=1e5)
+    assert math.isfinite(generating_equation_residual(dist, cfg))
+    for function in (fisher_kinematical, verify_all):
+        with pytest.raises(DomainError, match=r"^fd_step_x = 100000.0 gives a non-finite"):
+            function(dist, cfg)
+
+
+def test_non_finite_trial_amplitude_blames_the_perturbation():
+    # 1 + 1e307 x overflows on the grid: the perturbation is at fault, not the step or gap
+    dist = make(1.0)
+    for cfg in (DEFAULT_NUMERICS, NumericsConfig(fd_step_x=1e-3)):
+        for derivative in ("analytic", "fd"):
+            with pytest.raises(DomainError, match=r"^perturbation = 1e\+307 makes the trial "
+                                                  r"amplitude q \(1 \+ eps x\) non-finite"):
+                euler_lagrange_residual(dist, cfg, derivative, perturbation=1e307)
+            assert math.isfinite(euler_lagrange_residual(dist, cfg, derivative,
+                                                         perturbation=1e-3))
+
+
+def test_perturbation_is_keyword_only():
+    # keyword-only, so that no positional argument can silently become a perturbation
+    with pytest.raises(TypeError):
+        euler_lagrange_residual(make(135.0, 0.0), DEFAULT_NUMERICS, "fd", 0.05)
 
 
 def test_grid_points_bounded_before_allocation():
@@ -325,8 +360,6 @@ def test_explicit_steps_are_honored():
     dist = make(135.0, 0.0)
     cfg = NumericsConfig(fd_step_theta=1e-4 * dist.scale, fd_step_x=1e-3 * dist.scale)
     assert fisher_metric_form(dist, cfg) == pytest.approx(fisher_metric_form(dist), rel=1e-9)
-    assert cfg.step_theta(dist) == 1e-4 * dist.scale
-    assert cfg.step_x(dist) == 1e-3 * dist.scale
 
 
 def test_derivative_mode_validation():
