@@ -254,9 +254,10 @@ def _standard_law(cfg: NumericsConfig, eps: float) -> dict:
     """The standard law's values under cfg in t, computed once per numerics: ungated
     (48-point, 96-point) integrals by name and, per derivative mode, the _grid_values
     of the trial amplitude q (1 + eps x).  DomainError if 1 - the theta step is 1, so
-    the family members coincide, or if the x step's square is 0."""
+    the family members coincide, or if 1 + the x step is 1, so x + h == x at the grid's
+    unit-sized nodes and the x differences read 0."""
     h, h_x = _steps(cfg)
-    if 1.0 - h == 1.0 or h_x * h_x == 0.0:
+    if 1.0 - h == 1.0 or 1.0 + h_x == 1.0:
         raise DomainError("a finite-difference step is below the float resolution")
     with np.errstate(all="ignore"):
         law = _quadratures(cfg)
@@ -290,6 +291,8 @@ def _step_fault(name: str, step: float, t: float, scale: float) -> str | None:
         return f"{name} = {step} is too small for {gap}: (step / gap)^2 underflows to 0"
     if name == "fd_step_theta" and 1.0 - t == 1.0:  # the family members coincide
         return f"{name} = {step} is too small for {gap}: 1 - step / gap rounds to 1"
+    if name == "fd_step_x" and 1.0 + t == 1.0:  # x + step == x: every x difference is 0
+        return f"{name} = {step} is too small for {gap}: 1 + step / gap rounds to 1"
     return None
 
 

@@ -1,13 +1,19 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aym.cli import main
+from aym import (ChainConfig, EconomyParams, compare_sweep_csv, curve_csv, emit_overlay,
+                 enumerate_feasible, load_csv, make, run_chain)
+from aym.cli import _grid_from_args, main
 
 REPO = Path(__file__).resolve().parent.parent
 BUNDLED_CSV = REPO / "data" / "synthetic_worker_tails.csv"
@@ -218,6 +224,10 @@ def test_verify_wide_grids_report_finite_json(capsys, mean, span):
     # 1 - step / gap rounds to 1: the family members coincide, every theta difference is 0
     ("135", "--fd-step-theta", "1e-15", "fd_step_theta = 1e-15 is too small for the mean gap "
                                         "D/n - a0 = 135.0: 1 - step / gap rounds to 1"),
+    # 1 + step / gap rounds to 1: x + step == x at the grid's nodes, every x difference is 0
+    ("1", "--fd-step-x", "1e-17", "fd_step_x = 1e-17 is too small for the mean gap "
+                                  "D/n - a0 = 1.0: 1 + step / gap rounds to 1"),
+    ("135", "--fd-step-x", "1e-14", "fd_step_x = 1e-14 is too small"),
 ])
 def test_verify_step_errors_name_the_step(capsys, mean, flag, step, message):
     code, out, err = _run(capsys, ["verify", "--mean-demand", mean, flag, step])
@@ -347,6 +357,65 @@ def test_bad_grid_size_exits_2_before_allocating(capsys, argv):
     assert code == 2, err
     assert out == ""
     assert err.startswith(f"aym {argv[0]}: error: ")
+
+
+def _linspace_reference(grid, start, stop, count):
+    """The --grid and --linspace cuts as Python floats make them."""
+    step = (stop - start) / (count - 1) if count > 1 else 0.0
+    cuts = [start] if count == 1 else [start + j * step for j in range(count)]
+    return sorted(set([*grid, *cuts]))
+
+
+ZERO_HEAVY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, 5e-324]),
+                       st.floats(-1e3, 1e3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(grid=st.lists(ZERO_HEAVY, max_size=4), start=ZERO_HEAVY, stop=ZERO_HEAVY,
+       count=st.integers(0, 12))
+def test_linspace_grid_is_sorted_set_bit_for_bit(grid, start, stop, count):
+    args = SimpleNamespace(grid=tuple(grid) or None, linspace=(str(start), str(stop), str(count)))
+    got = _grid_from_args(args)
+    want = _linspace_reference(grid, start, stop, count)
+    assert [struct.pack("<d", a) for a in got] == [struct.pack("<d", a) for a in want]
+
+
+# each table past one chunk of rows (but compare's), so the CLI writes it in several chunks
+TABLES = [
+    (["epi", "--mean-demand", "135", "--linspace", "0", "1000", "10001"],
+     lambda: curve_csv(make(135.0), _linspace_reference([], 0.0, 1000.0, 10001))),
+    (["overlay", "--data", str(BUNDLED_CSV), "--d-over-n", "100,135", "--grid", "-0.0,3",
+      "--linspace", "0", "1000", "5001"],
+     lambda: emit_overlay(load_csv(BUNDLED_CSV), [100.0, 135.0], 0.0,
+                          _linspace_reference([-0.0, 3.0], 0.0, 1000.0, 5001))),
+    (["compare", "--r", "10,1.5,1e6,100"], lambda: compare_sweep_csv([10, 1.5, 1e6, 100])),
+    (["sample", "--levels", "1,2,3,4,5,6,7,8,9,10", "--n", "40", "--D", "200", "--steps", "8000",
+      "--seed", "3", "--format", "csv"],
+     lambda: run_chain(EconomyParams(range(1, 11), 40, 200),
+                       ChainConfig(steps=8000, seed=3)).to_csv()),
+    (["enumerate", "--levels", "1,2,3,4,5,6,7,8", "--n", "16", "--D", "72", "--format", "csv"],
+     lambda: enumerate_feasible(EconomyParams(range(1, 9), 16, 72)).to_csv()),
+]
+
+
+@pytest.mark.parametrize("argv,library", TABLES, ids=[argv[0] for argv, _ in TABLES])
+def test_cli_streams_the_library_table(capsys, tmp_path, argv, library):
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == library()
+    assert main([*argv, "--output", str(tmp_path / "table.csv")]) == 0
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == out
+
+
+# the curve names the first cut, in ascending order with nan last, that is not finite
+@pytest.mark.parametrize("grid,bad", [(["--grid", "nan,1"], "nan"),
+                                      (["--linspace", "0", "inf", "3", "--grid", "1"], "inf")])
+def test_bad_cut_leaves_no_output_file(capsys, tmp_path, monkeypatch, grid, bad):
+    monkeypatch.setenv("AYM_OUTPUT_DIR", str(tmp_path))
+    code, out, err = _run(capsys, ["epi", "--mean-demand", "5", *grid, "--output", "f.csv"])
+    assert (code, out) == (2, "")
+    assert err == f"aym epi: error: grid cuts must be finite, got {bad}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_enumerate_json(capsys):

@@ -20,7 +20,7 @@ import math
 import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aym import cli
@@ -185,6 +185,10 @@ def _numbers(payload):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(drawn=argvs())
+# shapes the grammar reaches too rarely for the draw budget: a step whose finite difference
+# once overflowed with a traceback, and one below the float resolution that exited 0
+@example(drawn=["verify", "--mean-demand", "3", "--fd-step-x", "1e300"])
+@example(drawn=["verify", "--mean-demand", "1", "--fd-step-x", "1e-17"])
 def test_every_argv_keeps_the_exit_code_contract(pool, drawn):
     argv = [token.replace(POOL, str(pool)) for token in drawn]
     code, out, err = _run(argv)
