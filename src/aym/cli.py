@@ -61,15 +61,11 @@ def _is_float_list(text: str) -> bool:
     return True
 
 
-def _report(result, fmt: str = "json"):
-    """A result's text in chunks: its CSV table, its to_<fmt>() text, or JSON:
-    schema_version first, then its keys."""
-    if fmt == "csv":
-        return result._csv_chunks()
+def _report(result, fmt: str = "json") -> str:
+    """A result as its to_<fmt>() text, or as JSON: schema_version first, then its keys."""
     if fmt != "json":
-        return [getattr(result, f"to_{fmt}")()]
-    payload = {"schema_version": SCHEMA_VERSION, **result.to_json_dict()}
-    return [json.dumps(payload, indent=2) + "\n"]
+        return getattr(result, f"to_{fmt}")()
+    return json.dumps({"schema_version": SCHEMA_VERSION, **result.to_json_dict()}, indent=2) + "\n"
 
 
 def _add_economy_flags(sub):
@@ -99,12 +95,8 @@ def _add_grid_flags(sub):
                      default=None, help="uniform grid: start stop count")
 
 
-def _grid_from_args(args):
-    """The --grid and --linspace cuts as an ascending float array, each value once: for
-    finite cuts sorted(set(cuts)), so of 0.0 and -0.0 the first given stays."""
-    import numpy as np  # not at the top: solve and the other reports need no numpy
-
-    cuts = np.array(args.grid or (), dtype=float)  # --grid is None or a non-empty tuple
+def _grid_from_args(args) -> list[float]:
+    grid = list(args.grid or ())  # --grid is None or a non-empty tuple
     if args.linspace is not None:
         try:
             start, stop, count = float(args.linspace[0]), float(args.linspace[1]), int(args.linspace[2])
@@ -112,26 +104,23 @@ def _grid_from_args(args):
             raise aym.DomainError(f"--linspace expects start stop count, got {args.linspace}")
         if not 0 <= count <= MAX_GRID_POINTS:
             raise aym.DomainError(f"--linspace count must be in [0, {MAX_GRID_POINTS}], got {count}")
-        with np.errstate(all="ignore"):  # start + j*step, as Python floats compute it
-            spaced = ([start] if count == 1
-                      else start + np.arange(count) * ((stop - start) / (count - 1)))
-        cuts = np.append(cuts, spaced)
-    cuts = cuts[np.argsort(cuts, kind="stable")]  # equal cuts keep the order given
-    first = np.ones(cuts.size, dtype=bool)
-    first[1:] = cuts[1:] != cuts[:-1]  # nan != nan: every nan stays, sorted last
-    return cuts[first]
+        if count == 1:
+            grid.append(start)
+        else:
+            step = (stop - start) / (count - 1) if count > 1 else 0.0
+            grid.extend(start + j * step for j in range(count))
+    return sorted(set(grid))
 
 
-def _cmd_solve(args):
+def _cmd_solve(args) -> str:
     return _report(aym.solve_generalized(_economy_from_args(args), c=args.c, tol=args.tol))
 
 
-def _cmd_epi(args):
-    dist = aym.make(args.mean_demand, args.a0)
-    return aym.epi_distribution._curve_chunks(dist, _grid_from_args(args))
+def _cmd_epi(args) -> str:
+    return aym.curve_csv(aym.make(args.mean_demand, args.a0), _grid_from_args(args))
 
 
-def _cmd_verify(args):
+def _cmd_verify(args) -> str:
     cfg = aym.NumericsConfig(
         fd_step_theta=args.fd_step_theta,
         fd_step_x=args.fd_step_x,
@@ -142,30 +131,30 @@ def _cmd_verify(args):
     return _report(aym.verify_all(aym.make(args.mean_demand, args.a0), cfg), args.format)
 
 
-def _cmd_compare(args):
-    return aym.discretization_compare._sweep_chunks(args.r, args.i_max)
+def _cmd_compare(args) -> str:
+    return aym.compare_sweep_csv(args.r, args.i_max)
 
 
-def _cmd_sample(args):
+def _cmd_sample(args) -> str:
     config = aym.ChainConfig(steps=args.steps, burn_in=args.burn_in,
                              seed=args.seed, thin=args.thin)
     return _report(aym.run_chain(_economy_from_args(args), config), args.format)
 
 
-def _cmd_enumerate(args):
+def _cmd_enumerate(args) -> str:
     result = aym.enumerate_feasible(_economy_from_args(args), max_vectors=args.cap)
     return _report(result, args.format)
 
 
-def _cmd_fit(args):
+def _cmd_fit(args) -> str:
     a0_fixed = None if args.fit_a0 else args.a0
     return _report(aym.fit_tail(aym.load_csv(args.data), a0_fixed=a0_fixed,
                                 min_p_gt=args.min_p_gt))
 
 
-def _cmd_overlay(args):
+def _cmd_overlay(args) -> str:
     data = aym.load_csv(args.data) if args.data is not None else None
-    return aym.empirical_fit._overlay_chunks(data, args.d_over_n, args.a0, _grid_from_args(args))
+    return aym.emit_overlay(data, args.d_over_n, args.a0, _grid_from_args(args))
 
 
 def build_parser() -> _Parser:
@@ -264,16 +253,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     destination = _resolve_output(args.output)
     try:
-        chunks = args.handler(args)  # every value is computed and checked; only text is left
+        text = args.handler(args)
         if destination is not None:
             destination.parent.mkdir(parents=True, exist_ok=True)
-            with destination.open("w", encoding="utf-8") as handle:
-                handle.writelines(chunks)
+            destination.write_text(text, encoding="utf-8")
     except (aym.ValidationError, aym.SolverError, OSError) as exc:
         print(f"aym {args.subcommand}: error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE if isinstance(exc, aym.SolverError) else EXIT_INVALID_INPUT
     if destination is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.write(text)
     return EXIT_OK
 
 

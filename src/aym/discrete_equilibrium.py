@@ -32,7 +32,7 @@ from .errors import (
     InstanceTooLarge,
     NoConvergence,
 )
-from .model_core import (EconomyParams, OccupationVector, _check_ratio, _csv_chunks, _state_text,
+from .model_core import (EconomyParams, OccupationVector, _check_ratio, _csv_text, _state_text,
                          _validate_ladder, integer_lattice, validate)
 
 _DEFAULT_TOL = 1e-10
@@ -405,14 +405,10 @@ class EnumerationResult:
                         for vec, w, lw in zip(self.vectors, self.weights, self.log_weights)],
         }
 
-    def _csv_chunks(self):
-        """to_csv's text in chunks."""
-        return _csv_chunks(("state", "weight", "log_weight"),
-                           ([_state_text(vec.counts) for vec in self.vectors], self.weights,
-                            self.log_weights), ("%s", "%s", "%.17g"))
-
     def to_csv(self) -> str:
-        return "".join(self._csv_chunks())
+        return _csv_text(("state", "weight", "log_weight"),
+                         ([_state_text(vec.counts) for vec in self.vectors], self.weights,
+                          self.log_weights), ("%s", "%s", "%.17g"))
 
 
 def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> EnumerationResult:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .epi_distribution import _like_input
 from .errors import DomainError
-from .model_core import _check_ratio, _csv_chunks
+from .model_core import _check_ratio, _csv_text
 
 _TAIL_THRESHOLD = 1e-15  # truncate where both analytic tails drop below this
 _REL_FLOOR = 1e-12  # max_rel skips sectors whose discrete pmf is below this
@@ -182,15 +182,10 @@ def compare(r: float, i_max: int | None = None) -> ComparisonMetrics:
     )
 
 
-def _sweep_chunks(r_values, i_max: int | None = None):
-    """compare_sweep_csv's text in chunks; every compare() runs first."""
-    rs = sorted(float(r) for r in r_values)
-    metrics = [compare(r, i_max) for r in rs]
-    return _csv_chunks(("r", "tv", "max_abs", "max_rel"),
-                       (rs, [m.tv_distance for m in metrics], [m.max_abs for m in metrics],
-                        [m.max_rel for m in metrics]), ("%.17g",) * 4)
-
-
 def compare_sweep_csv(r_values, i_max: int | None = None) -> str:
     """CSV sweep of compare() over r values, sorted ascending."""
-    return "".join(_sweep_chunks(r_values, i_max))
+    rs = sorted(float(r) for r in r_values)
+    metrics = [compare(r, i_max) for r in rs]
+    return _csv_text(("r", "tv", "max_abs", "max_rel"),
+                     (rs, [m.tv_distance for m in metrics], [m.max_abs for m in metrics],
+                      [m.max_rel for m in metrics]), ("%.17g",) * 4)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .epi_distribution import _finite_cuts, make
+from .epi_distribution import make
 from .errors import (
     DegenerateFit,
     DomainError,
@@ -26,7 +26,7 @@ from .errors import (
     MonotonicityError,
     ParseError,
 )
-from .model_core import _check_a0, _csv_chunks, _text_lines
+from .model_core import _check_a0, _csv_text, _finite_cuts, _text_lines
 
 DEFAULT_MIN_P_GT = 1e-6  # log-space leverage guard: drop deeper tail points
 _NO_POINT = (-math.inf, 1.0)  # the point before the first: every valid (a, p_gt) may follow it
@@ -129,8 +129,7 @@ def load_csv(path) -> TailDataset:
 def save_csv(dataset: TailDataset) -> str:
     """Serialize a dataset back to the load_csv schema (17 significant digits)."""
     columns = [dataset.cuts, dataset.p_gt] + ([] if dataset.weights is None else [dataset.weights])
-    return "".join(_csv_chunks(("a", "p_gt", "w")[:len(columns)], columns,
-                               ("%.17g",) * len(columns)))
+    return _csv_text(("a", "p_gt", "w")[:len(columns)], columns, ("%.17g",) * len(columns))
 
 
 def _slope_fit(u: np.ndarray, log_p: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
@@ -201,19 +200,6 @@ def _result_from_slope(slope: float, rss: float, used: int, a0: float) -> FitRes
     return FitResult(d_over_n=a0 - 1.0 / slope, a0=a0, rss_log=rss, points_used=used)
 
 
-def _overlay_chunks(data: TailDataset | None, d_over_n_values, a0: float, grid):
-    """emit_overlay's text in chunks; the cuts are checked and every value computed first."""
-    grid = _finite_cuts(grid).tolist()
-    values = sorted(float(v) for v in d_over_n_values)
-    dists = [make(v, a0) for v in values]
-    data_map = dict(data.points) if data is not None else {}
-    cuts = sorted(set(grid) | set(data_map))
-    tails = [dist.tail(np.array(cuts)) for dist in dists]
-    return _csv_chunks(["a", "p_gt_data"] + [f"tail_{v:g}" for v in values],
-                       [cuts, [data_map.get(a) for a in cuts], *tails],
-                       ("%.17g",) * (2 + len(tails)))
-
-
 def emit_overlay(data: TailDataset | None, d_over_n_values, a0: float, grid) -> str:
     """Curve table for log-log overlay plots.
 
@@ -221,4 +207,12 @@ def emit_overlay(data: TailDataset | None, d_over_n_values, a0: float, grid) -> 
     column is empty where no datum exists.  One tail column per requested
     D/n value, sorted ascending, named tail_<value>.
     """
-    return "".join(_overlay_chunks(data, d_over_n_values, a0, grid))
+    grid = _finite_cuts(grid)
+    values = sorted(float(v) for v in d_over_n_values)
+    dists = [make(v, a0) for v in values]
+    data_map = dict(data.points) if data is not None else {}
+    cuts = sorted(set(grid) | set(data_map))
+    p_gt_data = ["%.17g" % data_map[a] if a in data_map else "" for a in cuts]
+    tails = [dist.tail(np.array(cuts)) for dist in dists]
+    return _csv_text(["a", "p_gt_data"] + [f"tail_{v:g}" for v in values],
+                     [cuts, p_gt_data, *tails], ("%.17g", "%s") + ("%.17g",) * len(tails))

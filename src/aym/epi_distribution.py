@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model_core import _check_a0, _csv_chunks
+from .model_core import _check_a0, _csv_text, _finite_cuts
 
 
 def _like_input(x, val):
@@ -114,23 +114,8 @@ def make(mean_demand: float, a0: float = 0.0) -> EpiDistribution:
     return EpiDistribution(float(mean_demand), float(a0), 1.0 / (2.0 * (mean_demand - a0)))
 
 
-def _finite_cuts(grid) -> np.ndarray:
-    """A grid's cuts as a float array (each by float(), unless the grid is an array);
-    DomainError unless every one is finite."""
-    cuts = np.array(grid if isinstance(grid, np.ndarray) else [float(a) for a in grid], float)
-    bad = cuts[~np.isfinite(cuts)]
-    if bad.size:
-        raise DomainError(f"grid cuts must be finite, got {float(bad[0])}")
-    return cuts
-
-
-def _curve_chunks(dist: EpiDistribution, grid):
-    """curve_csv's text in chunks; the cuts are checked and every value computed first."""
-    cuts = _finite_cuts(grid)
-    return _csv_chunks(("a", "pdf", "tail"), (cuts, dist.pdf(cuts), dist.tail(cuts)),
-                       ("%.17g",) * 3)
-
-
 def curve_csv(dist: EpiDistribution, grid) -> str:
     """CSV table with columns a,pdf,tail over the supplied grid of finite cuts."""
-    return "".join(_curve_chunks(dist, grid))
+    cuts = _finite_cuts(grid)
+    a = np.array(cuts)
+    return _csv_text(("a", "pdf", "tail"), (cuts, dist.pdf(a), dist.tail(a)), ("%.17g",) * 3)

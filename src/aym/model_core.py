@@ -34,7 +34,7 @@ from .errors import (
 MAX_GRID_POINTS = 10**6
 _LATTICE_REL_TOL = 1e-9  # integer_lattice: how close, relatively, a value must be to a fraction
 _LATTICE_MAX_MULTIPLE = 10**6  # integer_lattice: the most units any value may span
-_CHUNK_ROWS = 4096  # _csv_chunks: rows per chunk, a few hundred kB of text
+_CHUNK_ROWS = 4096  # _csv_text: rows formatted at a time, a few hundred kB of text
 
 
 @dataclass(frozen=True)
@@ -223,31 +223,32 @@ def integer_lattice(values: Sequence[float]) -> tuple[tuple[int, ...], float]:
     return units, float(Fraction(step, denominator))
 
 
+def _finite_cuts(grid) -> list[float]:
+    """A grid's cuts as floats; DomainError unless every one is finite."""
+    cuts = [float(a) for a in grid]
+    if not all(map(math.isfinite, cuts)):  # min by isfinite: the first cut that is not
+        raise DomainError(f"grid cuts must be finite, got {min(cuts, key=math.isfinite)}")
+    return cuts
+
+
 def _state_text(counts: Sequence[int]) -> str:
     """An occupation's counts as one CSV cell or JSON key: "1;2;1"."""
     return ";".join(map(str, counts))
 
 
-def _csv_chunks(header: Sequence[str], columns: Sequence, formats: Sequence[str]):
-    """A CSV table's text, in chunks: the header line, then _CHUNK_ROWS rows at a time,
-    each row by one %-format joined from the column formats: "%.17g" (17 significant
-    digits) for a float column, "%s" for any other, such as exact integer weights.
-    A numpy column is read by tolist(); None in any other column is an empty cell.
-    Formats each chunk only when it is asked for it."""
-    yield ",".join(header) + "\n"
+def _csv_text(header: Sequence[str], columns: Sequence, formats: Sequence[str]) -> str:
+    """CSV table, each row by one %-format joined from the column formats: "%.17g"
+    (17 significant digits) for a float column, "%s" for any other, such as exact
+    integer weights or cells already rendered to text.  Formats _CHUNK_ROWS rows at a
+    time, reading a numpy column's rows by tolist(), so no more than a chunk's cells
+    are ever Python objects at once."""
+    line = ",".join(formats) + "\n"
+    chunks = [",".join(header) + "\n"]
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        parts, part_formats = [], []
-        for column, fmt in zip(columns, formats):
-            part = column[start:start + _CHUNK_ROWS]
-            if hasattr(part, "tolist"):  # a numpy column: Python floats format faster
-                part = part.tolist()
-            elif None in part:
-                part = ["" if v is None else fmt % v for v in part]
-                fmt = "%s"
-            parts.append(part)
-            part_formats.append(fmt)
-        line = ",".join(part_formats) + "\n"
-        yield (line * len(parts[0])) % tuple(chain.from_iterable(zip(*parts)))
+        parts = [column[start:start + _CHUNK_ROWS] for column in columns]
+        parts = [part.tolist() if hasattr(part, "tolist") else part for part in parts]
+        chunks.append((line * len(parts[0])) % tuple(chain.from_iterable(zip(*parts))))
+    return "".join(chunks)
 
 
 def _text_lines(path):

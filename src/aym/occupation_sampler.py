@@ -62,7 +62,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, NoFeasibleState
-from .model_core import EconomyParams, _csv_chunks, _state_text
+from .model_core import EconomyParams, _csv_text, _state_text
 from .discrete_equilibrium import count_feasible, lattice_fibre
 
 RNG_ALGORITHM = "numpy:PCG64"
@@ -180,15 +180,11 @@ class SampleSummary:
             "visit_frequencies": freqs,
         }
 
-    def _csv_chunks(self):
-        """to_csv's text in chunks."""
-        rows = sorted(self.visit_frequencies.items())
-        return _csv_chunks(("state", "frequency"),
-                           ([_state_text(s) for s, _ in rows], [f for _, f in rows]),
-                           ("%s", "%.17g"))
-
     def to_csv(self) -> str:
-        return "".join(self._csv_chunks())
+        rows = sorted(self.visit_frequencies.items())
+        return _csv_text(("state", "frequency"),
+                         ([_state_text(s) for s, _ in rows], [f for _, f in rows]),
+                         ("%s", "%.17g"))
 
 
 def _move_table(units: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:

@@ -18,7 +18,7 @@ from aym import (
     make,
     save_csv,
 )
-from aym.model_core import _csv_chunks
+from aym.model_core import _csv_text
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -145,7 +145,7 @@ def test_load_csv_accepts_exactly_the_rows_the_dataset_accepts(tmp_path_factory,
     for row, column, value in odd:
         (cuts, p_gt, weights)[column][row % len(cuts)] = value
     columns = (cuts, p_gt, weights) if weighted else (cuts, p_gt)
-    text = "".join(_csv_chunks(("a", "p_gt", "w")[:len(columns)], columns, ("%.17g",) * 3))
+    text = _csv_text(("a", "p_gt", "w")[:len(columns)], columns, ("%.17g",) * len(columns))
     path = tmp_path_factory.getbasetemp() / "rows.csv"
     path.write_text(text, encoding="utf-8")
     try:

@@ -29,7 +29,7 @@ from aym import (
     validate,
 )
 from aym import model_core
-from aym.model_core import _csv_chunks
+from aym.model_core import _csv_text
 
 
 def test_validate_accepts_interior_demand():
@@ -275,7 +275,7 @@ def test_integer_lattice_rejects_all_zero():
 
 
 def _reference_csv_text(header, rows):
-    """The row-at-a-time CSV writer that _csv_chunks replaced: a float cell (numpy's
+    """The row-at-a-time CSV writer that the typed _csv_text replaced: a float cell (numpy's
     float64 too) to 17 significant digits, None as an empty cell, anything else by str()."""
     lines = [",".join(header)]
     lines.extend(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
@@ -287,31 +287,34 @@ FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math
                                                  -2.2e-308, 1e308, -1e308]))
 # one kind per column, as each table has: its cells and its format
 CELLS = {
-    "float": (st.one_of(FLOATS, FLOATS.map(np.float64), st.none()), "%.17g"),
-    "int": (st.one_of(st.integers(-2**70, 2**70), st.just(2**64 + 1), st.none()), "%s"),
-    "text": (st.one_of(st.text(), st.none()), "%s"),
+    "float": (st.one_of(FLOATS, FLOATS.map(np.float64)), "%.17g"),
+    "int": (st.one_of(st.integers(-2**70, 2**70), st.just(2**64 + 1)), "%s"),
+    "text": (st.text(), "%s"),
+    # a float column with empty cells, rendered to text first, as emit_overlay's p_gt_data
+    "float or none": (st.one_of(FLOATS, st.none()), "%s"),
 }
 
 
 @st.composite
 def _tables(draw):
-    """(kinds, rows, columns): rows of one kind per column, and their columns, some
-    float columns without None as numpy arrays."""
+    """(kinds, rows, columns): rows of one kind per column, and the columns the writer
+    is given, some float columns as numpy arrays."""
     kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=4))
     rows = draw(st.lists(st.tuples(*(CELLS[kind][0] for kind in kinds)), max_size=12))
     columns = [list(column) for column in zip(*rows)] or [[] for _ in kinds]
-    as_array = [kind == "float" and None not in column and draw(st.booleans())
-                for kind, column in zip(kinds, columns)]
-    return kinds, rows, [np.array(c, float) if a else c for c, a in zip(columns, as_array)]
+    for j, kind in enumerate(kinds):
+        if kind == "float or none":
+            columns[j] = ["" if v is None else "%.17g" % v for v in columns[j]]
+        elif kind == "float" and draw(st.booleans()):
+            columns[j] = np.array(columns[j], float)
+    return kinds, rows, columns
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(table=_tables(), rows_per_chunk=st.integers(1, 5))
-def test_csv_chunks_join_to_the_row_writers_text(table, rows_per_chunk):
+def test_csv_text_equals_the_row_writers_text(table, rows_per_chunk):
     kinds, rows, columns = table
     header = [f"c{j}" for j in range(len(kinds))]
     formats = [CELLS[kind][1] for kind in kinds]
     with mock.patch.object(model_core, "_CHUNK_ROWS", rows_per_chunk):
-        chunks = list(_csv_chunks(header, columns, formats))
-    assert len(chunks) == 1 + -(-len(rows) // rows_per_chunk)  # the header, then a chunk per rows_per_chunk rows
-    assert "".join(chunks) == _reference_csv_text(header, rows)
+        assert _csv_text(header, columns, formats) == _reference_csv_text(header, rows)
