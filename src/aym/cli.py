@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import lru_cache
@@ -109,7 +110,9 @@ def _grid_from_args(args) -> list[float]:
         else:
             step = (stop - start) / (count - 1) if count > 1 else 0.0
             grid.extend(start + j * step for j in range(count))
-    return sorted(set(grid))
+    # a nan's place in sorted(set(...)) follows its hash, so a grid with a cut that
+    # is not finite stays in input order, and the library names its first such cut
+    return sorted(set(grid)) if all(map(math.isfinite, grid)) else grid
 
 
 def _cmd_solve(args) -> str:

@@ -95,7 +95,16 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     the c = 0 root.  For c > 0 with c n >= 1 the inner unknown is ln s
     instead, up to a shift, where s = -ln c - t > 0 is the distance to the
     pole and n_i = 1/(c expm1(s + d_i)): near the pole t keeps too few digits
-    of s, while for small c n it is s that loses them.
+    of s, while for small c n it is s that loses them.  max(-beta a) is the
+    product at the first or the last level, since the levels rise.
+
+    Sums come in pairs, each pair from one reduce over the rows of a (2, g)
+    array, whose row sums have the bits of 1-D pairwise sums: (sum n_i,
+    sum w_i) in the inner solve and (sum a_i n_i, sum a_i w_i) in the outer
+    one.  At c = 0, where w_i = n_i, the inner root is t0 itself, so n_i =
+    1/E_i is taken directly and the pair is (sum n_i, sum a_i n_i); the inner
+    solve iterates from x = 0 only when rounding leaves sum n_i outside its
+    floor below.
 
     Feasibility is settled before iterating.  tol must be finite and
     non-negative, c n^2 finite and n/g at least the smallest normal float
@@ -146,6 +155,12 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     a = np.asarray(levels, dtype=float)
     add, eps = np.add.reduce, sys.float_info.epsilon  # add(x): x.sum() minus its Python wrapper
     pole = c > 0 and c * n >= 1
+    floor_n = 4 * eps * g * n
+    # terms summed in pairs, each pair by one row-wise reduce: (n_i, w_i), or
+    # (n_i, a_i n_i) at c = 0, where w_i = n_i; then (a_i n_i, a_i w_i) for c != 0
+    pair, moments = np.empty((2, g)), np.empty((2, g))
+    occ, second = pair
+    w = occ if c == 0 else second
 
     def root(f, x, lo, hi, what):
         """Root of the increasing f(x) -> (value, slope, done, result) inside [lo, hi]."""
@@ -168,8 +183,11 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
         raise NoConvergence(max_iter, f"{what} stuck {abs(value):.3g} from its target")
 
     def inner(beta):
+        """(nu, N, S) at the inner root, S the sum of the second row."""
         z = -beta * a
-        z_max = np.maximum.reduce(z)
+        # the levels rise, so -beta a_i peaks at an end level (rounding keeps the order)
+        z_max = (-beta * levels[0 if beta >= 0 else -1] if math.isfinite(beta)
+                 else float(np.maximum.reduce(z)))
         d = z_max - z
         if pole:
             s0 = math.log1p(g / (c * n))  # every n_i <= n/g at s = s0
@@ -177,35 +195,47 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
 
             def occupations(x):
                 s = s0 * math.exp(-x)
-                return 1.0 / (c * np.expm1(s + d)), s, -math.log(c) - s
+                np.divide(1.0, c * np.expm1(s + d), out=occ)
+                return s, -math.log(c) - s
         else:
             t0 = math.log(n) - math.log(float(add(np.exp(-d))))  # the c = 0 root
             hi, E = math.inf, np.exp(d - t0)
+            if c == 0:  # x = 0 in closed form; iterate only if rounding misses the floor
+                np.divide(1.0, E, out=occ)
+                np.multiply(a, occ, out=second)
+                N, M = add(pair, 1).tolist()
+                if abs(N - n) <= floor_n:
+                    return t0 - z_max, N, M
 
             def occupations(x):
-                return 1.0 / (E * math.exp(-x) - c), 1.0, t0 + x
+                np.divide(1.0, E * math.exp(-x) - c, out=occ)
+                return 1.0, t0 + x
 
         def f(x):
-            occ, dt_dx, t = occupations(x)
-            N = float(add(occ))
-            # w_i = n_i (1 + c n_i) is n_i at c = 0, where t0 <= ln n < 710 keeps n_i finite
-            w = occ if c == 0 else occ * (1.0 + c * occ)
-            W = N if c == 0 else float(add(w))
-            done = abs(N - n) <= 4 * eps * g * n
-            return math.log(N / n), W * dt_dx / N, done, (t - z_max, occ, w, N, W)
+            dt_dx, t = occupations(x)
+            # the second row: a_i n_i at c = 0, else w_i = n_i (1 + c n_i)
+            np.multiply(a if c == 0 else 1.0 + c * occ, occ, out=second)
+            N, S = add(pair, 1).tolist()
+            W = N if c == 0 else S
+            return math.log(N / n), W * dt_dx / N, abs(N - n) <= floor_n, (t - z_max, N, S)
 
         return root(f, 0.0, 0.0 if pole else -math.inf, hi, "sum n_i")
 
     def outer(beta):
-        nu, occ, w, N, W = inner(beta)
-        M = float(add(a * occ))
-        m = (M if c == 0 else float(add(a * w))) / W
-        V = float(add((a - m) ** 2 * w))
+        nu, N, S = inner(beta)
+        if c == 0:
+            M, W, aw = S, N, S
+        else:
+            np.multiply(a, pair, out=moments)
+            M, aw = add(moments, 1).tolist()
+            W = S
+        dv = a - aw / W  # the deviations from the w-weighted mean level
+        V = float(add(dv * dv * w))
         done = abs(M - D) <= max(tol, 4 * eps * (g * D + abs(beta) * V))
-        return D - M, V, done, (nu, beta, occ, M, N)
+        return D - M, V, done, (nu, beta, M, N)
 
     with np.errstate(over="ignore"):  # exp overflow past the top sector means n_i = 0
-        nu, beta, occ, M, N = root(outer, 0.0, -math.inf, math.inf, "sum a_i n_i")
+        nu, beta, M, N = root(outer, 0.0, -math.inf, math.inf, "sum a_i n_i")
     return EquilibriumSolution(Multipliers(nu, beta, float(c)), tuple(occ.tolist()),
                                (abs(N - n), abs(M - D)))
 

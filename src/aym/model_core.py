@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
+from operator import lt
 from typing import Sequence
 
 from .errors import (
@@ -33,6 +33,7 @@ from .errors import (
 # a CLI --linspace count; a grid this size costs a few hundred MB at most
 MAX_GRID_POINTS = 10**6
 _LATTICE_REL_TOL = 1e-9  # integer_lattice: how close, relatively, a value must be to a fraction
+_LATTICE_MAX_DENOMINATOR = 10**12  # integer_lattice: the largest denominator of that fraction
 _LATTICE_MAX_MULTIPLE = 10**6  # integer_lattice: the most units any value may span
 _CHUNK_ROWS = 4096  # _csv_text: rows formatted at a time, a few hundred kB of text
 
@@ -90,14 +91,16 @@ def _check_a0(a0: float) -> None:
 
 def _validate_ladder(params: EconomyParams) -> None:
     """validate's rules for the levels and a0, which hold whatever n and D are."""
-    if params.g == 0:
+    levels = params.levels
+    if not levels:
         raise EmptyLadder("levels must contain at least one sector")
-    for lo, hi in zip(params.levels, params.levels[1:]):
-        if not lo < hi:
-            raise NonMonotoneLevels(f"levels must be strictly increasing, got {lo} before {hi}")
-    if not 0 <= params.levels[0] <= params.levels[-1] < math.inf:
-        raise DomainError("levels must be non-negative and finite, "
-                          f"got {params.levels[0]} to {params.levels[-1]}")
+    # one C-level pass (map over float.__lt__, a slot wrapper, is 3x slower on CPython 3.11)
+    if not all(map(lt, levels, levels[1:])):
+        lo, hi = next((lo, hi) for lo, hi in zip(levels, levels[1:]) if not lo < hi)
+        raise NonMonotoneLevels(f"levels must be strictly increasing, got {lo} before {hi}")
+    if not 0 <= levels[0] <= levels[-1] < math.inf:
+        raise DomainError(
+            f"levels must be non-negative and finite, got {levels[0]} to {levels[-1]}")
     _check_a0(params.a0)
 
 
@@ -201,18 +204,23 @@ def integer_lattice(values: Sequence[float]) -> tuple[tuple[int, ...], float]:
     the implied lattice is finer than _LATTICE_MAX_MULTIPLE steps (a float is
     always rational, so the multiple cap is what rejects irrational inputs).
     """
-    fracs = []
+    ratios = []
     for x in values:
         x = float(x)
         if not math.isfinite(x):
             raise DomainError(f"lattice values must be finite, got {x}")
-        f = Fraction(x).limit_denominator(10**12)
-        if abs(float(f) - x) > _LATTICE_REL_TOL * max(1.0, abs(x)):
-            raise DomainError(f"value {x} is not on a recognizable integer lattice")
-        fracs.append(f)
+        ratio = x.as_integer_ratio()
+        if ratio[1] > _LATTICE_MAX_DENOMINATOR:  # else limit_denominator returns x's own ratio
+            from fractions import Fraction  # only here: a cold import costs milliseconds
+
+            f = Fraction(x).limit_denominator(_LATTICE_MAX_DENOMINATOR)
+            if abs(float(f) - x) > _LATTICE_REL_TOL * max(1.0, abs(x)):
+                raise DomainError(f"value {x} is not on a recognizable integer lattice")
+            ratio = f.numerator, f.denominator
+        ratios.append(ratio)
     # the unit is the gcd of the numerators over the common denominator
-    denominator = math.lcm(*(f.denominator for f in fracs))
-    scaled = [f.numerator * (denominator // f.denominator) for f in fracs]
+    denominator = math.lcm(*(q for _, q in ratios))
+    scaled = [p * (denominator // q) for p, q in ratios]
     step = math.gcd(*scaled)
     if step == 0:
         raise DomainError("cannot derive a lattice unit from all-zero values")
@@ -220,7 +228,7 @@ def integer_lattice(values: Sequence[float]) -> tuple[tuple[int, ...], float]:
     if max(abs(u) for u in units) > _LATTICE_MAX_MULTIPLE:
         raise DomainError(
             f"values share no common unit within {_LATTICE_MAX_MULTIPLE} lattice steps")
-    return units, float(Fraction(step, denominator))
+    return units, step / denominator  # int / int rounds the exact quotient once
 
 
 def _finite_cuts(grid) -> list[float]:

@@ -399,6 +399,15 @@ def test_bad_cut_leaves_no_output_file(capsys, tmp_path, monkeypatch, grid, bad)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["epi", "--mean-demand", "5"], ["overlay", "--d-over-n", "5"]],
+                         ids=["epi", "overlay"])
+def test_nan_and_inf_cuts_name_the_same_cut_every_call(capsys, argv):
+    """A nan's place in a sorted set follows its hash; the message names the first cut given."""
+    grid = ["--linspace", "0", "inf", "3", "--grid", "1"]  # cuts 1, then nan, inf, inf
+    errors = {_run(capsys, [*argv, *grid])[2] for _ in range(200)}
+    assert errors == {f"aym {argv[0]}: error: grid cuts must be finite, got nan\n"}
+
+
 def test_enumerate_json(capsys):
     code, out, _ = _run(capsys, ["enumerate", "--levels", "1,2,3", "--n", "4", "--D", "8"])
     assert code == 0

@@ -240,6 +240,17 @@ def test_generalized_rejects_non_finite_c_times_n(levels, n, D, c):
             solve_generalized(EconomyParams(levels, n, D), c=c)
 
 
+@pytest.mark.parametrize("levels,n,D,c", [
+    ((1.0, 2.0, 3.0), 10.0, 17.0, 0.0),
+    ((1.0, 2.0, 3.0), 10.0, 17.0, 1.0),  # c n >= 1: the inner unknown is the pole distance
+    ((1.0, 2.0, 3.0), 4.0, 7.0, -0.5),
+])
+def test_multipliers_are_plain_floats(levels, n, D, c):
+    multipliers = solve_generalized(EconomyParams(levels, n, D), c).multipliers
+    assert [type(x) for x in (multipliers.nu, multipliers.beta, multipliers.c)] == [float] * 3
+    assert "np." not in repr(multipliers)
+
+
 @pytest.mark.parametrize("counts,expected", [
     ((1, 2, 1), math.log(12.0)),
     ((4, 0, 0), 0.0),

@@ -13,7 +13,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aym import (AymError, DomainViolation, EconomyParams, NoConvergence, solve_boltzmann,
@@ -229,3 +229,16 @@ def test_near_fill_bound_solves_end_in_typed_errors(levels, c, share, gap, bound
         solve_generalized(EconomyParams(levels, n, D), c, tol=tol)
     except AymError:
         pass
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-300, 1e280]))
+@example(8193, 1, 1.0)  # past numpy's 8,192-element buffer
+@example(100_001, 2, 1.0)
+def test_row_sums_of_a_pair_equal_the_one_dimensional_sums(g, seed, scale):
+    """The solver sums two per-sector vectors with one reduce over a (2, g) array's
+    rows; each row's sum is the bits of the pairwise sum of a fresh 1-D copy."""
+    rng = np.random.default_rng(seed)
+    pair = scale * np.exp(rng.uniform(-30.0, 30.0, (2, g))) * rng.choice([-1.0, 1.0], (2, g))
+    sums = np.add.reduce(pair, 1).tolist()
+    assert [s.hex() for s in sums] == [float(np.add.reduce(row.copy())).hex() for row in pair]

@@ -1,19 +1,25 @@
 """Equilibrium solves pinned bit for bit: every multiplier, occupation and residual.
 
-golden_solves.json holds about 200 seeded solves over c in {0, +-1e-6,
-+-0.5, +-1, 2}, g from 2 to 40, n from 1e-2 to 1e7 and tol 1e-10 and 0,
-plus c < 0 instances with D within 1e-12 to 1e-6 relative of a fill bound
-(some of which end in NoConvergence), instances one ulp either side of a
-fill bound, and short iteration budgets.  Each case stores the hex of nu,
-beta, every occupation and both residuals, or the error type and message.
-The file was recorded by running this module as a script on commit dab49db,
-before the solver core lost its per-step numpy wrappers and its Fraction
-fill bounds:
+golden_solves.json holds 214 solves over c in {0, +-1e-6, +-0.5, +-1,
+2}: seeded ones at g from 2 to 40, n from 1e-2 to 1e7 and tol 1e-10 and 0,
+Boltzmann solves at g 100 to 200, plus c < 0 instances with D within 1e-12
+to 1e-6 relative of a fill bound (some of which end in NoConvergence),
+instances one ulp either side of a fill bound, and short iteration
+budgets.  Each case stores the hex of nu, beta, every occupation and both
+residuals, or the error type and message.
+The first 191 cases were recorded by running this module as a script on
+commit dab49db, before the solver core lost its per-step numpy wrappers and
+its Fraction fill bounds:
 
     PYTHONPATH=src python tests/test_golden_solves.py tests/golden_solves.json
 
-Rerunning it on later code only shows what that code does; the pinned file
-is the reference.
+The last 23 cases were recorded the same way on commit 764167f, before the
+solver summed its per-sector terms in pairs and took the c = 0 inner root in
+closed form: 20 Boltzmann solves at g 100 to 200 and n 10 to 1e6, the sizes
+the benchmark solves, and 3 c = 0 instances where rounding leaves the closed
+form outside its floor, so the inner solve iterates.  The earlier cases
+were left as recorded.  Rerunning the script on later code only shows what
+that code does; the pinned file is the reference.
 """
 
 import json
@@ -76,6 +82,15 @@ def _cases():
         yield [1.0, 2.5, 4.0, 7.5], 1e4, 3.1e4, 0.5, 0.0, max_iter
     yield [1.0, 2.0, 3.0], 6.0, 21.0, 0.0, 1e-10, 200  # D/n on the hull: InfeasibleDemand
     yield [1.0, 2.0, 3.0], 100.0, 200.0, -1.0, 1e-10, 200  # n past g cap: DomainViolation
+    for k in range(20):  # Boltzmann at the benchmark's sizes: g 100-200, n 10-1e6
+        levels = ladder(rng.randint(100, 200))
+        n = math.exp(rng.uniform(math.log(10), math.log(1e6)))
+        D = n * (levels[0] + rng.uniform(0.05, 0.95) * (levels[-1] - levels[0]))
+        yield levels, n, D, 0.0, (1e-10, 0.0)[k % 2], 200
+    # c = 0 instances whose inner root t0 leaves sum n_i outside its floor by rounding
+    yield [23.278, 26.905, 27.23], 53607079.36633014, 1395192582.941803, 0.0, 1e-10, 200
+    yield [7.027, 8.659], 54940953.10577492, 412180002.37743855, 0.0, 0.0, 200
+    yield [25.614, 26.79], 65295927.1413028, 1723479745.041852, 0.0, 1e-10, 200
 
 
 def _hex(x):

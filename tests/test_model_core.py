@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -60,6 +61,17 @@ def test_validate_rejects_nonmonotone_levels():
 def test_validate_rejects_duplicate_levels():
     with pytest.raises(NonMonotoneLevels):
         validate(EconomyParams((1, 1, 3), 3, 6))
+
+
+def test_nonmonotone_message_names_the_first_falling_pair_of_a_long_ladder():
+    levels = [float(i) for i in range(1, 201)]
+    levels[-1] = levels[-2]  # only the last pair breaks
+    with pytest.raises(NonMonotoneLevels) as info:
+        validate(EconomyParams(tuple(levels), 3, 6))
+    assert str(info.value) == "levels must be strictly increasing, got 199.0 before 199.0"
+    with pytest.raises(NonMonotoneLevels) as info:
+        validate(EconomyParams((1.0, math.nan, 0.5, 0.25), 3, 6))
+    assert str(info.value) == "levels must be strictly increasing, got 1.0 before nan"
 
 
 def test_validate_rejects_empty_ladder():
@@ -272,6 +284,52 @@ def test_integer_lattice_rejects_irrational():
 def test_integer_lattice_rejects_all_zero():
     with pytest.raises(DomainError):
         integer_lattice((0.0, 0.0))
+
+
+def _reference_integer_lattice(values):
+    """integer_lattice's rule with every value through Fraction.limit_denominator, as it was
+    before exact binary fractions took their own ratio."""
+    fracs = []
+    for x in values:
+        x = float(x)
+        if not math.isfinite(x):
+            raise DomainError(f"lattice values must be finite, got {x}")
+        f = Fraction(x).limit_denominator(10**12)
+        if abs(float(f) - x) > 1e-9 * max(1.0, abs(x)):
+            raise DomainError(f"value {x} is not on a recognizable integer lattice")
+        fracs.append(f)
+    denominator = math.lcm(*(f.denominator for f in fracs))
+    scaled = [f.numerator * (denominator // f.denominator) for f in fracs]
+    step = math.gcd(*scaled)
+    if step == 0:
+        raise DomainError("cannot derive a lattice unit from all-zero values")
+    units = tuple(k // step for k in scaled)
+    if max(abs(u) for u in units) > 10**6:
+        raise DomainError("values share no common unit within 1000000 lattice steps")
+    return units, float(Fraction(step, denominator))
+
+
+_lattice_values = st.one_of(
+    st.integers(-10**7, 10**7).map(float),
+    st.builds(lambda k, j: k / 2**j, st.integers(-10**6, 10**6), st.integers(0, 45)),  # fast path
+    st.builds(lambda k, j: round(k / 10**j, j), st.integers(-10**6, 10**6), st.integers(0, 6)),
+    st.floats(-1e7, 1e7, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1 / 3, 2**-40, 2**-41, 1e-12, math.inf, math.nan]),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(_lattice_values, min_size=1, max_size=8))
+def test_integer_lattice_equals_the_fraction_rule(values):
+    try:
+        expected = _reference_integer_lattice(values)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as info:
+            integer_lattice(values)
+        assert str(info.value) == str(exc)
+    else:
+        units, unit = integer_lattice(values)
+        assert (units, unit.hex()) == (expected[0], expected[1].hex())
 
 
 def _reference_csv_text(header, rows):
