@@ -23,13 +23,15 @@ _EXPORTS = {
         "SolverError", "ValidationError",
     ),
     "model_core": (
-        "EconomyParams", "LadderRatio", "OccupationVector", "integer_lattice", "ladder_ratio",
-        "load_params", "make_ladder", "params_from_json", "params_to_json", "validate",
+        "EconomyParams", "LadderRatio", "OccupationVector", "ladder_ratio", "load_params",
+        "make_ladder", "params_from_json", "params_to_json", "validate",
+    ),
+    "lattice": (
+        "EnumerationResult", "enumerate_feasible", "integer_lattice", "log_multinomial_weight",
     ),
     "discrete_equilibrium": (
-        "EnumerationResult", "EquilibriumSolution", "Multipliers", "closed_form_ladder",
-        "enumerate_feasible", "ladder_limit_form", "log_multinomial_weight", "solve_boltzmann",
-        "solve_generalized",
+        "EquilibriumSolution", "Multipliers", "closed_form_ladder", "ladder_limit_form",
+        "solve_boltzmann", "solve_generalized",
     ),
     "occupation_sampler": (
         "ChainConfig", "SampleSummary", "merge_summaries", "run_chain",

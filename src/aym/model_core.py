@@ -32,9 +32,6 @@ from .errors import (
 # largest evaluation grid a caller may request: the verifier's grid_points and
 # a CLI --linspace count; a grid this size costs a few hundred MB at most
 MAX_GRID_POINTS = 10**6
-_LATTICE_REL_TOL = 1e-9  # integer_lattice: how close, relatively, a value must be to a fraction
-_LATTICE_MAX_DENOMINATOR = 10**12  # integer_lattice: the largest denominator of that fraction
-_LATTICE_MAX_MULTIPLE = 10**6  # integer_lattice: the most units any value may span
 _CHUNK_ROWS = 4096  # _csv_text: rows formatted at a time, a few hundred kB of text
 
 
@@ -194,41 +191,6 @@ def ladder_ratio(params: EconomyParams, delta_a: float | None = None) -> LadderR
     r_tilde = mean / width
     _check_ratio(r_tilde, 0.0, "r_tilde")
     return LadderRatio(r=r, r_tilde=r_tilde, delta_a=width)
-
-
-def integer_lattice(values: Sequence[float]) -> tuple[tuple[int, ...], float]:
-    """Express values as integer multiples of a common unit.
-
-    Returns (integer multiples, unit).  Raises DomainError when a value is
-    not recognizably rational, the set has no common unit (all zero), or
-    the implied lattice is finer than _LATTICE_MAX_MULTIPLE steps (a float is
-    always rational, so the multiple cap is what rejects irrational inputs).
-    """
-    ratios = []
-    for x in values:
-        x = float(x)
-        if not math.isfinite(x):
-            raise DomainError(f"lattice values must be finite, got {x}")
-        ratio = x.as_integer_ratio()
-        if ratio[1] > _LATTICE_MAX_DENOMINATOR:  # else limit_denominator returns x's own ratio
-            from fractions import Fraction  # only here: a cold import costs milliseconds
-
-            f = Fraction(x).limit_denominator(_LATTICE_MAX_DENOMINATOR)
-            if abs(float(f) - x) > _LATTICE_REL_TOL * max(1.0, abs(x)):
-                raise DomainError(f"value {x} is not on a recognizable integer lattice")
-            ratio = f.numerator, f.denominator
-        ratios.append(ratio)
-    # the unit is the gcd of the numerators over the common denominator
-    denominator = math.lcm(*(q for _, q in ratios))
-    scaled = [p * (denominator // q) for p, q in ratios]
-    step = math.gcd(*scaled)
-    if step == 0:
-        raise DomainError("cannot derive a lattice unit from all-zero values")
-    units = tuple(k // step for k in scaled)
-    if max(abs(u) for u in units) > _LATTICE_MAX_MULTIPLE:
-        raise DomainError(
-            f"values share no common unit within {_LATTICE_MAX_MULTIPLE} lattice steps")
-    return units, step / denominator  # int / int rounds the exact quotient once
 
 
 def _finite_cuts(grid) -> list[float]:

@@ -62,8 +62,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, NoFeasibleState
+from .lattice import _move_table, count_feasible, lattice_fibre
 from .model_core import EconomyParams, _csv_text, _state_text
-from .discrete_equilibrium import count_feasible, lattice_fibre
 
 RNG_ALGORITHM = "numpy:PCG64"
 
@@ -185,14 +185,6 @@ class SampleSummary:
         return _csv_text(("state", "frequency"),
                          ([_state_text(s) for s, _ in rows], [f for _, f in rows]),
                          ("%s", "%.17g"))
-
-
-def _move_table(units: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
-    """Index quadruples (i, i+k, j, j-k) of the demand-conserving moves, no-op swaps left out."""
-    g = len(units)
-    return tuple((i, i + k, j, j - k)
-                 for i in range(g) for k in range(1, g - i) for j in range(k, g)
-                 if j != i + k and units[j] - units[j - k] == units[i + k] - units[i])
 
 
 @lru_cache(maxsize=8)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -425,6 +426,18 @@ def test_enumerate_csv(capsys):
     assert "1;2;1,12," in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_oversized_weight_exits_2_at_once(capsys, monkeypatch, fmt):
+    # C(1e6, 5e5) has 301,027 digits: refused from its log weight, before math.comb builds it
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["enumerate", "--levels", "0,1", "--n", "1e6", "--D", "5e5",
+                                   "--format", fmt])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "int-to-str limit of 4300" in err
+
+
 def test_sample_json_summary(capsys):
     code, out, _ = _run(capsys, ["sample", "--levels", "1,2,3", "--n", "4", "--D", "8",
                                  "--steps", "4000", "--burn-in", "500", "--seed", "7"])
@@ -629,7 +642,8 @@ for argv in json.loads(sys.argv[1]):
         code = main(argv)
     loaded = sorted(name for name, module in sys.modules.items()
                     if name.split(".")[0] == "numpy" and module is not None)
-    runs.append([code, out.getvalue(), err.getvalue(), loaded])
+    own = sorted(name for name in sys.modules if name.startswith("aym."))
+    runs.append([code, out.getvalue(), err.getvalue(), loaded, own])
 print(json.dumps({"codes": codes, "all": sorted(aym.__all__), "missing": missing,
                   "environ_unchanged": dict(os.environ) == environ, "runs": runs}))
 """
@@ -657,8 +671,10 @@ def test_import_and_usage_paths_load_no_numpy(capsys):
     assert "no_such_name" in report["missing"]
     assert report["environ_unchanged"]
     assert len(report["runs"]) == len(NUMPY_FREE_CASES)
-    for (argv, expected), (code, out, err, loaded) in zip(NUMPY_FREE_CASES, report["runs"]):
+    for (argv, expected), (code, out, err, loaded, own) in zip(NUMPY_FREE_CASES, report["runs"]):
         assert loaded == [], argv
+        if argv[0] == "enumerate":  # these run first, so no solve has loaded the solver yet
+            assert "aym.lattice" in own and "aym.discrete_equilibrium" not in own, own
         assert code == expected, err
         # the same bytes as a run with numpy available
         assert [code, out, err] == list(_run(capsys, argv)), argv
@@ -672,7 +688,15 @@ def test_every_public_name_resolves():
     assert sorted(aym.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(aym))
     assert aym.solve_boltzmann is aym.discrete_equilibrium.solve_boltzmann
+    assert aym.enumerate_feasible is aym.lattice.enumerate_feasible
     assert not hasattr(aym, "no_such_name")
+
+
+def test_sampler_does_not_load_the_solver():
+    proc = _python("import sys, aym.occupation_sampler; "
+                   "print('aym.discrete_equilibrium' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 RUN_ENV_PROBE = """

@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 import sys
@@ -314,6 +315,32 @@ def test_negative_enumeration_cap_is_domain_error():
     with pytest.raises(InstanceTooLarge):
         enumerate_feasible(EconomyParams((1, 2, 3), 4, 8), max_vectors=0)
     assert enumerate_feasible(EconomyParams((2, 4), 3, 7), max_vectors=0).vectors == ()
+
+
+@pytest.fixture
+def digit_limit():
+    """sys.set_int_max_str_digits for one test, the process's limit restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+# two sectors, three sectors, and n = 1e300, where the lgamma log weights cancel
+# to nothing and the band around the limit is decided from the exact factors
+@pytest.mark.parametrize("levels,n,D", [((0, 1), 2200, 1100), ((1, 2, 3), 1500, 3000),
+                                        ((0, 1), 1e300, 15)])
+def test_weights_past_the_int_to_str_limit_raise(digit_limit, levels, n, D):
+    params = EconomyParams(levels, n, D)
+    digit_limit(0)  # no limit: no check
+    digits = len(str(max(enumerate_feasible(params).weights)))
+    digit_limit(digits)  # a weight of exactly the limit's digits still prints
+    result = enumerate_feasible(params)
+    assert result.to_csv() and json.dumps(result.to_json_dict())
+    digit_limit(digits - 1)
+    with pytest.raises(InstanceTooLarge, match=f"at least {digits} decimal digits.* {digits - 1} "):
+        enumerate_feasible(params)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, -0.5])

@@ -21,8 +21,8 @@ from aym import (
     merge_summaries,
     run_chain,
 )
-from aym.discrete_equilibrium import count_feasible, lattice_fibre
-from aym.occupation_sampler import _fibre_setup, _move_table
+from aym.lattice import _move_table, count_feasible, lattice_fibre
+from aym.occupation_sampler import _fibre_setup
 
 ORACLE_PARAMS = EconomyParams((1, 2, 3), 4, 8)
 ORACLE_FREQS = {(0, 4, 0): 1 / 19, (1, 2, 1): 12 / 19, (2, 0, 2): 6 / 19}

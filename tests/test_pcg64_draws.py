@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from aym import ChainConfig, DomainError, EconomyParams, make_ladder, run_chain
 from aym import occupation_sampler
-from aym.discrete_equilibrium import count_feasible, lattice_fibre
+from aym.lattice import count_feasible, lattice_fibre
 from aym.occupation_sampler import (
     RNG_ALGORITHM,
     SampleSummary,

@@ -1,4 +1,5 @@
-"""Property tests of the feasible-set count, the chain's move table and its irreducibility label.
+"""Property tests of the feasible-set count, the chain's move table and its irreducibility label,
+and of the lattice tables' CSV text.
 
 The fibre (the feasible set) is listed here by stars and bars.  The
 expected label is computed from it and a breadth-first search over pair
@@ -7,6 +8,8 @@ another down k sectors, and demand is conserved.  The caps are tried just
 below, at and just above the count.
 """
 
+import csv
+import io
 import itertools
 from collections import deque
 
@@ -23,8 +26,7 @@ from aym import (
     make_ladder,
     run_chain,
 )
-from aym.discrete_equilibrium import count_feasible
-from aym.occupation_sampler import _move_table
+from aym.lattice import _move_table, count_feasible
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -155,6 +157,35 @@ def test_move_table_is_closed_under_reversal(instance):
         assert units[up] - units[i] == units[j] - units[down]
         assert j != up
         assert (down, j, up, i) in entries
+
+
+@PROPERTY_SETTINGS
+@given(lattice_instances(), st.integers(0, 2 ** 64 - 1))
+def test_lattice_tables_round_trip_through_csv(instance, seed):
+    # each CSV row reads back, through csv, as the result's own fields, bit for bit, and
+    # as the JSON report's row in the same place
+    def rows(table):
+        header, *body = csv.reader(io.StringIO(table))
+        return header, [(tuple(map(int, state.split(";"))), *cells) for state, *cells in body]
+
+    params = EconomyParams(*instance)
+    result = enumerate_feasible(params)
+    header, body = rows(result.to_csv())
+    assert header == ["state", "weight", "log_weight"]
+    parsed = [(state, int(w), float(lw).hex()) for state, w, lw in body]
+    assert parsed == [(v.counts, w, lw.hex()) for v, w, lw in
+                      zip(result.vectors, result.weights, result.log_weights)]
+    assert parsed == [(tuple(row["counts"]), row["weight"], row["log_weight"].hex())
+                      for row in result.to_json_dict()["vectors"]]
+    if not result.vectors:
+        return
+    summary = run_chain(params, ChainConfig(steps=200, seed=seed))
+    header, body = rows(summary.to_csv())
+    assert header == ["state", "frequency"]
+    parsed = [(state, float(f).hex()) for state, f in body]
+    assert parsed == [(state, f.hex()) for state, f in sorted(summary.visit_frequencies.items())]
+    assert parsed == [(tuple(map(int, state.split(";"))), f.hex())
+                      for state, f in summary.to_json_dict()["visit_frequencies"].items()]
 
 
 def test_large_ladder_is_unchecked():
