@@ -83,12 +83,25 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     and t = nu + max(-beta a), n_i = 1/(exp(d_i - t) - c).  The inner unknown
     is an offset x from a start t0, n_i = 1/(E_i exp(-x) - c) with
     E_i = exp(d_i - t0) formed once per beta, so sum n_i can be tuned to the
-    rounding of the sum however large |t| is; t0 = ln n - ln sum exp(-d_i) is
-    the c = 0 root.  For c > 0 with c n >= 1 the inner unknown is ln s
-    instead, up to a shift, where s = -ln c - t > 0 is the distance to the
-    pole and n_i = 1/(c expm1(s + d_i)): near the pole t keeps too few digits
-    of s, while for small c n it is s that loses them.  max(-beta a) is the
+    rounding of the sum however large |t| is; t0 is the c = 0 root,
+    ln n - ln sum exp(-d_i), or the predicted root below.  For c > 0 with
+    c n >= 1 the inner unknown is ln s instead, up to a shift, where
+    s = -ln c - t > 0 is the distance to the pole and
+    n_i = 1/(c expm1(s + d_i)): near the pole t keeps too few digits of s,
+    while for small c n it is s that loses them.  max(-beta a) is the
     product at the first or the last level, since the levels rise.
+
+    For c != 0 every inner solve after the first starts on the tangent of
+    its root in beta (an Euler predictor): at fixed sum n_i, dnu/dbeta = m_w,
+    so the last outer step's nu + m_w (beta' - beta) predicts the root.  Off
+    the pole branch the predicted t is t0, so x stays small and keeps its
+    digits near the root; t0 is the c = 0 root when the prediction is not
+    finite or not below the pole.  On the pole branch the prediction is
+    mapped to x and clamped into [0, hi], with x = 0 when it is not finite.
+    For c > 0 off the pole branch the bracket ends at the pole,
+    x = -t0 - ln c, below which every n_i > 0, so a step from left of the
+    root bisects instead of crossing it; an evaluation where every n_i
+    underflows counts as left of the root.  c = 0 keeps the closed form.
 
     Sums come in pairs, each pair from one reduce over the rows of a (2, g)
     array, whose row sums have the bits of 1-D pairwise sums: (sum n_i,
@@ -153,6 +166,7 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     pair, moments = np.empty((2, g)), np.empty((2, g))
     occ, second = pair
     w = occ if c == 0 else second
+    tangent = None  # (nu, beta, m_w) at the last outer evaluation, for c != 0
 
     def root(f, x, lo, hi, what):
         """Root of the increasing f(x) -> (value, slope, done, result) inside [lo, hi]."""
@@ -181,17 +195,30 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
         z_max = (-beta * levels[0 if beta >= 0 else -1] if math.isfinite(beta)
                  else float(np.maximum.reduce(z)))
         d = z_max - z
+        x = 0.0
+        if tangent:  # start on the root's tangent in beta: dnu/dbeta = m_w at fixed sum n_i
+            nu, beta_before, m_w = tangent
+            nu += m_w * (beta - beta_before)
         if pole:
             s0 = math.log1p(g / (c * n))  # every n_i <= n/g at s = s0
             hi = math.log(s0 / math.log1p(1.0 / (c * n)))  # the top n_i alone is n here
+            if tangent:
+                s = -math.log(c) - nu - z_max  # the predicted distance to the pole
+                if s > 0 and s0 / s > 0:
+                    x = min(max(math.log(s0 / s), 0.0), hi)
 
             def occupations(x):
                 s = s0 * math.exp(-x)
                 np.divide(1.0, c * np.expm1(s + d), out=occ)
                 return s, -math.log(c) - s
         else:
-            t0 = math.log(n) - math.log(float(add(np.exp(-d))))  # the c = 0 root
-            hi, E = math.inf, np.exp(d - t0)
+            # the predicted root, unless it is not finite or past the pole; else the c = 0 root
+            if tangent and -math.inf < nu + z_max < (-math.log(c) if c > 0 else math.inf):
+                t0 = nu + z_max
+            else:
+                t0 = math.log(n) - math.log(float(add(np.exp(-d))))
+            # for c > 0 the pole is at x = -t0 - ln c: every n_i > 0 below it
+            hi, E = -t0 - math.log(c) if c > 0 else math.inf, np.exp(d - t0)
             if c == 0:  # x = 0 in closed form; iterate only if rounding misses the floor
                 np.divide(1.0, E, out=occ)
                 np.multiply(a, occ, out=second)
@@ -208,12 +235,15 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
             # the second row: a_i n_i at c = 0, else w_i = n_i (1 + c n_i)
             np.multiply(a if c == 0 else 1.0 + c * occ, occ, out=second)
             N, S = add(pair, 1).tolist()
+            if N == 0:  # every n_i underflowed: left of the root, with no slope to follow
+                return -math.inf, math.nan, False, None
             W = N if c == 0 else S
             return math.log(N / n), W * dt_dx / N, abs(N - n) <= floor_n, (t - z_max, N, S)
 
-        return root(f, 0.0, 0.0 if pole else -math.inf, hi, "sum n_i")
+        return root(f, x, 0.0 if pole else -math.inf, hi, "sum n_i")
 
     def outer(beta):
+        nonlocal tangent
         nu, N, S = inner(beta)
         if c == 0:
             M, W, aw = S, N, S
@@ -221,6 +251,7 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
             np.multiply(a, pair, out=moments)
             M, aw = add(moments, 1).tolist()
             W = S
+            tangent = nu, beta, aw / W
         dv = a - aw / W  # the deviations from the w-weighted mean level
         V = float(add(dv * dv * w))
         done = abs(M - D) <= max(tol, 4 * eps * (g * D + abs(beta) * V))

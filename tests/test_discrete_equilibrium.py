@@ -375,6 +375,59 @@ def test_exhausted_budget_raises_no_convergence(solve, max_iter):
     assert f"after {max_iter} iterations" in str(info.value)
 
 
+def _count_divides(monkeypatch):
+    """Count np.divide calls: one per inner evaluation, one per c = 0 closed-form step."""
+    calls = []
+    divide = np.divide
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(np, "divide", counted)
+    return calls
+
+
+@pytest.mark.parametrize("levels,n,D,c,most", [
+    ((1, 2, 3, 4, 5), 1000, 4800, 1.0, 28),  # 53 from the c = 0 root at every beta
+    ((0, 1), 100, 25, 1.0, 15),  # 21
+    ((1, 2, 3, 4, 5, 6), 3, 10, -1.0, 9),  # 24
+    ((1, 2, 3, 4, 5, 6, 7, 8), 6, 30, -0.5, 14),  # 20
+    ((1, 2, 3), 10, 17, 0.5, 12),  # 21
+])
+def test_inner_solves_start_on_the_tangent_of_their_root(monkeypatch, levels, n, D, c, most):
+    calls = _count_divides(monkeypatch)
+    sol = solve_generalized(EconomyParams(levels, n, D), c)
+    assert len(calls) <= most
+    assert max(sol.residuals) <= TOL
+
+
+@pytest.mark.parametrize("levels,n,D,count", [
+    ((1, 2, 3), 10, 17, 5),
+    ((1, 2, 3, 4, 5), 1000, 4800, 8),
+    ((7.027, 8.659), 54940953.10577492, 412180002.37743855, 9),  # the closed form misses its floor
+])
+def test_boltzmann_solves_keep_their_evaluation_count(monkeypatch, levels, n, D, count):
+    calls = _count_divides(monkeypatch)
+    solve_boltzmann(EconomyParams(levels, n, D))
+    assert len(calls) == count
+
+
+def test_c_below_one_over_n_solves_below_the_pole():
+    # measured from the c = 0 root and with no upper end to the inner bracket, a
+    # tangent start left of the root stepped past the pole t = -ln c on this
+    # instance, and math.log(N / n) raised ValueError
+    levels, n, D = (2.565, 5.551, 6.566, 7.834, 7.993), 305390.93472214934, 832018.851135116
+    sol = solve_generalized(EconomyParams(levels, n, D), c=1e-6, tol=0.0)
+    assert all(x > 0 for x in sol.occupations)
+    w = [x + 1e-6 * x * x for x in sol.occupations]
+    m_w = math.fsum(map(operator.mul, levels, w)) / math.fsum(w)
+    V = math.fsum(wi * (a - m_w) ** 2 for a, wi in zip(levels, w))
+    g, eps = len(levels), sys.float_info.epsilon
+    assert sol.residuals[0] <= 4 * eps * g * n
+    assert sol.residuals[1] <= 4 * eps * (g * D + abs(sol.multipliers.beta) * V)
+
+
 def test_zero_tolerance_means_the_float_floor():
     sol = solve_boltzmann(EconomyParams((1, 2, 5, 7), 40, 130), tol=0.0)
     assert max(sol.residuals) < 1e-12

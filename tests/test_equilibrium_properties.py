@@ -231,6 +231,26 @@ def test_near_fill_bound_solves_end_in_typed_errors(levels, c, share, gap, bound
         pass
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(ladders().map(lambda levels: tuple(a + 0.5 for a in levels)),
+       st.sampled_from([-1e-6, -1e-3, -0.5, -1.0, -3.0]), log_uniform(1e-12, 1e-2),
+       log_uniform(1e-15, 1e-3), st.sampled_from(["lo", "hi"]), st.sampled_from([1e-10, 0.0]))
+def test_nearly_full_solves_near_a_fill_bound_end_in_typed_errors(levels, c, space, gap,
+                                                                    bound, tol):
+    """n within 1e-12 to 1e-2 relative of the cap g/|c|, D near a fill bound: a result or an AymError.
+
+    Every sector is then near its cap, where sum n_i flattens in nu, so an
+    inner start right of the root can overshoot to where every n_i underflows.
+    """
+    n = (1.0 - space) * len(levels) / -c
+    lo, hi = fill_bounds(levels, n, -1.0 / c)
+    D = lo * (1.0 + gap) if bound == "lo" else hi * (1.0 - gap)
+    try:
+        solve_generalized(EconomyParams(levels, n, D), c, tol=tol)
+    except AymError:
+        pass
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-300, 1e280]))
 @example(8193, 1, 1.0)  # past numpy's 8,192-element buffer

@@ -1,11 +1,10 @@
 """Equilibrium solves pinned bit for bit: every multiplier, occupation and residual.
 
-golden_solves.json holds 214 solves over c in {0, +-1e-6, +-0.5, +-1,
+golden_solves.json holds 216 solves over c in {0, +-1e-6, +-0.5, +-1,
 2}: seeded ones at g from 2 to 40, n from 1e-2 to 1e7 and tol 1e-10 and 0,
 Boltzmann solves at g 100 to 200, plus c < 0 instances with D within 1e-12
-to 1e-6 relative of a fill bound (some of which end in NoConvergence),
-instances one ulp either side of a fill bound, and short iteration
-budgets.  Each case stores the hex of nu, beta, every occupation and both
+to 1e-6 relative of a fill bound, instances one ulp either side of a fill
+bound, and short iteration budgets.  Each case stores the hex of nu, beta, every occupation and both
 residuals, or the error type and message.
 The first 191 cases were recorded by running this module as a script on
 commit dab49db, before the solver core lost its per-step numpy wrappers and
@@ -18,14 +17,30 @@ solver summed its per-sector terms in pairs and took the c = 0 inner root in
 closed form: 20 Boltzmann solves at g 100 to 200 and n 10 to 1e6, the sizes
 the benchmark solves, and 3 c = 0 instances where rounding leaves the closed
 form outside its floor, so the inner solve iterates.  The earlier cases
-were left as recorded.  Rerunning the script on later code only shows what
-that code does; the pinned file is the reference.
+were left as recorded.
+
+Every c != 0 case was then re-recorded the same way, after commit 3d17e62,
+once each inner solve started on the tangent of its root in beta, measured
+from that predicted root, instead of at the c = 0 root: 160
+successes moved in their last bits, case 188 (max_iter 3) kept its error
+with a new distance in its message, and the four near-bound c < 0 cases
+that ended in NoConvergence (163, 164, 174 and 175) now converge.  The 44
+c = 0 cases and every DomainViolation and InfeasibleDemand case kept their
+bits.  Two c < 0 cases with budgets too short for the first inner solve
+(max_iter 1 and 3) were added at the end, recorded the same way; they end
+as they did before that change.
+
+Rerunning the script on later code only shows what that code does; the
+pinned file is the reference.  Every pinned success must also meet the
+solver's documented stop rule, checked with exact sums of its occupations.
 """
 
 import json
 import math
 import random
 import sys
+from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -91,6 +106,8 @@ def _cases():
     yield [23.278, 26.905, 27.23], 53607079.36633014, 1395192582.941803, 0.0, 1e-10, 200
     yield [7.027, 8.659], 54940953.10577492, 412180002.37743855, 0.0, 0.0, 200
     yield [25.614, 26.79], 65295927.1413028, 1723479745.041852, 0.0, 1e-10, 200
+    for max_iter in (1, 3):  # a c < 0 budget too short for the first inner solve
+        yield [1.0, 2.5, 4.0, 7.5], 3.0, 10.0, -1.0, 0.0, max_iter
 
 
 def _hex(x):
@@ -121,6 +138,30 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8")) if GOLDEN_PATH.exis
 def test_solve_matches_golden_bit_for_bit(case):
     *args, outcome = case
     assert _outcome(*args) == outcome
+
+
+SUCCESSES = [(k, case) for k, case in enumerate(GOLDEN) if "error" not in case[-1]]
+
+
+@pytest.mark.parametrize("case", [case for _, case in SUCCESSES],
+                         ids=[f"{k:03d}-c={case[3]}-g={len(case[0])}" for k, case in SUCCESSES])
+def test_pinned_success_meets_the_stop_rule(case):
+    """|sum n_i - n| <= 4 eps g n and |sum a_i n_i - D| <= max(tol, 4 eps (g D + |beta| V)).
+
+    The sums are exact sums of the pinned occupations.  V = sum w_i (a_i - m_w)^2
+    is recomputed here, so its floor gets 1% for the rounding of V.
+    """
+    levels, n, D, c, tol, _, outcome = case
+    g, eps = len(levels), sys.float_info.epsilon
+    occ = [float.fromhex(x) for x in outcome["occupations"]]
+    beta = float.fromhex(outcome["beta"])
+    w = [x + c * x * x for x in occ]
+    m_w = math.fsum(map(mul, levels, w)) / math.fsum(w)
+    V = math.fsum(wi * (a - m_w) ** 2 for a, wi in zip(levels, w))
+    N = sum(map(Fraction, occ))
+    M = sum(map(mul, map(Fraction, levels), map(Fraction, occ)))
+    assert abs(N - Fraction(n)) <= 4 * eps * g * n
+    assert abs(M - Fraction(D)) <= max(tol, 1.01 * 4 * eps * (g * D + abs(beta) * V))
 
 
 def test_golden_file_covers_every_form_and_ending():
