@@ -26,6 +26,9 @@ moves from the start state (moves never leave the set) must reach it all.
 The search keys a state by its digits in base n+1, so a move adds a fixed
 delta to the key.
 
+A summary keeps what its chain counted (recorded visits per state, steps,
+accepted moves) and derives the rest, so a merge adds integers and is exact.
+
 Chains are deterministic given (params, config): the generator is numpy's
 PCG64 seeded with config.seed, recorded in the summary as "numpy:PCG64".
 Pcg64Draws reads its raw 64-bit words in blocks and decodes them exactly as
@@ -64,8 +67,6 @@ import numpy as np
 from .errors import DomainError, NoFeasibleState
 from .lattice import _move_table, count_feasible, lattice_fibre
 from .model_core import EconomyParams, _csv_text, _state_text
-
-RNG_ALGORITHM = "numpy:PCG64"
 
 IRREDUCIBILITY_VERIFIED = "verified"
 IRREDUCIBILITY_FAILED = "failed"
@@ -152,22 +153,42 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class SampleSummary:
-    """Recorded-state statistics of one (or one merged group of) chain(s).
+    """What one chain (or one merged group of chains) counted, and what follows from it.
 
-    visit_frequencies maps occupation tuples to empirical probabilities
-    (they sum to 1); irreducibility is "verified" / "failed" when the
+    visit_counts maps occupation tuples to recorded steps, in first-record
+    order; steps and accepted count the steps and the accepted moves, so
+    acceptance_rate is accepted / steps (0.0 when the move table is empty;
+    a step whose drawn move would empty a sector counts as rejected).
+    sample_count, visit_frequencies (they sum to 1) and mean_occupation are
+    read from visit_counts.  irreducibility is "verified" / "failed" when the
     feasible set has at most max_enumeration states, "unchecked" when it has
     more (an honest warning flag: connectivity was not tested, not failed).
-    acceptance_rate is accepted moves per step (0.0 when the move table is
-    empty); a step whose drawn move would empty a sector counts as rejected.
     """
 
-    visit_frequencies: dict[tuple[int, ...], float]
-    mean_occupation: tuple[float, ...]
-    acceptance_rate: float
-    sample_count: int
-    rng_algorithm: str
+    visit_counts: dict[tuple[int, ...], int]
+    steps: int
+    accepted: int
     irreducibility: str
+    rng_algorithm = "numpy:PCG64"  # the one generator; see Pcg64Draws
+
+    @property
+    def sample_count(self) -> int:
+        return sum(self.visit_counts.values())
+
+    @property
+    def visit_frequencies(self) -> dict[tuple[int, ...], float]:
+        recorded = self.sample_count
+        return {s: cnt / recorded for s, cnt in self.visit_counts.items()}
+
+    @property
+    def mean_occupation(self) -> tuple[float, ...]:
+        recorded, g = self.sample_count, len(next(iter(self.visit_counts)))
+        return tuple(sum(cnt * s[k] for s, cnt in self.visit_counts.items()) / recorded
+                     for k in range(g))
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted / self.steps
 
     def to_json_dict(self) -> dict:
         freqs = {_state_text(state): freq for state, freq in sorted(self.visit_frequencies.items())}
@@ -318,46 +339,23 @@ def run_chain(params: EconomyParams, config: ChainConfig,
         else:
             visits, accepted = _walk(table, start, config, draws)
 
-    recorded = sum(visits.values())
-    freqs = {s: cnt / recorded for s, cnt in visits.items()}
-    return SampleSummary(
-        visit_frequencies=freqs,
-        mean_occupation=tuple(sum(cnt * s[k] for s, cnt in visits.items()) / recorded
-                              for k in range(params.g)),
-        acceptance_rate=accepted / config.steps,
-        sample_count=recorded,
-        rng_algorithm=RNG_ALGORITHM,
-        irreducibility=irreducibility,
-    )
+    return SampleSummary(visits, config.steps, accepted, irreducibility)
 
 
 def merge_summaries(summaries: list[SampleSummary]) -> SampleSummary:
-    """Associative merge: frequencies and means averaged by sample count; the summaries
-    must have equal sector counts (DomainError otherwise)."""
+    """Exact merge: visit counts, steps and accepted moves add up, so merging is associative
+    and commutative; the summaries must have equal sector counts (DomainError otherwise)."""
     if not summaries:
         raise DomainError("nothing to merge")
-    g = len(summaries[0].mean_occupation)
-    other = next((len(s.mean_occupation) for s in summaries if len(s.mean_occupation) != g), g)
+    g, *rest = (len(next(iter(s.visit_counts))) for s in summaries)
+    other = next((k for k in rest if k != g), g)
     if other != g:
         raise DomainError(f"cannot merge chains with {g} and {other} sectors")
-    total = sum(s.sample_count for s in summaries)
-    freqs: dict[tuple[int, ...], float] = {}
+    visits: Counter = Counter()
     for s in summaries:
-        for state, f in s.visit_frequencies.items():
-            freqs[state] = freqs.get(state, 0.0) + f * (s.sample_count / total)
-    mean = tuple(
-        sum(s.mean_occupation[j] * s.sample_count for s in summaries) / total
-        for j in range(g)
-    )
-    acceptance = sum(s.acceptance_rate * s.sample_count for s in summaries)
+        visits.update(s.visit_counts)
     flags = {s.irreducibility for s in summaries}
     merged_irr = next((label for label in (IRREDUCIBILITY_FAILED, IRREDUCIBILITY_UNCHECKED)
                        if label in flags), IRREDUCIBILITY_VERIFIED)
-    return SampleSummary(
-        visit_frequencies=freqs,
-        mean_occupation=mean,
-        acceptance_rate=acceptance / total,
-        sample_count=total,
-        rng_algorithm=summaries[0].rng_algorithm,
-        irreducibility=merged_irr,
-    )
+    return SampleSummary(dict(visits), sum(s.steps for s in summaries),
+                         sum(s.accepted for s in summaries), merged_irr)

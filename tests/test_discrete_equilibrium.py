@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aym import (
     DomainError,
@@ -267,6 +269,59 @@ def test_log_multinomial_weight_large_counts():
     value = log_multinomial_weight(OccupationVector((m, m)))
     # Stirling: ln C(2m, m) ~ 2m ln 2 - 0.5 ln(pi m)
     assert value == pytest.approx(2 * m * math.log(2) - 0.5 * math.log(math.pi * m), rel=1e-9)
+
+
+LOG_WEIGHT_BOUND = 2.0 ** -46  # log_multinomial_weight's error per unit of max(1, ln w)
+
+
+def _exact_log_weight(counts):
+    """ln n!/prod n_i! to 50 digits, from the exact integer weight."""
+    mpmath = pytest.importorskip("mpmath")
+    weight, total = 1, 0
+    for k in counts:
+        total += k
+        weight *= math.comb(total, k)
+    with mpmath.workdps(50):
+        return mpmath.log(weight)
+
+
+def _assert_log_weight_within_bound(counts):
+    exact = _exact_log_weight(counts)
+    value = log_multinomial_weight(OccupationVector(tuple(counts)))
+    assert abs(value - exact) <= LOG_WEIGHT_BOUND * max(1, exact), (counts, value, exact)
+
+
+@st.composite
+def split_counts(draw, total):
+    """total workers over 1-8 sectors, at random cuts."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=7)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(0, 200).flatmap(split_counts))
+def test_log_weight_keeps_its_digits_on_small_economies(counts):
+    _assert_log_weight_within_bound(counts)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 50).flatmap(split_counts), st.integers(0, 10 ** 18 - 50), st.data())
+def test_log_weight_keeps_its_digits_when_one_sector_holds_nearly_all(rest, big, data):
+    # all but 1-50 of up to 1e18 workers in one sector: lgamma(n + 1) is about n ln n there
+    counts = list(rest)
+    counts.insert(data.draw(st.integers(0, len(rest))), big)
+    _assert_log_weight_within_bound(counts)
+
+
+@pytest.mark.parametrize("counts, expected", [
+    ((10 ** 17 - 1, 1), 39.14394658089878),  # once 0.0
+    ((10 ** 15 - 1, 1), 34.538776394910684),  # once 32.0
+    ((10 ** 9 - 2, 2), 40.75338449233288),  # once 40.75338363647461
+])
+def test_log_weight_of_a_nearly_full_sector(counts, expected):
+    assert log_multinomial_weight(OccupationVector(counts)) == pytest.approx(
+        expected, rel=LOG_WEIGHT_BOUND)
+    _assert_log_weight_within_bound(counts)
 
 
 def test_enumeration_oracle_instance():

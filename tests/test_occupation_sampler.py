@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from aym import (
@@ -347,9 +349,47 @@ def test_merge_is_associative():
             right.visit_frequencies[state], abs=1e-14)
 
 
+# small fibres of 3 sectors: verified, failed (not irreducible) and unchecked under cap 2
+MERGE_FIBRES = [(ORACLE_PARAMS, 200_000), (EconomyParams((1, 2, 3), 8, 16), 200_000),
+                (EconomyParams((1, 2, 4), 8, 20), 200_000), (ORACLE_PARAMS, 2)]
+
+
+@st.composite
+def short_chains(draw):
+    """A summary of a chain of 1-300 steps on one of MERGE_FIBRES."""
+    params, cap = draw(st.sampled_from(MERGE_FIBRES))
+    steps = draw(st.integers(1, 300))
+    config = ChainConfig(steps, draw(st.integers(0, steps - 1)),
+                         draw(st.integers(0, 2 ** 64 - 1)), draw(st.integers(1, 9)))
+    return run_chain(params, config, cap)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(short_chains(), short_chains(), short_chains())
+def test_merge_is_exact_associative_and_commutative(a, b, c):
+    assert merge_summaries([a]) == a
+    assert merge_summaries([a, b]) == merge_summaries([b, a])
+    whole = merge_summaries([a, b, c])
+    assert merge_summaries([merge_summaries([a, b]), c]) == whole
+    assert merge_summaries([a, merge_summaries([b, c])]) == whole
+    assert merge_summaries([c, a, b]) == whole
+    assert whole.acceptance_rate == (a.accepted + b.accepted + c.accepted) / (
+        a.steps + b.steps + c.steps)
+    assert whole.sample_count == a.sample_count + b.sample_count + c.sample_count
+
+
+def test_merged_acceptance_rate_is_accepted_moves_per_step():
+    # 325 and 311 accepted moves in 1,000 steps each; weighting each rate by its
+    # recorded samples (1,000 and 100) gave 0.32373 instead of 636 / 2,000
+    plain = run_chain(SMALL_LADDER_PARAMS, ChainConfig(steps=1_000, seed=3))
+    thinned = run_chain(SMALL_LADDER_PARAMS, ChainConfig(steps=1_000, seed=4, thin=10))
+    assert (plain.accepted, thinned.accepted, thinned.sample_count) == (325, 311, 100)
+    assert merge_summaries([plain, thinned]).acceptance_rate == 0.318
+
+
 def test_merge_labels_failed_over_unchecked_over_verified():
     def summary(label):
-        return SampleSummary({(1, 2, 1): 1.0}, (1.0, 2.0, 1.0), 0.5, 10, "numpy:PCG64", label)
+        return SampleSummary({(1, 2, 1): 10}, 20, 10, label)
 
     verified, unchecked, failed = map(summary, ("verified", "unchecked", "failed"))
     assert merge_summaries([verified, verified]).irreducibility == "verified"
@@ -368,9 +408,8 @@ def test_summary_serialization():
 
 
 def test_merge_rejects_chains_with_different_sector_counts():
-    three = SampleSummary({(1, 2, 1): 1.0}, (1.0, 2.0, 1.0), 0.5, 10, "numpy:PCG64", "verified")
-    four = SampleSummary({(1, 1, 1, 1): 1.0}, (1.0, 1.0, 1.0, 1.0), 0.5, 10, "numpy:PCG64",
-                         "verified")
+    three = SampleSummary({(1, 2, 1): 10}, 20, 10, "verified")
+    four = SampleSummary({(1, 1, 1, 1): 10}, 20, 10, "verified")
     with pytest.raises(DomainError, match="3 and 4 sectors"):
         merge_summaries([three, four])
     with pytest.raises(DomainError, match="4 and 3 sectors"):

@@ -19,13 +19,7 @@ from hypothesis import strategies as st
 from aym import ChainConfig, DomainError, EconomyParams, make_ladder, run_chain
 from aym import occupation_sampler
 from aym.lattice import count_feasible, lattice_fibre
-from aym.occupation_sampler import (
-    RNG_ALGORITHM,
-    SampleSummary,
-    Pcg64Draws,
-    _RAW_BLOCK,
-    _fibre_setup,
-)
+from aym.occupation_sampler import Pcg64Draws, _RAW_BLOCK, _fibre_setup
 
 SEEDS = (0, 1, 2 ** 64 - 1)
 BOUNDS = (1, 2, 3, 20, 240, 2 ** 31 + 1, 2 ** 32 - 1)
@@ -75,8 +69,13 @@ def test_bound_outside_32_bits_is_rejected(m):
 
 
 def generator_chain(params: EconomyParams, config: ChainConfig,
-                    max_enumeration: int = 200_000) -> SampleSummary:
-    """run_chain as it was with one Generator call per draw: the reference."""
+                    max_enumeration: int = 200_000) -> tuple[dict, list]:
+    """run_chain as it was with one Generator call per draw: the reference.
+
+    Returns the summary's expected JSON dict and its states in first-record
+    order, with the frequencies, means and rate computed here, not read
+    from a SampleSummary.
+    """
     table, start, irreducibility, *_ = _fibre_setup(*lattice_fibre(params), max_enumeration)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -98,23 +97,24 @@ def generator_chain(params: EconomyParams, config: ChainConfig,
             visits[tuple(state)] += 1
 
     recorded = sum(visits.values())
-    freqs = {s: cnt / recorded for s, cnt in visits.items()}
-    return SampleSummary(
-        visit_frequencies=freqs,
-        mean_occupation=tuple(sum(cnt * s[k] for s, cnt in visits.items()) / recorded
-                              for k in range(params.g)),
-        acceptance_rate=accepted / config.steps,
-        sample_count=recorded,
-        rng_algorithm=RNG_ALGORITHM,
-        irreducibility=irreducibility,
-    )
+    return {
+        "rng_algorithm": "numpy:PCG64",
+        "irreducibility": irreducibility,
+        "sample_count": recorded,
+        "acceptance_rate": accepted / config.steps,
+        "mean_occupation": [sum(cnt * s[k] for s, cnt in visits.items()) / recorded
+                            for k in range(params.g)],
+        "visit_frequencies": {";".join(map(str, s)): visits[s] / recorded
+                              for s in sorted(visits)},
+    }, list(visits)
 
 
 def _assert_same_chain(params, config, cap=200_000):
-    got, want = run_chain(params, config, cap), generator_chain(params, config, cap)
-    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
-    assert list(got.visit_frequencies) == list(want.visit_frequencies)
-    assert got.mean_occupation == want.mean_occupation
+    got = run_chain(params, config, cap)
+    want, order = generator_chain(params, config, cap)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want)
+    assert list(got.visit_frequencies) == list(got.visit_counts) == order
+    assert list(got.mean_occupation) == want["mean_occupation"]
 
 
 LONG_CHAINS = [
