@@ -77,7 +77,10 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     solve finds beta: with nu following the inner root, sum a_i n_i falls
     strictly in beta, with slope minus V = sum w_i (a_i - m_w)^2, m_w the
     w-weighted mean level.  beta = 0 is tried first, so flat demand returns
-    beta = 0 exactly.
+    beta = 0 exactly.  The outer step is Halley's, the Newton step divided
+    by 1 - f f''/(2 f'^2), when that factor lies in [1/2, 2], and Newton's
+    otherwise: f = D - sum a_i n_i, f' = V and f'' = -sum w'_i (a_i - m_w)^3,
+    w'_i = dw_i/dnu = w_i (1 + 2 c n_i), so the steps converge cubically.
 
     Exponents are shifted by their maximum: with d_i = beta a_i - min(beta a)
     and t = nu + max(-beta a), n_i = 1/(exp(d_i - t) - c).  The inner unknown
@@ -101,15 +104,32 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     For c > 0 off the pole branch the bracket ends at the pole,
     x = -t0 - ln c, below which every n_i > 0, so a step from left of the
     root bisects instead of crossing it; an evaluation where every n_i
-    underflows counts as left of the root.  c = 0 keeps the closed form.
+    underflows counts as left of the root.  The first inner solve, at
+    beta = 0, needs no prediction: every n_i is n/g there, so off the pole
+    branch it starts at its exact root x = -ln(1 + c n/g) and meets its
+    floor in one evaluation, unless c n/g = -1 (n = g/|c|, every sector at
+    its cap), where x = 0 is the start.  c = 0 keeps the closed form.
 
     Sums come in pairs, each pair from one reduce over the rows of a (2, g)
     array, whose row sums have the bits of 1-D pairwise sums: (sum n_i,
-    sum w_i) in the inner solve and (sum a_i n_i, sum a_i w_i) in the outer
-    one.  At c = 0, where w_i = n_i, the inner root is t0 itself, so n_i =
-    1/E_i is taken directly and the pair is (sum n_i, sum a_i n_i); the inner
-    solve iterates from x = 0 only when rounding leaves sum n_i outside its
-    floor below.
+    sum w_i) in the inner solve, then (sum a_i n_i, sum a_i w_i) and
+    (V, sum w'_i (a_i - m_w)^3) in the outer one.  At c = 0, where w_i = n_i,
+    the inner root is t0 itself, so n_i = 1/E_i is taken directly and the
+    pair is (sum n_i, sum a_i n_i); the inner solve iterates from x = 0 only
+    when rounding leaves sum n_i outside its floor below.
+
+    At c = 0 the outer solve needs no occupations until it stops.  At the
+    inner root n_i = n u_i / S_0 with u_i = exp(-beta a_i - max(-beta a)),
+    so each outer evaluation is one exp, one product with a (4, g) array
+    built once, whose rows are the powers 0..3 of b_i = a_i - D/n (scaled by
+    a power of two, so none overflows), and one reduce over its rows:
+    S_k = sum u_i b_i^k.  With m_k = S_k / S_0, f = -n m_1,
+    V = n (m_2 - m_1^2) and f'' = -n (m_3 - 3 m_2 m_1 + 2 m_1^3).  Centred at
+    D/n, m_1 is near 0 at the root, where V then loses no digits.  Once
+    that f is within the floor below, the closed-form inner solve gives the
+    occupations, and the stop rule is decided on their own sums, with V
+    taken from their deviations from the mean level; if they miss it, the
+    iteration goes on from those true values.
 
     Feasibility is settled before iterating.  tol must be finite and
     non-negative, c n^2 finite and n/g at least the smallest normal float
@@ -162,24 +182,46 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     pole = c > 0 and c * n >= 1
     floor_n = 4 * eps * g * n
     # terms summed in pairs, each pair by one row-wise reduce: (n_i, w_i), or
-    # (n_i, a_i n_i) at c = 0, where w_i = n_i; then (a_i n_i, a_i w_i) for c != 0
+    # (n_i, a_i n_i) at c = 0, where w_i = n_i; then (a_i n_i, a_i w_i) and
+    # (w_i dv_i^2, w'_i dv_i^3) for c != 0
     pair, moments = np.empty((2, g)), np.empty((2, g))
-    occ, second = pair
-    w = occ if c == 0 else second
+    occ, second = pair  # second holds w_i = n_i (1 + c n_i) for c != 0
     tangent = None  # (nu, beta, m_w) at the last outer evaluation, for c != 0
+    if c == 0:
+        # rows k = 0..3 hold b_i^k, b_i = (a_i - D/n)/scale, scale a power of two with
+        # |b_i| < 2: no power overflows, and the moments keep the bits of unscaled ones
+        scale = math.ldexp(1.0, math.frexp(max(D / n - levels[0], levels[-1] - D / n))[1] - 1)
+        powers, terms, u = np.empty((4, g)), np.empty((4, g)), np.empty(g)
+        powers[0] = 1.0
+        b = np.subtract(a, D / n, out=powers[1])
+        b /= scale
+        np.multiply(b, b, out=powers[2])
+        np.multiply(powers[2], b, out=powers[3])
+        gaps = a - levels[0], a - levels[-1]  # -beta a_i - z_max = -beta (a_i - a_end)
 
     def root(f, x, lo, hi, what):
-        """Root of the increasing f(x) -> (value, slope, done, result) inside [lo, hi]."""
+        """Root of the increasing f(x) -> (value, slope, curve, done, result) inside [lo, hi].
+
+        curve is f'', or 0 for none: the Newton step is divided by 1 - f f''/(2 f'^2)
+        (Halley's step) when that factor lies in [1/2, 2].
+        """
         moved, value = math.inf, math.nan
         for _ in range(max_iter):
-            value, slope, done, result = f(x)
+            value, slope, curve, done, result = f(x)
             if done:
                 return result
             if value < 0:
                 lo = x
             else:
                 hi = x
-            new = x - value / slope if slope > 0 else math.nan
+            new = math.nan
+            if slope > 0:
+                step = value / slope
+                if curve:
+                    factor = 1.0 - 0.5 * step * curve / slope
+                    if 0.5 <= factor <= 2.0:
+                        step /= factor
+                new = x - step
             if math.isfinite(hi - lo):
                 if not (lo < new < hi and abs(new - x) <= 0.5 * abs(moved)):
                     new = 0.5 * (lo + hi)
@@ -217,6 +259,8 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
                 t0 = nu + z_max
             else:
                 t0 = math.log(n) - math.log(float(add(np.exp(-d))))
+                if c and beta == 0 and c * n / g > -1:  # each n_i = n/g: the root is exact
+                    x = -math.log1p(c * n / g)
             # for c > 0 the pole is at x = -t0 - ln c: every n_i > 0 below it
             hi, E = -t0 - math.log(c) if c > 0 else math.inf, np.exp(d - t0)
             if c == 0:  # x = 0 in closed form; iterate only if rounding misses the floor
@@ -236,26 +280,39 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
             np.multiply(a if c == 0 else 1.0 + c * occ, occ, out=second)
             N, S = add(pair, 1).tolist()
             if N == 0:  # every n_i underflowed: left of the root, with no slope to follow
-                return -math.inf, math.nan, False, None
+                return -math.inf, math.nan, 0.0, False, None
             W = N if c == 0 else S
-            return math.log(N / n), W * dt_dx / N, abs(N - n) <= floor_n, (t - z_max, N, S)
+            return math.log(N / n), W * dt_dx / N, 0.0, abs(N - n) <= floor_n, (t - z_max, N, S)
 
         return root(f, x, 0.0 if pole else -math.inf, hi, "sum n_i")
 
     def outer(beta):
         nonlocal tangent
-        nu, N, S = inner(beta)
-        if c == 0:
-            M, W, aw = S, N, S
+        if c == 0:  # S_k = sum u_i b_i^k, u_i = exp(-beta a_i - z_max): n_i = n u_i / S_0
+            np.multiply(gaps[0] if beta >= 0 else gaps[1], -beta, out=u)
+            np.exp(u, out=u)
+            np.multiply(powers, u, out=terms)
+            S0, S1, S2, S3 = add(terms, 1).tolist()
+            m1, m2, m3 = S1 / S0, S2 / S0, S3 / S0
+            value, V = -n * scale * m1, n * scale * scale * (m2 - m1 * m1)
+            curve = n * scale * scale * scale * ((3.0 * m2 - 2.0 * m1 * m1) * m1 - m3)
+            if abs(value) > max(tol, 4 * eps * (g * D + abs(beta) * V)):
+                return value, V, curve, False, None
+            nu, N, M = inner(beta)  # the stop rule is decided on the occupations themselves
+            dv = a - M / N
+            V = float(add(dv * dv * occ))
         else:
+            nu, N, S = inner(beta)
             np.multiply(a, pair, out=moments)
             M, aw = add(moments, 1).tolist()
-            W = S
-            tangent = nu, beta, aw / W
-        dv = a - aw / W  # the deviations from the w-weighted mean level
-        V = float(add(dv * dv * w))
+            tangent = nu, beta, aw / S
+            dv = a - aw / S  # the deviations from the w-weighted mean level
+            np.multiply(dv * dv, second, out=moments[0])
+            np.multiply(moments[0], dv * (1.0 + 2.0 * c * occ), out=moments[1])
+            V, T = add(moments, 1).tolist()
+            curve = -T
         done = abs(M - D) <= max(tol, 4 * eps * (g * D + abs(beta) * V))
-        return D - M, V, done, (nu, beta, M, N)
+        return D - M, V, curve, done, (nu, beta, M, N)
 
     with np.errstate(over="ignore"):  # exp overflow past the top sector means n_i = 0
         nu, beta, M, N = root(outer, 0.0, -math.inf, math.inf, "sum a_i n_i")

@@ -163,6 +163,9 @@ class SampleSummary:
     read from visit_counts.  irreducibility is "verified" / "failed" when the
     feasible set has at most max_enumeration states, "unchecked" when it has
     more (an honest warning flag: connectivity was not tested, not failed).
+    A summary with no visits, a count that is not a positive int, states of
+    unequal length, steps < 1, accepted outside [0, steps] or another label
+    is a DomainError.
     """
 
     visit_counts: dict[tuple[int, ...], int]
@@ -170,6 +173,22 @@ class SampleSummary:
     accepted: int
     irreducibility: str
     rng_algorithm = "numpy:PCG64"  # the one generator; see Pcg64Draws
+
+    def __post_init__(self):
+        counts = self.visit_counts
+        if not counts:
+            raise DomainError("a summary needs at least one visited state")
+        if set(map(type, counts.values())) != {int} or min(counts.values()) < 1:
+            raise DomainError("visit counts must be positive ints")
+        if len(set(map(len, counts))) != 1:
+            raise DomainError("visited states must all have one sector count")
+        if self.steps < 1:
+            raise DomainError(f"steps must be at least 1, got {self.steps}")
+        if not 0 <= self.accepted <= self.steps:
+            raise DomainError(f"accepted moves must lie in [0, {self.steps}], got {self.accepted}")
+        if self.irreducibility not in (IRREDUCIBILITY_VERIFIED, IRREDUCIBILITY_FAILED,
+                                       IRREDUCIBILITY_UNCHECKED):
+            raise DomainError(f"unknown irreducibility label {self.irreducibility!r}")
 
     @property
     def sample_count(self) -> int:

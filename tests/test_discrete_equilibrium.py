@@ -430,42 +430,68 @@ def test_exhausted_budget_raises_no_convergence(solve, max_iter):
     assert f"after {max_iter} iterations" in str(info.value)
 
 
-def _count_divides(monkeypatch):
-    """Count np.divide calls: one per inner evaluation, one per c = 0 closed-form step."""
+def _count_calls(monkeypatch, name):
+    """Count np.<name> calls.  np.divide: one per inner evaluation and one per c = 0 closed
+    form; np.exp: one per c = 0 outer evaluation and two per c = 0 closed form."""
     calls = []
-    divide = np.divide
+    original = getattr(np, name)
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return divide(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(np, "divide", counted)
+    monkeypatch.setattr(np, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("levels,n,D,c,most", [
-    ((1, 2, 3, 4, 5), 1000, 4800, 1.0, 28),  # 53 from the c = 0 root at every beta
-    ((0, 1), 100, 25, 1.0, 15),  # 21
-    ((1, 2, 3, 4, 5, 6), 3, 10, -1.0, 9),  # 24
-    ((1, 2, 3, 4, 5, 6, 7, 8), 6, 30, -0.5, 14),  # 20
-    ((1, 2, 3), 10, 17, 0.5, 12),  # 21
+    ((1, 2, 3, 4, 5), 1000, 4800, 1.0, 21),  # 28 with Newton outer steps, 53 from the c = 0 root
+    ((0, 1), 100, 25, 1.0, 12),  # 15, 21
+    ((1, 2, 3, 4, 5, 6), 3, 10, -1.0, 4),  # 9, 24
+    ((1, 2, 3, 4, 5, 6, 7, 8), 6, 30, -0.5, 9),  # 14, 20
+    ((1, 2, 3), 10, 17, 0.5, 11),  # 12, 21
 ])
 def test_inner_solves_start_on_the_tangent_of_their_root(monkeypatch, levels, n, D, c, most):
-    calls = _count_divides(monkeypatch)
+    calls = _count_calls(monkeypatch, "divide")
     sol = solve_generalized(EconomyParams(levels, n, D), c)
     assert len(calls) <= most
     assert max(sol.residuals) <= TOL
 
 
-@pytest.mark.parametrize("levels,n,D,count", [
-    ((1, 2, 3), 10, 17, 5),
-    ((1, 2, 3, 4, 5), 1000, 4800, 8),
-    ((7.027, 8.659), 54940953.10577492, 412180002.37743855, 9),  # the closed form misses its floor
+@pytest.mark.parametrize("levels,n,D,exps,divides", [
+    ((1, 2, 3), 10, 17, 6, 1),  # 4 outer evaluations; only the last forms occupations
+    ((1, 2, 3, 4, 5), 1000, 4800, 10, 2),  # 6; the first occupations missed the stop rule
+    ((7.027, 8.659), 54940953.10577492, 412180002.37743855, 6, 1),  # 4
+    # 4; rounding leaves the closed form outside its floor, so the inner solve iterates twice
+    ((17.816, 19.535), 63587725.12479198, 1173275328.012062, 6, 3),
 ])
-def test_boltzmann_solves_keep_their_evaluation_count(monkeypatch, levels, n, D, count):
-    calls = _count_divides(monkeypatch)
+def test_boltzmann_solves_keep_their_evaluation_count(monkeypatch, levels, n, D, exps, divides):
+    exp_calls, divide_calls = _count_calls(monkeypatch, "exp"), _count_calls(monkeypatch, "divide")
     solve_boltzmann(EconomyParams(levels, n, D))
-    assert len(calls) == count
+    assert (len(exp_calls), len(divide_calls)) == (exps, divides)
+
+
+@pytest.mark.parametrize("c", [-0.5, -1.0, -1e-6, 1e-6, 0.5])
+def test_inner_solve_at_zero_beta_starts_on_its_root(monkeypatch, c):
+    # D/n is the mean level, so beta = 0 is the root and each n_i is n/g there: off the pole
+    # branch the inner solve starts at its exact root and meets its floor in one evaluation
+    calls = _count_calls(monkeypatch, "divide")
+    sol = solve_generalized(EconomyParams((1, 2, 3), 1.5, 3.0), c, tol=0.0)
+    assert len(calls) == 1
+    assert sol.multipliers.beta == 0.0
+    assert sol.occupations == pytest.approx((0.5, 0.5, 0.5), rel=4 * sys.float_info.epsilon)
+
+
+@pytest.mark.parametrize("levels,n,D,c", [
+    ((1, 2, 3, 4), 2, 5, -2.0),
+    ((1, 2, 3, 4, 5), 10, 30, -0.5),
+])
+def test_every_sector_at_its_cap_still_solves(levels, n, D, c):
+    # n = g/|c|, as in test_generalized_fermi_like_satisfies_constraints: c n / g = -1,
+    # where the exact beta = 0 start -log1p(c n / g) would raise ValueError
+    sol = solve_generalized(EconomyParams(levels, n, D), c)
+    assert max(sol.residuals) <= TOL
+    assert sol.occupations == pytest.approx([-1.0 / c] * len(levels), rel=1e-12)
 
 
 def test_c_below_one_over_n_solves_below_the_pole():

@@ -407,6 +407,25 @@ def test_summary_serialization():
     assert csv_text.count("\n") == len(summary.visit_frequencies) + 1
 
 
+@pytest.mark.parametrize("fields,match", [
+    (({}, 1, 0, "verified"), "at least one visited state"),
+    (({(1, 2): 0}, 1, 0, "verified"), "positive ints"),
+    (({(1, 2): 2.0}, 2, 0, "verified"), "positive ints"),
+    (({(1, 2): True}, 1, 0, "verified"), "positive ints"),
+    (({(1, 2): 3, (1, 1, 1): 2}, 5, 0, "verified"), "one sector count"),
+    (({(1, 2): 3}, 0, 0, "verified"), "steps must be at least 1"),
+    (({(1, 2): 3}, 5, 9, "verified"), r"accepted moves must lie in \[0, 5\], got 9"),
+    (({(1, 2): 3}, 5, -1, "verified"), r"accepted moves must lie in \[0, 5\], got -1"),
+    (({(1, 2): 3}, 5, 2, "connected"), "unknown irreducibility label 'connected'"),
+], ids=["no-visits", "zero-count", "float-count", "bool-count", "unequal-states", "no-steps",
+        "accepted-above-steps", "negative-accepted", "unknown-label"])
+def test_summary_fields_are_checked(fields, match):
+    # unchecked, ({}, 0, 0, "verified") raised ZeroDivisionError from acceptance_rate and
+    # StopIteration from mean_occupation, and ({(1, 2): 3}, 5, 9, ...) read a rate of 1.8
+    with pytest.raises(DomainError, match=match):
+        SampleSummary(*fields)
+
+
 def test_merge_rejects_chains_with_different_sector_counts():
     three = SampleSummary({(1, 2, 1): 10}, 20, 10, "verified")
     four = SampleSummary({(1, 1, 1, 1): 10}, 20, 10, "verified")
