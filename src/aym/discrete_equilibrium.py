@@ -108,28 +108,31 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     beta = 0, needs no prediction: every n_i is n/g there, so off the pole
     branch it starts at its exact root x = -ln(1 + c n/g) and meets its
     floor in one evaluation, unless c n/g = -1 (n = g/|c|, every sector at
-    its cap), where x = 0 is the start.  c = 0 keeps the closed form.
+    its cap), where x = 0 is the start.
 
     Sums come in pairs, each pair from one reduce over the rows of a (2, g)
     array, whose row sums have the bits of 1-D pairwise sums: (sum n_i,
     sum w_i) in the inner solve, then (sum a_i n_i, sum a_i w_i) and
-    (V, sum w'_i (a_i - m_w)^3) in the outer one.  At c = 0, where w_i = n_i,
-    the inner root is t0 itself, so n_i = 1/E_i is taken directly and the
-    pair is (sum n_i, sum a_i n_i); the inner solve iterates from x = 0 only
-    when rounding leaves sum n_i outside its floor below.
+    (V, sum w'_i (a_i - m_w)^3) in the outer one; (sum n_i, sum a_i n_i) at
+    c = 0, where w_i = n_i.
 
-    At c = 0 the outer solve needs no occupations until it stops.  At the
-    inner root n_i = n u_i / S_0 with u_i = exp(-beta a_i - max(-beta a)),
-    so each outer evaluation is one exp, one product with a (4, g) array
-    built once, whose rows are the powers 0..3 of b_i = a_i - D/n (scaled by
-    a power of two, so none overflows), and one reduce over its rows:
-    S_k = sum u_i b_i^k.  With m_k = S_k / S_0, f = -n m_1,
+    At c = 0 the inner root is explicit: n_i = n u_i / S_0, with
+    u_i = exp(-beta (a_i - a_end)) and a_end the end level where -beta a_i
+    peaks.  So each outer evaluation is one exp, one product with a (4, g)
+    array built once, whose rows are the powers 0..3 of b_i = a_i - D/n
+    (scaled by a power of two, so none overflows), and one reduce over its
+    rows: S_k = sum u_i b_i^k.  With m_k = S_k / S_0, f = -n m_1,
     V = n (m_2 - m_1^2) and f'' = -n (m_3 - 3 m_2 m_1 + 2 m_1^3).  Centred at
-    D/n, m_1 is near 0 at the root, where V then loses no digits.  Once
-    that f is within the floor below, the closed-form inner solve gives the
-    occupations, and the stop rule is decided on their own sums, with V
-    taken from their deviations from the mean level; if they miss it, the
-    iteration goes on from those true values.
+    D/n, m_1 is near 0 at the root, where V then loses no digits.  Once f is
+    within the floor below, the occupations n_i = k u_i, k = n / S_0, are
+    formed, with nu = ln k + beta a_end, and the stop rule is decided on
+    their own sums, V taken from their deviations from the mean level; if
+    they miss it, the iteration goes on.
+    No inner solve is needed: S_0 sums positive terms and is at least 1, so
+    it is within (g-1) eps relative; k and each product add one rounding,
+    and the rounding of exp cancels, as S_0 sums the same u_i.  So
+    |sum n_i - n| <= (g+1) eps n + O(eps^2), inside floor_n; products that
+    underflow lose at most g 2**-1075 in all, far below it, as n >= g 2**-1022.
 
     Feasibility is settled before iterating.  tol must be finite and
     non-negative, c n^2 finite and n/g at least the smallest normal float
@@ -144,11 +147,11 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
 
     Stop rule: the solve returns once |sum a_i n_i - D| <= max(tol, floor_D),
     floor_D = 4 eps (g D + |beta| V), the rounding of the sum plus one ulp
-    of beta times the slope.  At every beta the inner solve runs to
-    |sum n_i - n| <= floor_n = 4 eps g n, the rounding of the sum, whatever
-    tol is: an error left in sum n_i would carry over into sum a_i n_i and
-    pull beta off its root.  The floors follow the current iterate; the
-    reported residuals are the true values.
+    of beta times the slope.  At every beta |sum n_i - n| <= floor_n =
+    4 eps g n, the rounding of the sum, whatever tol is (at c = 0 by the
+    bound above): an error left in sum n_i would carry over into
+    sum a_i n_i and pull beta off its root.  The floors follow the current
+    iterate; the reported residuals are the true values.
     """
     if not 0 <= tol < math.inf:  # max(nan, floor) is nan, which no residual meets
         raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
@@ -185,7 +188,7 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     # (n_i, a_i n_i) at c = 0, where w_i = n_i; then (a_i n_i, a_i w_i) and
     # (w_i dv_i^2, w'_i dv_i^3) for c != 0
     pair, moments = np.empty((2, g)), np.empty((2, g))
-    occ, second = pair  # second holds w_i = n_i (1 + c n_i) for c != 0
+    occ, second = pair  # second holds w_i = n_i (1 + c n_i), or a_i n_i at c = 0
     tangent = None  # (nu, beta, m_w) at the last outer evaluation, for c != 0
     if c == 0:
         # rows k = 0..3 hold b_i^k, b_i = (a_i - D/n)/scale, scale a power of two with
@@ -259,16 +262,10 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
                 t0 = nu + z_max
             else:
                 t0 = math.log(n) - math.log(float(add(np.exp(-d))))
-                if c and beta == 0 and c * n / g > -1:  # each n_i = n/g: the root is exact
+                if beta == 0 and c * n / g > -1:  # each n_i = n/g: the root is exact
                     x = -math.log1p(c * n / g)
             # for c > 0 the pole is at x = -t0 - ln c: every n_i > 0 below it
             hi, E = -t0 - math.log(c) if c > 0 else math.inf, np.exp(d - t0)
-            if c == 0:  # x = 0 in closed form; iterate only if rounding misses the floor
-                np.divide(1.0, E, out=occ)
-                np.multiply(a, occ, out=second)
-                N, M = add(pair, 1).tolist()
-                if abs(N - n) <= floor_n:
-                    return t0 - z_max, N, M
 
             def occupations(x):
                 np.divide(1.0, E * math.exp(-x) - c, out=occ)
@@ -276,19 +273,17 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
 
         def f(x):
             dt_dx, t = occupations(x)
-            # the second row: a_i n_i at c = 0, else w_i = n_i (1 + c n_i)
-            np.multiply(a if c == 0 else 1.0 + c * occ, occ, out=second)
+            np.multiply(1.0 + c * occ, occ, out=second)  # w_i = n_i (1 + c n_i)
             N, S = add(pair, 1).tolist()
             if N == 0:  # every n_i underflowed: left of the root, with no slope to follow
                 return -math.inf, math.nan, 0.0, False, None
-            W = N if c == 0 else S
-            return math.log(N / n), W * dt_dx / N, 0.0, abs(N - n) <= floor_n, (t - z_max, N, S)
+            return math.log(N / n), S * dt_dx / N, 0.0, abs(N - n) <= floor_n, (t - z_max, N, S)
 
         return root(f, x, 0.0 if pole else -math.inf, hi, "sum n_i")
 
     def outer(beta):
         nonlocal tangent
-        if c == 0:  # S_k = sum u_i b_i^k, u_i = exp(-beta a_i - z_max): n_i = n u_i / S_0
+        if c == 0:  # S_k = sum u_i b_i^k, u_i = exp(-beta (a_i - a_end)): n_i = n u_i / S_0
             np.multiply(gaps[0] if beta >= 0 else gaps[1], -beta, out=u)
             np.exp(u, out=u)
             np.multiply(powers, u, out=terms)
@@ -298,7 +293,11 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
             curve = n * scale * scale * scale * ((3.0 * m2 - 2.0 * m1 * m1) * m1 - m3)
             if abs(value) > max(tol, 4 * eps * (g * D + abs(beta) * V)):
                 return value, V, curve, False, None
-            nu, N, M = inner(beta)  # the stop rule is decided on the occupations themselves
+            k = n / S0  # the stop rule is decided on the occupations themselves
+            np.multiply(u, k, out=occ)
+            nu = math.log(k) + beta * levels[0 if beta >= 0 else -1]
+            np.multiply(a, occ, out=second)
+            N, M = add(pair, 1).tolist()
             dv = a - M / N
             V = float(add(dv * dv * occ))
         else:

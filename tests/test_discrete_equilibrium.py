@@ -431,8 +431,8 @@ def test_exhausted_budget_raises_no_convergence(solve, max_iter):
 
 
 def _count_calls(monkeypatch, name):
-    """Count np.<name> calls.  np.divide: one per inner evaluation and one per c = 0 closed
-    form; np.exp: one per c = 0 outer evaluation and two per c = 0 closed form."""
+    """Count np.<name> calls.  np.divide: one per inner evaluation, none at c = 0, where the
+    outer solve forms the occupations itself; np.exp: one per c = 0 outer evaluation."""
     calls = []
     original = getattr(np, name)
 
@@ -459,11 +459,11 @@ def test_inner_solves_start_on_the_tangent_of_their_root(monkeypatch, levels, n,
 
 
 @pytest.mark.parametrize("levels,n,D,exps,divides", [
-    ((1, 2, 3), 10, 17, 6, 1),  # 4 outer evaluations; only the last forms occupations
-    ((1, 2, 3, 4, 5), 1000, 4800, 10, 2),  # 6; the first occupations missed the stop rule
-    ((7.027, 8.659), 54940953.10577492, 412180002.37743855, 6, 1),  # 4
-    # 4; rounding leaves the closed form outside its floor, so the inner solve iterates twice
-    ((17.816, 19.535), 63587725.12479198, 1173275328.012062, 6, 3),
+    ((1, 2, 3), 10, 17, 4, 0),  # 4 outer evaluations; only the last forms occupations
+    ((1, 2, 3, 4, 5), 1000, 4800, 6, 0),  # 6; the first occupations missed the stop rule
+    ((7.027, 8.659), 54940953.10577492, 412180002.37743855, 4, 0),  # 4
+    # 4; a closed-form inner root 1/exp(d_i - t0) once missed its floor here and iterated
+    ((17.816, 19.535), 63587725.12479198, 1173275328.012062, 4, 0),
 ])
 def test_boltzmann_solves_keep_their_evaluation_count(monkeypatch, levels, n, D, exps, divides):
     exp_calls, divide_calls = _count_calls(monkeypatch, "exp"), _count_calls(monkeypatch, "divide")

@@ -40,6 +40,15 @@ NoConvergence messages changed (188, 214, 215), and the first inner solve of
 The 3 c = 0 cases above whose closed form missed its floor no longer
 iterate, so 2 more that do were added at the end, recorded the same way.
 
+Every case was then re-recorded the same way, after commit 934685e, once
+the c = 0 outer solve formed the occupations n u_i / S_0 from the
+exponentials of its last step, in place of a closed-form inner root
+1/exp(d_i - t0) that rounded each exponent to an ulp of t0 ~ ln(n/g): the
+45 c = 0 successes moved in their last bits, and no case changed its
+ending or error type.  Every c != 0, DomainViolation and InfeasibleDemand
+case kept its bits.  Cases 211-213, 216 and 217 stay, though no c = 0
+solve iterates on its occupations any more.
+
 Rerunning the script on later code only shows what that code does; the
 pinned file is the reference.  Every pinned success must also meet the
 solver's documented stop rule, checked with exact sums of its occupations,
@@ -120,14 +129,16 @@ def _cases():
         n = math.exp(rng.uniform(math.log(10), math.log(1e6)))
         D = n * (levels[0] + rng.uniform(0.05, 0.95) * (levels[-1] - levels[0]))
         yield levels, n, D, 0.0, (1e-10, 0.0)[k % 2], 200
-    # c = 0 instances whose inner root t0 leaves sum n_i outside its floor by rounding
+    # c = 0 instances where a closed-form inner root 1/exp(d_i - t0) left sum n_i outside
+    # its floor by rounding, so that inner solve iterated; they pin the occupations
+    # n u_i / S_0, which meet that floor without iterating, at n near 5e7
     yield [23.278, 26.905, 27.23], 53607079.36633014, 1395192582.941803, 0.0, 1e-10, 200
     yield [7.027, 8.659], 54940953.10577492, 412180002.37743855, 0.0, 0.0, 200
     yield [25.614, 26.79], 65295927.1413028, 1723479745.041852, 0.0, 1e-10, 200
     for max_iter in (1, 3):  # a c < 0 budget too short for the first inner solve
         yield [1.0, 2.5, 4.0, 7.5], 3.0, 10.0, -1.0, 0.0, max_iter
-    # c = 0 instances whose closed form misses its floor by rounding once the outer steps
-    # are taken from moments, so the inner solve iterates
+    # c = 0 instances where that closed form missed its floor once the outer steps were
+    # taken from moments; they pin the same as the three above, at other betas
     yield [17.816, 19.535], 63587725.12479198, 1173275328.012062, 0.0, 1e-10, 200
     yield [14.308, 14.718], 17513512.005855415, 253808260.11958852, 0.0, 0.0, 200
 
@@ -196,13 +207,18 @@ def test_pinned_success_meets_the_stop_rule(case):
        where=st.sampled_from(("bottom", "middle", "top")),
        gap=st.floats(math.log(1e-15), math.log(1e-12)).map(math.exp), middle=st.floats(0.25, 0.75),
        c=st.sampled_from((0.0, 1e-6, -1e-6, 0.5, -0.5, 1.0, 2.0)),
-       tol=st.sampled_from((1e-10, 0.0)))
-def test_every_solve_meets_the_stop_rule(g, ladder_seed, n, share, where, gap, middle, c, tol):
+       tol=st.sampled_from((1e-10, 0.0)),
+       boltzmann_n=st.floats(math.log(1e-2), math.log(1e300)).map(math.exp))
+def test_every_solve_meets_the_stop_rule(g, ladder_seed, n, share, where, gap, middle, c, tol,
+                                         boltzmann_n):
     """Random solves, D/n within 1e-12 of an end of its range or well inside it, all succeed.
 
-    For c < 0 n is at most share * g/|c| and the range of D is between the fills.
+    For c < 0 n is at most share * g/|c| and the range of D is between the fills.  c = 0
+    takes n up to 1e300 (boltzmann_n); c != 0 keeps n below 1e8, since c n^2 must be finite.
     """
     levels = random_ladder(random.Random(ladder_seed), g)
+    if c == 0:
+        n = boltzmann_n
     if c < 0:
         n = min(n, share * g / -c)
         lo, hi = fill_bounds(levels, n, c)
@@ -216,6 +232,23 @@ def test_every_solve_meets_the_stop_rule(g, ladder_seed, n, share, where, gap, m
         return
     sol = solve_generalized(params, c, tol=tol)
     assert_meets_the_stop_rule(levels, n, D, c, tol, sol.occupations, sol.multipliers.beta)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+@pytest.mark.parametrize("levels,n,D", [
+    # a closed-form inner root 1/exp(d_i - t0) rounded each exponent to an ulp of
+    # t0 ~ ln(n/g), so sum a_i n_i jittered by more than its floor between adjacent
+    # betas and these ended in NoConvergence
+    ((0.5, 1.7, 2.2, 6.1), 1e30, 1e30 * (0.5 + 0.37 * 5.6)),
+    ((0.5, 1.7, 2.2, 6.1), 1e60, 1e60 * (0.5 + 0.37 * 5.6)),
+    ((0.0, 1.0, 2.0), 1e58, 1e58 * (0.37 * 2.0)),
+    ((0.0, 1.0, 2.0), 1e60, 1e60 * (0.37 * 2.0)),
+    # returned by that closed form with an exact |sum n_i - n| of 1.018 floor_n
+    ((1.845, 2.398, 8.682), 1e66, 3.1514588567733728e+66),
+])
+def test_large_n_boltzmann_solves_meet_the_stop_rule(levels, n, D, tol):
+    sol = solve_generalized(EconomyParams(levels, n, D), 0.0, tol=tol)
+    assert_meets_the_stop_rule(levels, n, D, 0.0, tol, sol.occupations, sol.multipliers.beta)
 
 
 def test_golden_file_covers_every_form_and_ending():
