@@ -42,16 +42,19 @@ every chain is the one those calls gave.  The first block is no longer than
 a chain of config.steps steps can use when no half word is rejected.
 
 Cost.  What a chain takes from its fibre (units, n, demand) and cap alone
-is worked out once per process and kept, as tuples, ints and strings, for
-the last 8 fibres: the move table, the start state, the irreducibility
-label and, when the fibre's count is at most max_enumeration and
-count * len(table) <= _MEMO_BUDGET, the transition table the
-irreducibility search fills as it visits every (state, move) pair.  Every
-chain on such a fibre walks that table, a lookup and the acceptance test a
-step, and counts the slots it passes once per _PATH_CHUNK steps.  A table
-takes about 77 B a slot, up to 236 B where its ints pass 256, so 8 tables
-hold about 40 MB (124 MB at 236 B a slot).  Every other chain runs the
-plain loop, whose cost per step does not depend on the fibre.
+is worked out once per process and kept, as tuples, ints, floats and
+strings, for the last 8 fibres: the move table, the start state, the
+irreducibility label and, when the fibre's count is at most max_enumeration
+and count * len(table) <= _MEMO_BUDGET, the transition table the
+irreducibility search fills as it visits every (state, move) pair.  A slot
+holds the moved state and the acceptance threshold of the move's weight
+ratio, the float t for which u < t exactly when u * den < num on every
+uniform u, so a step is a lookup and one compare, and it draws a word only
+when the ratio is below 1, as the plain loop does.  A chain counts the
+slots it passes once per _PATH_CHUNK steps.  A table takes about 68 B a
+slot, up to 176 B where its ints pass 256, so 8 tables hold about 36 MB
+(92 MB at 176 B a slot).  Every other chain runs the plain loop, whose cost
+per step does not depend on the fibre.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ IRREDUCIBILITY_FAILED = "failed"
 IRREDUCIBILITY_UNCHECKED = "unchecked"
 
 _RAW_BLOCK = 1024  # PCG64 words drawn at a time; a chain holds one decoded block
-_MEMO_BUDGET = 2 ** 16  # most transition slots a fibre keeps; about 77 B a slot, so ~5 MB
+_MEMO_BUDGET = 2 ** 16  # most transition slots a fibre keeps; about 68 B a slot, so ~4.4 MB
 _PATH_CHUNK = 2 ** 16  # steps a table walk records before it counts them
 
 
@@ -235,11 +238,13 @@ def _fibre_setup(units: tuple[int, ...], n: int, demand: int, max_enumeration: i
     order.  When the fibre has count <= max_enumeration states and
     count * len(table) <= _MEMO_BUDGET, the search numbers the states it
     reaches, start first, and fills transitions, whose slot
-    number * len(table) + move holds (target, num, den): target the moved
-    state's number times len(table), or the state's own when num is 0;
-    otherwise both are None.  The values are immutable, so the chains that
-    share them stay independent; an empty fibre raises NoFeasibleState,
-    which is not cached, on every call.
+    number * len(table) + move holds (target, threshold): target the moved
+    state's number times len(table), or the state's own when the move would
+    empty a sector, and threshold _acceptance_threshold(num, den) of the
+    weight ratio num/den, one float per distinct (num, den); otherwise both
+    are None.  The values are immutable, so the chains that share them stay
+    independent; an empty fibre raises NoFeasibleState, which is not cached,
+    on every call.
     """
     table = _move_table(units)
     count, first = count_feasible(units, n, demand, max_enumeration + 1)
@@ -259,7 +264,8 @@ def _fibre_setup(units: tuple[int, ...], n: int, demand: int, max_enumeration: i
     numbers = {key: 0}  # a filled key's state number times m, in order of first reach
     states = transitions = None
     if 0 < count * m <= _MEMO_BUDGET:
-        states, transitions = [None] * count, [None] * (count * m)
+        states, transitions, thresholds = [None] * count, [None] * (count * m), {}
+        span = (n + 2) ** 2
     frontier = [(list(start), key)]
     while frontier:
         state, key = frontier.pop()
@@ -279,12 +285,38 @@ def _fibre_setup(units: tuple[int, ...], n: int, demand: int, max_enumeration: i
                 num = state[i] * (state[j] - (i == j))
                 den = (state[up] + 1) * (state[down] + 1 + (up == down))
                 target = numbers.setdefault(key + delta, len(numbers) * m) if num else at
-                transitions[k] = (target, num, den)
+                if not 0 < num < den:
+                    threshold = _acceptance_threshold(num, den)
+                else:  # one float per distinct (num, den); den < span, so the key is unique
+                    threshold = thresholds.get(num * span + den)
+                    if threshold is None:
+                        threshold = thresholds[num * span + den] = _acceptance_threshold(num, den)
+                transitions[k] = (target, threshold)
     reached = len(seen)
     irreducibility = IRREDUCIBILITY_VERIFIED if reached == count else IRREDUCIBILITY_FAILED
     if transitions is not None:
         states, transitions = tuple(states[:reached]), tuple(transitions[:reached * m])
     return table, start, irreducibility, states, transitions
+
+
+def _acceptance_threshold(num: int, den: int) -> float:
+    """The float t that decides a move of weight ratio num/den as _walk does.
+
+    (t and (t > 1.0 or u < t)) equals (num and (num >= den or u * den < num))
+    for every uniform u that Pcg64Draws.random() returns, a multiple of
+    2**-53 in [0, 1).  t is 0.0 when num is 0 and 2.0 when num >= den, so
+    neither draws a word; otherwise it is K * 2**-53 for the least K with
+    not (K * 2**-53) * den < num.  That float test is monotone in u, so
+    u < t exactly when u * den < num.
+    """
+    if not num or num >= den:
+        return 2.0 if num else 0.0
+    k = -((-num << 53) // den)  # ceil(num * 2**53 / den), then the float test decides
+    while not (k - 1) * 2.0 ** -53 * den < num:
+        k -= 1
+    while k < 2 ** 53 and k * 2.0 ** -53 * den < num:
+        k += 1
+    return k * 2.0 ** -53
 
 
 def _walk(table, start, config: ChainConfig, draws: Pcg64Draws):
@@ -313,8 +345,9 @@ def _walk(table, start, config: ChainConfig, draws: Pcg64Draws):
 def _table_walk(states, transitions, config: ChainConfig, draws: Pcg64Draws):
     """_walk's result on a fibre whose transitions _fibre_setup has filled: the chain is at
     its state's slot number * m, and the drawn move's slot is that plus the move's index.
-    The draws and the acceptance test are _walk's.  A chunk of _PATH_CHUNK steps counts
-    its slots at its end from skip, its first recorded step (in the burn-in or thin's phase)."""
+    The draws are _walk's, and the slot's threshold decides as _walk's test does on them.
+    A chunk of _PATH_CHUNK steps counts its slots at its end from skip, its first recorded
+    step (in the burn-in or thin's phase)."""
     uniform, indices, thin = draws.random, draws.indices, config.thin
     visits: Counter = Counter()
     accepted = at = 0
@@ -323,8 +356,8 @@ def _table_walk(states, transitions, config: ChainConfig, draws: Pcg64Draws):
         path: list[int] = []
         record = path.append
         for k in islice(indices, min(_PATH_CHUNK, config.steps - done)):
-            target, num, den = transitions[at + k]
-            if num and (num >= den or uniform() * den < num):
+            target, threshold = transitions[at + k]
+            if threshold and (threshold > 1.0 or uniform() < threshold):
                 at = target
                 accepted += 1
             record(at)

@@ -13,13 +13,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aym import ChainConfig, DomainError, EconomyParams, make_ladder, run_chain
 from aym import occupation_sampler
 from aym.lattice import count_feasible, lattice_fibre
-from aym.occupation_sampler import Pcg64Draws, _RAW_BLOCK, _fibre_setup
+from aym.occupation_sampler import Pcg64Draws, _RAW_BLOCK, _acceptance_threshold, _fibre_setup
 
 SEEDS = (0, 1, 2 ** 64 - 1)
 BOUNDS = (1, 2, 3, 20, 240, 2 ** 31 + 1, 2 ** 32 - 1)
@@ -209,13 +209,17 @@ def test_a_verified_fibre_over_the_budget_keeps_no_table():
 
 
 TABLED = ("oracle", "small_ladder", "non_uniform")  # the last is not irreducible
+# a fibre with D at the low end of the hull has few states at any n: here two, whose
+# moves have den = n - 1 = 2**55 - 1, past 2**53, where float(den) rounds
+WIDE = EconomyParams((0, 1, 2), 2 ** 55, 2)
 
 
-@pytest.mark.parametrize("params", [case[1] for case in LONG_CHAINS if case[0] in TABLED],
-                         ids=TABLED)
+@pytest.mark.parametrize("params", [*(case[1] for case in LONG_CHAINS if case[0] in TABLED), WIDE],
+                         ids=[*TABLED, "wide"])
 def test_each_transition_slot_holds_its_move(params):
     # the slot of (state, move) holds the moved state's slot, or the state's own when the
-    # move would empty a sector, and the weight ratio's integer numerator and denominator
+    # move would empty a sector, and a threshold that decides as the weight ratio's integer
+    # numerator and denominator do: on either side of its last accepted uniform
     fibre = lattice_fibre(params)
     table, start, irreducibility, states, transitions = _fibre_setup(*fibre, 200_000)
     count = count_feasible(*fibre, 200_000)[0]
@@ -235,7 +239,73 @@ def test_each_transition_slot_holds_its_move(params):
                 moved[up] += 1
                 moved[j] -= 1
                 moved[down] += 1
-            assert transitions[number * m + k] == (slots[tuple(moved)], num, den)
+            target, threshold = transitions[number * m + k]
+            assert target == slots[tuple(moved)]
+            _assert_threshold_decides(threshold, num, den)
+
+
+def _assert_threshold_decides(threshold, num, den):
+    """threshold is 0.0 for num 0, above 1 for num >= den, and otherwise K * 2**-53 with
+    the uniform (K-1) * 2**-53 accepted by the num/den test and K * 2**-53, if below 1, not."""
+    if not num:
+        assert threshold == 0.0
+    elif num >= den:
+        assert threshold > 1.0
+    else:
+        k = threshold * 2 ** 53
+        assert k == int(k) and 1 <= k <= 2 ** 53
+        assert (k - 1) * 2.0 ** -53 * den < num
+        assert k == 2 ** 53 or not k * 2.0 ** -53 * den < num
+
+
+# 0 < num < den up to about 2**40 (n**2 / 4 at n = 65,000 is about 2**30), and past 2**53:
+# a tabled fibre can have any n when D sits near the low end of the hull (WIDE), so den
+# can pass 2**53, where float(den) rounds and the product can round either way; a uniform
+# is a multiple of 2**-53 in [0, 1)
+@st.composite
+def ratios(draw):
+    den = draw(st.integers(2, 2 ** 40) | st.integers(2 ** 53, 2 ** 64))
+    return draw(st.integers(1, den - 1) | st.integers(max(1, den - 9), den - 1)), den
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(ratios(), st.lists(st.integers(0, 2 ** 53 - 1), max_size=8))
+@example((2 ** 60 + 50, 2 ** 60 + 100), [])  # float(den) = 2**60 < num: every u < 1 accepts
+def test_threshold_accepts_exactly_the_uniforms_the_ratio_accepts(ratio, words):
+    num, den = ratio
+    threshold = _acceptance_threshold(num, den)
+    _assert_threshold_decides(threshold, num, den)
+    for u in (threshold - 2.0 ** -53, threshold, *(w * 2.0 ** -53 for w in words)):
+        if u < 1.0:
+            assert (u < threshold) == (u * den < num), (num, den, u)
+
+
+class _ScriptedDraws:
+    """Draws with the given move indices and uniforms; random() counts its calls."""
+
+    def __init__(self, indices, uniforms):
+        self.indices, self._uniforms, self.calls = iter(indices), iter(uniforms), 0
+
+    def random(self):
+        self.calls += 1
+        return next(self._uniforms)
+
+
+def test_the_table_walk_draws_only_for_an_uncertain_move():
+    # two states, three moves each: move 0 would empty a sector (num 0) and move 1 is sure
+    # (num >= den); move 2 has the ratio 1/2, whose threshold is 0.5 itself, from the first
+    # state, and from the second a ratio below 1 that every uniform passes, threshold 1.0
+    assert _acceptance_threshold(0, 5) == _acceptance_threshold(0, 1) == 0.0
+    assert _acceptance_threshold(7, 3) > 1.0 and _acceptance_threshold(3, 3) > 1.0
+    half, whole = _acceptance_threshold(1, 2), _acceptance_threshold(2 ** 60 + 50, 2 ** 60 + 100)
+    assert (half, whole) == (0.5, 1.0)
+    states = ((1, 0), (0, 1))
+    transitions = ((0, _acceptance_threshold(0, 5)), (3, _acceptance_threshold(7, 3)), (3, half),
+                   (3, _acceptance_threshold(0, 1)), (0, _acceptance_threshold(3, 3)), (0, whole))
+    # 0.5 rejects the ratio 1/2 (0.5 * 2 < 1 is false), the uniform below it accepts
+    draws = _ScriptedDraws([0, 1, 0, 2, 2, 2], [0.75, 0.5, 0.5 - 2.0 ** -53])
+    visits, accepted = occupation_sampler._table_walk(states, transitions, ChainConfig(6), draws)
+    assert (visits, accepted, draws.calls) == ({(1, 0): 3, (0, 1): 3}, 3, 3)
 
 
 @pytest.mark.parametrize("chunk", (1, 2, 3, 7, 64))
