@@ -119,15 +119,14 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     At c = 0 the inner root is explicit: n_i = n u_i / S_0, with
     u_i = exp(-beta (a_i - a_end)) and a_end the end level where -beta a_i
     peaks.  So each outer evaluation is one exp, one product with a (4, g)
-    array built once, whose rows are the powers 0..3 of b_i = a_i - D/n
-    (scaled by a power of two, so none overflows), and one reduce over its
-    rows: S_k = sum u_i b_i^k.  With m_k = S_k / S_0, f = -n m_1,
-    V = n (m_2 - m_1^2) and f'' = -n (m_3 - 3 m_2 m_1 + 2 m_1^3).  Centred at
-    D/n, m_1 is near 0 at the root, where V then loses no digits.  Once f is
-    within the floor below, the occupations n_i = k u_i, k = n / S_0, are
-    formed, with nu = ln k + beta a_end, and the stop rule is decided on
-    their own sums, V taken from their deviations from the mean level; if
-    they miss it, the iteration goes on.
+    array built once, whose rows are the powers 0..3 of b_i = a_i - D/n, and
+    one reduce over its rows: S_k = sum u_i b_i^k.  With m_k = S_k / S_0,
+    f = -n m_1, V = n (m_2 - m_1^2) and f'' = -n (m_3 - 3 m_2 m_1 + 2 m_1^3).
+    Centred at D/n, m_1 is near 0 at the root, where V then loses no digits.
+    Once f is within the floor below, the occupations n_i = k u_i,
+    k = n / S_0, are formed, with nu = ln k + beta a_end, and the stop rule
+    is decided on their own sums, V taken from their deviations from the
+    mean level; if they miss it, the iteration goes on.
     No inner solve is needed: S_0 sums positive terms and is at least 1, so
     it is within (g-1) eps relative; k and each product add one rounding,
     and the rounding of exp cancels, as S_0 sums the same u_i.  So
@@ -144,6 +143,18 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     1/|c| workers each; DomainViolation is raised otherwise.  The fill sums
     are exact integers in units of 2**-2148, since every finite float is an
     integer times 2**-1074.  Boundary instances are attempted.
+
+    Units: every c is solved in units chosen once, after the feasibility
+    checks, which use the caller's.  The levels, D and tol are divided by the
+    power of two scale with max(D/n - a_1, a_g - D/n) in [scale, 2 scale),
+    so |a_i - D/n| < 2, and the outer unknown is beta scale; the iterations
+    above and the stop rule below run in these units.  Dividing by a power
+    of two is exact away from subnormals, so scaling the levels, D and tol
+    by 2**k changes nothing but beta, divided by 2**k, and the D residual,
+    times 2**k, and no moment overflows or underflows at any level scale.
+    beta, the D residual and the distance in a NoConvergence message are
+    given in the caller's units; a beta past the largest float, at
+    subnormal level gaps, is a DomainError.
 
     Stop rule: the solve returns once |sum a_i n_i - D| <= max(tol, floor_D),
     floor_D = 4 eps (g D + |beta| V), the rounding of the sum plus one ulp
@@ -180,7 +191,9 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
                 f"c = {c} caps each occupation at {cap}, so a solution needs n <= {g * cap} "
                 f"and D in [{lo}, {hi}]; got n = {n}, D = {D}")
     import numpy as np  # only now: a rejected input is decided without loading numpy
-    a = np.asarray(levels, dtype=float)
+    scale = math.ldexp(1.0, math.frexp(max(D / n - levels[0], levels[-1] - D / n))[1] - 1)
+    a = np.asarray(levels, dtype=float) / scale
+    a_1, a_g, D, tol = levels[0] / scale, levels[-1] / scale, D / scale, tol / scale
     add, eps = np.add.reduce, sys.float_info.epsilon  # add(x): x.sum() minus its Python wrapper
     pole = c > 0 and c * n >= 1
     floor_n = 4 * eps * g * n
@@ -190,23 +203,20 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     pair, moments = np.empty((2, g)), np.empty((2, g))
     occ, second = pair  # second holds w_i = n_i (1 + c n_i), or a_i n_i at c = 0
     tangent = None  # (nu, beta, m_w) at the last outer evaluation, for c != 0
-    if c == 0:
-        # rows k = 0..3 hold b_i^k, b_i = (a_i - D/n)/scale, scale a power of two with
-        # |b_i| < 2: no power overflows, and the moments keep the bits of unscaled ones
-        scale = math.ldexp(1.0, math.frexp(max(D / n - levels[0], levels[-1] - D / n))[1] - 1)
+    if c == 0:  # rows k = 0..3 hold b_i^k, b_i = a_i - D/n: |b_i| < 2, so no power overflows
         powers, terms, u = np.empty((4, g)), np.empty((4, g)), np.empty(g)
         powers[0] = 1.0
         b = np.subtract(a, D / n, out=powers[1])
-        b /= scale
         np.multiply(b, b, out=powers[2])
         np.multiply(powers[2], b, out=powers[3])
-        gaps = a - levels[0], a - levels[-1]  # -beta a_i - z_max = -beta (a_i - a_end)
+        gaps = a - a_1, a - a_g  # -beta a_i - z_max = -beta (a_i - a_end)
 
-    def root(f, x, lo, hi, what):
+    def root(f, x, lo, hi, what, unit=1.0):
         """Root of the increasing f(x) -> (value, slope, curve, done, result) inside [lo, hi].
 
         curve is f'', or 0 for none: the Newton step is divided by 1 - f f''/(2 f'^2)
-        (Halley's step) when that factor lies in [1/2, 2].
+        (Halley's step) when that factor lies in [1/2, 2].  A NoConvergence message
+        gives the value times unit, in the caller's units.
         """
         moved, value = math.inf, math.nan
         for _ in range(max_iter):
@@ -231,13 +241,13 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
             elif not lo < new < hi:
                 new = x - math.copysign(1.0 + 2.0 * abs(x), value)
             moved, x = new - x, new
-        raise NoConvergence(max_iter, f"{what} stuck {abs(value):.3g} from its target")
+        raise NoConvergence(max_iter, f"{what} stuck {abs(value) * unit:.3g} from its target")
 
     def inner(beta):
         """(nu, N, S) at the inner root, S the sum of the second row."""
         z = -beta * a
         # the levels rise, so -beta a_i peaks at an end level (rounding keeps the order)
-        z_max = (-beta * levels[0 if beta >= 0 else -1] if math.isfinite(beta)
+        z_max = (-beta * (a_1 if beta >= 0 else a_g) if math.isfinite(beta)
                  else float(np.maximum.reduce(z)))
         d = z_max - z
         x = 0.0
@@ -289,13 +299,13 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
             np.multiply(powers, u, out=terms)
             S0, S1, S2, S3 = add(terms, 1).tolist()
             m1, m2, m3 = S1 / S0, S2 / S0, S3 / S0
-            value, V = -n * scale * m1, n * scale * scale * (m2 - m1 * m1)
-            curve = n * scale * scale * scale * ((3.0 * m2 - 2.0 * m1 * m1) * m1 - m3)
+            value, V = -n * m1, n * (m2 - m1 * m1)
+            curve = n * ((3.0 * m2 - 2.0 * m1 * m1) * m1 - m3)
             if abs(value) > max(tol, 4 * eps * (g * D + abs(beta) * V)):
                 return value, V, curve, False, None
             k = n / S0  # the stop rule is decided on the occupations themselves
             np.multiply(u, k, out=occ)
-            nu = math.log(k) + beta * levels[0 if beta >= 0 else -1]
+            nu = math.log(k) + beta * (a_1 if beta >= 0 else a_g)
             np.multiply(a, occ, out=second)
             N, M = add(pair, 1).tolist()
             dv = a - M / N
@@ -314,9 +324,11 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
         return D - M, V, curve, done, (nu, beta, M, N)
 
     with np.errstate(over="ignore"):  # exp overflow past the top sector means n_i = 0
-        nu, beta, M, N = root(outer, 0.0, -math.inf, math.inf, "sum a_i n_i")
-    return EquilibriumSolution(Multipliers(nu, beta, float(c)), tuple(occ.tolist()),
-                               (abs(N - n), abs(M - D)))
+        nu, beta, M, N = root(outer, 0.0, -math.inf, math.inf, "sum a_i n_i", scale)
+    if not math.isfinite(beta / scale):
+        raise DomainError(f"beta = {beta} / {scale} overflows a float: the levels are too close")
+    return EquilibriumSolution(Multipliers(nu, beta / scale, float(c)), tuple(occ.tolist()),
+                               (abs(N - n), abs(M - D) * scale))
 
 
 def solve_boltzmann(params: EconomyParams, tol: float = _DEFAULT_TOL,

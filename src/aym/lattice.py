@@ -52,7 +52,7 @@ def integer_lattice(values: Sequence[float]) -> tuple[tuple[int, ...], float]:
             from fractions import Fraction  # only here: a cold import costs milliseconds
 
             f = Fraction(x).limit_denominator(_LATTICE_MAX_DENOMINATOR)
-            if abs(float(f) - x) > _LATTICE_REL_TOL * max(1.0, abs(x)):
+            if abs(float(f) - x) > _LATTICE_REL_TOL * abs(x):  # f is always within 5e-13 of x
                 raise DomainError(f"value {x} is not on a recognizable integer lattice")
             ratio = f.numerator, f.denominator
         ratios.append(ratio)

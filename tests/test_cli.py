@@ -289,6 +289,15 @@ def test_non_finite_input_exits_2(capsys, tmp_path, argv, csv):
     assert "error:" in err
 
 
+def test_value_off_its_fraction_exits_2(capsys):
+    # 1e-13 is within 5e-13 of the fraction 0 but far from it relatively; read as 0, the
+    # fibre would list (1, 0, 1), whose output is 2 + 1e-13, not D = 2
+    code, out, err = _run(capsys, ["enumerate", "--levels", "1e-13,1,2", "--n", "2", "--D", "2"])
+    assert code == 2, err
+    assert out == ""
+    assert "integer lattice" in err
+
+
 NOT_UTF8_CSV = b"a,p_gt\n1,0.5\n2,0.\xff2\n"
 
 

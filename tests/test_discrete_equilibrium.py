@@ -28,6 +28,8 @@ from aym import (
     solve_generalized,
 )
 
+from aym.lattice import _exact_multinomial, _reaches
+
 TOL = 1e-10
 
 
@@ -396,6 +398,16 @@ def test_weights_past_the_int_to_str_limit_raise(digit_limit, levels, n, D):
     digit_limit(digits - 1)
     with pytest.raises(InstanceTooLarge, match=f"at least {digits} decimal digits.* {digits - 1} "):
         enumerate_feasible(params)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=6).map(tuple))
+def test_reaches_decides_as_the_exact_weight(counts):
+    # every limit from 0 to one past the weight's digit count: far below it the bound on
+    # one factor decides, just below it the built weight, and past it nothing reaches
+    weight = _exact_multinomial(counts)
+    for limit in range(len(str(weight)) + 2):
+        assert _reaches(counts, limit) == (weight >= 10**limit)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, -0.5])

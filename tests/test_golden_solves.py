@@ -68,7 +68,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aym import AymError, EconomyParams, InfeasibleDemand, solve_generalized
+from aym import (AymError, DomainError, DomainViolation, EconomyParams, InfeasibleDemand,
+                 solve_generalized)
 
 GOLDEN_PATH = Path(__file__).parent / "golden_solves.json"
 FORMS = (0.0, 1e-6, -1e-6, 0.5, -0.5, 1.0, -1.0, 2.0)
@@ -177,16 +178,34 @@ def assert_meets_the_stop_rule(levels, n, D, c, tol, occ, beta):
     """|sum n_i - n| <= 4 eps g n and |sum a_i n_i - D| <= max(tol, 4 eps (g D + |beta| V)).
 
     The sums are exact sums of the occupations.  V = sum w_i (a_i - m_w)^2 is
-    recomputed here, so its floor gets 1% for the rounding of V.
+    recomputed here, so its floor gets 1% for the rounding of V.  V is taken
+    on the levels divided by a power of two near the top level, so that it
+    neither overflows nor underflows at any level scale; |beta| V is then
+    (|beta| unit) V_unit unit.
     """
     g, eps = len(levels), sys.float_info.epsilon
+    unit = math.ldexp(1.0, math.frexp(levels[-1])[1])
+    scaled = [a / unit for a in levels]
     w = [x + c * x * x for x in occ]
-    m_w = math.fsum(map(mul, levels, w)) / math.fsum(w)
-    V = math.fsum(wi * (a - m_w) ** 2 for a, wi in zip(levels, w))
+    m_w = math.fsum(map(mul, scaled, w)) / math.fsum(w)
+    V = math.fsum(wi * (a - m_w) ** 2 for a, wi in zip(scaled, w))
     N = sum(map(Fraction, occ))
     M = sum(map(mul, map(Fraction, levels), map(Fraction, occ)))
     assert abs(N - Fraction(n)) <= 4 * eps * g * n
-    assert abs(M - Fraction(D)) <= max(tol, 1.01 * 4 * eps * (g * D + abs(beta) * V))
+    assert abs(M - Fraction(D)) <= max(tol, 1.01 * 4 * eps * (g * D + abs(beta) * unit * V * unit))
+
+
+def level_scales(levels, n, D, tol):
+    """(lo, hi): for lo <= k <= hi, 2**k times every nonzero level, D, D/n, tol and the
+    floor 4 eps g D is a normal float, and so is 2**k g max(levels[-1], D)."""
+    g, tiny, huge = len(levels), sys.float_info.min, sys.float_info.max
+    small = min(x for x in (*levels, D, D / n, tol, 4 * sys.float_info.epsilon * g * D) if x > 0)
+    return math.frexp(tiny / small)[1], math.frexp(huge / (g * max(levels[-1], D)))[1] - 1
+
+
+def scaled_by(k, levels, D, tol):
+    """levels, D and tol times 2**k."""
+    return [math.ldexp(a, k) for a in levels], math.ldexp(D, k), math.ldexp(tol, k)
 
 
 SUCCESSES = [(k, case) for k, case in enumerate(GOLDEN) if "error" not in case[-1]]
@@ -208,13 +227,16 @@ def test_pinned_success_meets_the_stop_rule(case):
        gap=st.floats(math.log(1e-15), math.log(1e-12)).map(math.exp), middle=st.floats(0.25, 0.75),
        c=st.sampled_from((0.0, 1e-6, -1e-6, 0.5, -0.5, 1.0, 2.0)),
        tol=st.sampled_from((1e-10, 0.0)),
-       boltzmann_n=st.floats(math.log(1e-2), math.log(1e300)).map(math.exp))
+       boltzmann_n=st.floats(math.log(1e-2), math.log(1e300)).map(math.exp),
+       level_scale=st.floats(0.0, 1.0))
 def test_every_solve_meets_the_stop_rule(g, ladder_seed, n, share, where, gap, middle, c, tol,
-                                         boltzmann_n):
+                                         boltzmann_n, level_scale):
     """Random solves, D/n within 1e-12 of an end of its range or well inside it, all succeed.
 
     For c < 0 n is at most share * g/|c| and the range of D is between the fills.  c = 0
     takes n up to 1e300 (boltzmann_n); c != 0 keeps n below 1e8, since c n^2 must be finite.
+    The levels, D and tol are then scaled by 2**k, k level_scale of the way across
+    level_scales.
     """
     levels = random_ladder(random.Random(ladder_seed), g)
     if c == 0:
@@ -225,6 +247,8 @@ def test_every_solve_meets_the_stop_rule(g, ladder_seed, n, share, where, gap, m
     else:
         lo, hi = levels[0] * n, levels[-1] * n
     D = lo + {"bottom": gap, "middle": middle, "top": 1.0 - gap}[where] * (hi - lo)
+    k_lo, k_hi = level_scales(levels, n, D, tol)
+    levels, D, tol = scaled_by(k_lo + round(level_scale * (k_hi - k_lo)), levels, D, tol)
     params = EconomyParams(tuple(levels), n, D)
     if not levels[0] < D / n < levels[-1]:  # rounded onto the hull
         with pytest.raises(InfeasibleDemand):
@@ -249,6 +273,79 @@ def test_every_solve_meets_the_stop_rule(g, ladder_seed, n, share, where, gap, m
 def test_large_n_boltzmann_solves_meet_the_stop_rule(levels, n, D, tol):
     sol = solve_generalized(EconomyParams(levels, n, D), 0.0, tol=tol)
     assert_meets_the_stop_rule(levels, n, D, 0.0, tol, sol.occupations, sol.multipliers.beta)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+@pytest.mark.parametrize("c", [0.0, 0.5, -0.5])
+@pytest.mark.parametrize("levels,n,D", [
+    # V ~ n (1e-300)^2 underflowed, and every outer step doubled beta from 0 until
+    # NoConvergence, while the root is of order 1e300
+    ((1e-300, 2e-300, 3e-300), 3.0, 5e-300),
+    # c = 0 ended in NoConvergence and c != 0 in a RuntimeWarning from overflowing moments
+    ((1e200, 2e200, 3e200), 3.0, 5e200),
+    ((1e300, 2e300, 3e300), 3.0, 5e300),
+])
+def test_solves_at_extreme_level_scales_meet_the_stop_rule(levels, n, D, c, tol):
+    sol = solve_generalized(EconomyParams(levels, n, D), c, tol=tol)
+    assert_meets_the_stop_rule(levels, n, D, c, tol, sol.occupations, sol.multipliers.beta)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, -0.5])
+def test_a_beta_past_the_largest_float_is_a_domain_error(c):
+    # subnormal level gaps: beta is of order 1e310
+    with pytest.raises(DomainError, match="overflows a float"):
+        solve_generalized(EconomyParams((1e-310, 2e-310, 3e-310), 3.0, 5e-310), c, tol=0.0)
+
+
+@pytest.mark.parametrize("k", [-990, 0, 990])
+def test_fill_bounds_decide_alike_at_every_level_scale(k):
+    # D exactly at the top-down fill bound of 1,2,3 / n 2 / c -1 solves; one ulp past it does not
+    levels, D, tol = scaled_by(k, [1.0, 2.0, 3.0], 5.0, 1e-10)
+    sol = solve_generalized(EconomyParams(tuple(levels), 2.0, D), -1.0, tol=tol)
+    assert_meets_the_stop_rule(levels, 2.0, D, -1.0, tol, sol.occupations, sol.multipliers.beta)
+    with pytest.raises(DomainViolation):
+        solve_generalized(EconomyParams(tuple(levels), 2.0, math.nextafter(D, math.inf)), -1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(g=st.integers(2, 40), ladder_seed=st.integers(0, 2 ** 32 - 1),
+       n=st.floats(math.log(1e-2), math.log(1e6)).map(math.exp), share=st.floats(0.02, 0.97),
+       where=st.sampled_from(("bottom", "middle", "top")),
+       gap=st.floats(math.log(1e-13), math.log(0.5)).map(math.exp),
+       c=st.sampled_from(FORMS), tol=st.sampled_from((1e-10, 0.0)), level_scale=st.floats(0.0, 1.0))
+def test_scaling_levels_and_D_by_a_power_of_two_scales_only_beta_and_the_D_residual(
+        g, ladder_seed, n, share, where, gap, c, tol, level_scale):
+    """solve(2**k a, n, 2**k D, 2**k tol) has the nu and occupations of the k = 0 solve, bit
+    for bit, its beta over 2**k and its D residual times 2**k, or raises the same error type.
+
+    D/n lies gap of the way across its range from the bottom or the top, or mid-range; k is
+    level_scale of the way across level_scales.
+    """
+    levels = random_ladder(random.Random(ladder_seed), g)
+    if c < 0:
+        n = min(n, share * g / -c)
+        lo, hi = fill_bounds(levels, n, c)
+    else:
+        lo, hi = levels[0] * n, levels[-1] * n
+    D = lo + {"bottom": gap, "middle": 0.5, "top": 1.0 - gap}[where] * (hi - lo)
+    k_lo, k_hi = level_scales(levels, n, D, tol)
+    k = k_lo + round(level_scale * (k_hi - k_lo))
+
+    def solve(levels, D, tol):
+        try:
+            return solve_generalized(EconomyParams(tuple(levels), n, D), c, tol=tol)
+        except AymError as exc:
+            return type(exc)
+
+    base, scaled = solve(levels, D, tol), solve(*scaled_by(k, levels, D, tol))
+    if isinstance(base, type):
+        assert scaled is base
+        return
+    assert not isinstance(scaled, type), scaled
+    assert ([x.hex() for x in (scaled.multipliers.nu, *scaled.occupations)]
+            == [x.hex() for x in (base.multipliers.nu, *base.occupations)])
+    assert scaled.multipliers.beta == math.ldexp(base.multipliers.beta, -k)
+    assert scaled.residuals == (base.residuals[0], math.ldexp(base.residuals[1], k))
 
 
 def test_golden_file_covers_every_form_and_ending():

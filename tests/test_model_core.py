@@ -281,6 +281,11 @@ def test_integer_lattice_rejects_irrational():
         integer_lattice((math.sqrt(2), 1.0))
 
 
+def test_integer_lattice_rejects_a_tiny_value_off_its_fraction():
+    with pytest.raises(DomainError, match="1e-13"):  # not snapped to the fraction 0
+        integer_lattice((1e-13, 1.0, 2.0))
+
+
 def test_integer_lattice_rejects_all_zero():
     with pytest.raises(DomainError):
         integer_lattice((0.0, 0.0))
@@ -295,7 +300,7 @@ def _reference_integer_lattice(values):
         if not math.isfinite(x):
             raise DomainError(f"lattice values must be finite, got {x}")
         f = Fraction(x).limit_denominator(10**12)
-        if abs(float(f) - x) > 1e-9 * max(1.0, abs(x)):
+        if abs(float(f) - x) > 1e-9 * abs(x):
             raise DomainError(f"value {x} is not on a recognizable integer lattice")
         fracs.append(f)
     denominator = math.lcm(*(f.denominator for f in fracs))
@@ -314,7 +319,7 @@ _lattice_values = st.one_of(
     st.builds(lambda k, j: k / 2**j, st.integers(-10**6, 10**6), st.integers(0, 45)),  # fast path
     st.builds(lambda k, j: round(k / 10**j, j), st.integers(-10**6, 10**6), st.integers(0, 6)),
     st.floats(-1e7, 1e7, allow_nan=False),
-    st.sampled_from([0.0, -0.0, 1 / 3, 2**-40, 2**-41, 1e-12, math.inf, math.nan]),
+    st.sampled_from([0.0, -0.0, 1 / 3, 2**-40, 2**-41, 1e-12, 1e-13, math.inf, math.nan]),
 )
 
 

@@ -322,6 +322,11 @@ def test_nonintegral_worker_count_rejected():
         run_chain(EconomyParams((1, 2), 2.5, 4), ChainConfig(steps=10))
 
 
+def test_value_off_its_fraction_rejected():
+    with pytest.raises(DomainError, match="integer lattice"):
+        run_chain(EconomyParams((1e-13, 1, 2), 2, 2), ChainConfig(steps=10))
+
+
 def test_negative_enumeration_cap_is_domain_error():
     with pytest.raises(DomainError, match="cap"):
         run_chain(ORACLE_PARAMS, ChainConfig(steps=10), max_enumeration=-5)
