@@ -145,16 +145,22 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     integer times 2**-1074.  Boundary instances are attempted.
 
     Units: every c is solved in units chosen once, after the feasibility
-    checks, which use the caller's.  The levels, D and tol are divided by the
-    power of two scale with max(D/n - a_1, a_g - D/n) in [scale, 2 scale),
-    so |a_i - D/n| < 2, and the outer unknown is beta scale; the iterations
-    above and the stop rule below run in these units.  Dividing by a power
-    of two is exact away from subnormals, so scaling the levels, D and tol
-    by 2**k changes nothing but beta, divided by 2**k, and the D residual,
-    times 2**k, and no moment overflows or underflows at any level scale.
-    beta, the D residual and the distance in a NoConvergence message are
-    given in the caller's units; a beta past the largest float, at
-    subnormal level gaps, is a DomainError.
+    checks, which use the caller's.  The levels, D and tol are divided by
+    scale, a power of two: the one with a_g in [1/2, 1) of it, so, as the
+    levels are non-negative, 0 <= a_i < 1 and D < n, times the least power
+    of two, set by n, c and g alone, that keeps the terms
+    w'_i (a_i - m_w)^3, at most 8 g n (1 + c n)(1 + 2 c n) at |a_i| < 1,
+    below 2**1000; that factor is 1 unless 8 g n (1 + c n)^2 passes about
+    2**996.  scale stops at 2**1023, the largest power of two that is a
+    float.  The outer unknown is beta scale; the iterations above and the
+    stop rule below run in these units.  Dividing by a power of two is
+    exact away from subnormals, so scaling the levels, D and tol by 2**k
+    changes nothing but beta, divided by 2**k, and the D residual, times
+    2**k.  At any level scale the sums and moments then take the values
+    they take at levels of order 1, and the floor's 4 eps g D is formed
+    once as (4 eps g) D, a float at any n.  beta, the D residual and the
+    distance in a NoConvergence message are given in the caller's units; a
+    beta past the largest float, at subnormal level gaps, is a DomainError.
 
     Stop rule: the solve returns once |sum a_i n_i - D| <= max(tol, floor_D),
     floor_D = 4 eps (g D + |beta| V), the rounding of the sum plus one ulp
@@ -191,12 +197,14 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
                 f"c = {c} caps each occupation at {cap}, so a solution needs n <= {g * cap} "
                 f"and D in [{lo}, {hi}]; got n = {n}, D = {D}")
     import numpy as np  # only now: a rejected input is decided without loading numpy
-    scale = math.ldexp(1.0, math.frexp(max(D / n - levels[0], levels[-1] - D / n))[1] - 1)
+    # 2**(grow + 1000) >= 8 g n (1 + c n)(1 + 2 c n), the bound on w'_i (a_i - m_w)^3 at |a_i| < 1
+    grow = math.frexp(n)[1] + g.bit_length() + 2 * math.frexp(1.0 + max(c, 0.0) * n)[1] - 996
+    scale = math.ldexp(1.0, min(math.frexp(levels[-1])[1] - min(0, -grow // 3), 1023))
     a = np.asarray(levels, dtype=float) / scale
     a_1, a_g, D, tol = levels[0] / scale, levels[-1] / scale, D / scale, tol / scale
     add, eps = np.add.reduce, sys.float_info.epsilon  # add(x): x.sum() minus its Python wrapper
     pole = c > 0 and c * n >= 1
-    floor_n = 4 * eps * g * n
+    floor_n, floor_gD = 4 * eps * g * n, 4 * eps * g * D  # (4 eps g) D is a float at any D
     # terms summed in pairs, each pair by one row-wise reduce: (n_i, w_i), or
     # (n_i, a_i n_i) at c = 0, where w_i = n_i; then (a_i n_i, a_i w_i) and
     # (w_i dv_i^2, w'_i dv_i^3) for c != 0
@@ -301,7 +309,7 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
             m1, m2, m3 = S1 / S0, S2 / S0, S3 / S0
             value, V = -n * m1, n * (m2 - m1 * m1)
             curve = n * ((3.0 * m2 - 2.0 * m1 * m1) * m1 - m3)
-            if abs(value) > max(tol, 4 * eps * (g * D + abs(beta) * V)):
+            if abs(value) > max(tol, floor_gD + 4 * eps * abs(beta) * V):
                 return value, V, curve, False, None
             k = n / S0  # the stop rule is decided on the occupations themselves
             np.multiply(u, k, out=occ)
@@ -320,7 +328,7 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
             np.multiply(moments[0], dv * (1.0 + 2.0 * c * occ), out=moments[1])
             V, T = add(moments, 1).tolist()
             curve = -T
-        done = abs(M - D) <= max(tol, 4 * eps * (g * D + abs(beta) * V))
+        done = abs(M - D) <= max(tol, floor_gD + 4 * eps * abs(beta) * V)
         return D - M, V, curve, done, (nu, beta, M, N)
 
     with np.errstate(over="ignore"):  # exp overflow past the top sector means n_i = 0

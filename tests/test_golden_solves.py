@@ -65,7 +65,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aym import (AymError, DomainError, DomainViolation, EconomyParams, InfeasibleDemand,
@@ -184,7 +184,7 @@ def assert_meets_the_stop_rule(levels, n, D, c, tol, occ, beta):
     (|beta| unit) V_unit unit.
     """
     g, eps = len(levels), sys.float_info.epsilon
-    unit = math.ldexp(1.0, math.frexp(levels[-1])[1])
+    unit = math.ldexp(1.0, min(math.frexp(levels[-1])[1], 1023))  # 2**1024 is no float
     scaled = [a / unit for a in levels]
     w = [x + c * x * x for x in occ]
     m_w = math.fsum(map(mul, scaled, w)) / math.fsum(w)
@@ -192,15 +192,26 @@ def assert_meets_the_stop_rule(levels, n, D, c, tol, occ, beta):
     N = sum(map(Fraction, occ))
     M = sum(map(mul, map(Fraction, levels), map(Fraction, occ)))
     assert abs(N - Fraction(n)) <= 4 * eps * g * n
-    assert abs(M - Fraction(D)) <= max(tol, 1.01 * 4 * eps * (g * D + abs(beta) * unit * V * unit))
+    # 4 eps g D, not g D, is a float at any finite D
+    assert abs(M - Fraction(D)) <= max(tol, 1.01 * (4 * eps * g * D + 4 * eps * abs(beta) * unit * V * unit))
+
+
+def close_to_one(levels):
+    """1 + 1e-9 a for each level a: within 1e-6 relative of each other, for a ladder below 1000."""
+    return [1.0 + 1e-9 * a for a in levels]
 
 
 def level_scales(levels, n, D, tol):
     """(lo, hi): for lo <= k <= hi, 2**k times every nonzero level, D, D/n, tol and the
-    floor 4 eps g D is a normal float, and so is 2**k g max(levels[-1], D)."""
+    floor 4 eps g D is a normal float, and so is 2**k g max(levels[-1], D), or 2**k times
+    the largest float if g max(levels[-1], D) passes it.  2**k times the smallest level gap
+    is at least 2**22 times the smallest normal float, so beta, of order 1 over it, is a
+    float unless beta times the gap passes 2**22."""
     g, tiny, huge = len(levels), sys.float_info.min, sys.float_info.max
-    small = min(x for x in (*levels, D, D / n, tol, 4 * sys.float_info.epsilon * g * D) if x > 0)
-    return math.frexp(tiny / small)[1], math.frexp(huge / (g * max(levels[-1], D)))[1] - 1
+    gap = min(b - a for a, b in zip(levels, levels[1:])) * 2.0 ** -22
+    small = min(x for x in (*levels, D, D / n, tol, 4 * sys.float_info.epsilon * g * D, gap)
+                if x > 0)
+    return math.frexp(tiny / small)[1], math.frexp(huge / min(g * max(levels[-1], D), huge))[1] - 1
 
 
 def scaled_by(k, levels, D, tol):
@@ -227,20 +238,31 @@ def test_pinned_success_meets_the_stop_rule(case):
        gap=st.floats(math.log(1e-15), math.log(1e-12)).map(math.exp), middle=st.floats(0.25, 0.75),
        c=st.sampled_from((0.0, 1e-6, -1e-6, 0.5, -0.5, 1.0, 2.0)),
        tol=st.sampled_from((1e-10, 0.0)),
-       boltzmann_n=st.floats(math.log(1e-2), math.log(1e300)).map(math.exp),
-       level_scale=st.floats(0.0, 1.0))
+       boltzmann_n=st.floats(math.log(1e-2), math.log(1e307)).map(math.exp),
+       close=st.booleans(), level_scale=st.floats(0.0, 1.0))
+# a close ladder at n near 1e307, where g D over the hull's width passes the largest float
+@example(g=2, ladder_seed=0, n=1.0, share=0.5, where="middle", gap=1e-12, middle=0.5, c=0.0,
+         tol=1e-10, boltzmann_n=1e307, close=True, level_scale=0.5)
+@example(g=40, ladder_seed=1, n=1.0, share=0.5, where="top", gap=1e-12, middle=0.5, c=0.0,
+         tol=0.0, boltzmann_n=1e307, close=True, level_scale=1.0)
 def test_every_solve_meets_the_stop_rule(g, ladder_seed, n, share, where, gap, middle, c, tol,
-                                         boltzmann_n, level_scale):
+                                         boltzmann_n, close, level_scale):
     """Random solves, D/n within 1e-12 of an end of its range or well inside it, all succeed.
 
-    For c < 0 n is at most share * g/|c| and the range of D is between the fills.  c = 0
-    takes n up to 1e300 (boltzmann_n); c != 0 keeps n below 1e8, since c n^2 must be finite.
-    The levels, D and tol are then scaled by 2**k, k level_scale of the way across
+    For c >= 0 a close ladder is squeezed against 1 (close_to_one).  For c < 0 n is at
+    most share * g/|c| and the range of D is between the fills; there the ladder is not
+    squeezed, since D within gap of a fill bound of a close ladder rounds onto it, and
+    the exact fill sums may exclude it.  c = 0 takes n up to 1e307 over the top level
+    (boltzmann_n), so that D reaches 1e307 and g D, or g D over the hull's width, may
+    pass the largest float; c != 0 keeps n below 1e8, since c n^2 must be finite.  The
+    levels, D and tol are then scaled by 2**k, k level_scale of the way across
     level_scales.
     """
     levels = random_ladder(random.Random(ladder_seed), g)
+    if c >= 0 and close:
+        levels = close_to_one(levels)
     if c == 0:
-        n = boltzmann_n
+        n = boltzmann_n / levels[-1]
     if c < 0:
         n = min(n, share * g / -c)
         lo, hi = fill_bounds(levels, n, c)
@@ -290,6 +312,34 @@ def test_solves_at_extreme_level_scales_meet_the_stop_rule(levels, n, D, c, tol)
     assert_meets_the_stop_rule(levels, n, D, c, tol, sol.occupations, sol.multipliers.beta)
 
 
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+@pytest.mark.parametrize("c", [0.0, 1e-310, -1e-310])
+@pytest.mark.parametrize("levels,n,D", [
+    # in units of the hull's width around D/n, 2**-31, g D overflowed, so the first outer
+    # evaluation met an infinite floor and returned beta = 0 with a D residual of 2e289
+    ((1.0, 1.000000001), 5e298, 5.0000000005e298),
+    # in units of the top level, 0.5, D is 1.3e308 and g D overflowed
+    ((0.3, 0.45), 1.5e308, 0.66e308),
+    # a top level past 2**1023: its power of two above is no float
+    ((1e308, 1.5e308), 1.0, 1.2e308),
+])
+def test_solves_at_the_largest_n_meet_the_stop_rule(levels, n, D, c, tol):
+    # c n^2 is finite for the subnormal c, so every form solves
+    sol = solve_generalized(EconomyParams(levels, n, D), c, tol=tol)
+    assert_meets_the_stop_rule(levels, n, D, c, tol, sol.occupations, sol.multipliers.beta)
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("n,c", [(1e150, 0.5), (1e20, 1e200)])
+def test_solves_at_large_c_n_meet_the_stop_rule_at_every_level_scale(n, c, s):
+    # w'_i = n_i (1 + c n_i)(1 + 2 c n_i) is about 2 c^2 n^3: in units where the levels are
+    # of order 1, the terms w'_i (a_i - m_w)^3 overflowed and their sum was inf - inf, a
+    # RuntimeWarning; the unit is raised with n and c so that they stay floats
+    levels, D = (1.0 * s, 2.0 * s, 3.0 * s), 2.5 * n * s
+    sol = solve_generalized(EconomyParams(levels, n, D), c, tol=0.0)
+    assert_meets_the_stop_rule(levels, n, D, c, 0.0, sol.occupations, sol.multipliers.beta)
+
+
 @pytest.mark.parametrize("c", [0.0, 0.5, -0.5])
 def test_a_beta_past_the_largest_float_is_a_domain_error(c):
     # subnormal level gaps: beta is of order 1e310
@@ -312,16 +362,26 @@ def test_fill_bounds_decide_alike_at_every_level_scale(k):
        n=st.floats(math.log(1e-2), math.log(1e6)).map(math.exp), share=st.floats(0.02, 0.97),
        where=st.sampled_from(("bottom", "middle", "top")),
        gap=st.floats(math.log(1e-13), math.log(0.5)).map(math.exp),
-       c=st.sampled_from(FORMS), tol=st.sampled_from((1e-10, 0.0)), level_scale=st.floats(0.0, 1.0))
+       c=st.sampled_from(FORMS), tol=st.sampled_from((1e-10, 0.0)),
+       boltzmann_n=st.floats(math.log(1e-2), math.log(1e307)).map(math.exp),
+       close=st.booleans(), level_scale=st.floats(0.0, 1.0))
+@example(g=2, ladder_seed=0, n=1.0, share=0.5, where="middle", gap=0.5, c=0.0, tol=1e-10,
+         boltzmann_n=1e307, close=True, level_scale=0.5)
 def test_scaling_levels_and_D_by_a_power_of_two_scales_only_beta_and_the_D_residual(
-        g, ladder_seed, n, share, where, gap, c, tol, level_scale):
+        g, ladder_seed, n, share, where, gap, c, tol, boltzmann_n, close, level_scale):
     """solve(2**k a, n, 2**k D, 2**k tol) has the nu and occupations of the k = 0 solve, bit
-    for bit, its beta over 2**k and its D residual times 2**k, or raises the same error type.
+    for bit, its beta over 2**k and its D residual times 2**k, or raises the same error type;
+    the k = 0 solve meets the stop rule.
 
     D/n lies gap of the way across its range from the bottom or the top, or mid-range; k is
-    level_scale of the way across level_scales.
+    level_scale of the way across level_scales.  As in the stop-rule sweep, c >= 0 may take
+    a close ladder, and c = 0 takes n up to 1e307 over the top level.
     """
     levels = random_ladder(random.Random(ladder_seed), g)
+    if c >= 0 and close:
+        levels = close_to_one(levels)
+    if c == 0:
+        n = boltzmann_n / levels[-1]
     if c < 0:
         n = min(n, share * g / -c)
         lo, hi = fill_bounds(levels, n, c)
@@ -342,6 +402,7 @@ def test_scaling_levels_and_D_by_a_power_of_two_scales_only_beta_and_the_D_resid
         assert scaled is base
         return
     assert not isinstance(scaled, type), scaled
+    assert_meets_the_stop_rule(levels, n, D, c, tol, base.occupations, base.multipliers.beta)
     assert ([x.hex() for x in (scaled.multipliers.nu, *scaled.occupations)]
             == [x.hex() for x in (base.multipliers.nu, *base.occupations)])
     assert scaled.multipliers.beta == math.ldexp(base.multipliers.beta, -k)
