@@ -67,6 +67,19 @@ class EquilibriumSolution:
         }
 
 
+def _between_fills(levels, fill, D: float) -> bool:
+    """Whether sum a_i fill_i <= D <= sum a_(g+1-i) fill_i, the fills taken bottom-up
+    and top-down, decided exactly.  Every float x is p/q with q a power of two, so with
+    2**k the largest q among the levels, fills and D, x * 2**k is the integer p 2**k/q
+    and the sums are integers in units of 2**-2k: no D flips by rounding."""
+    ratios = [x.as_integer_ratio() for x in (*levels, *fill, D)]
+    k = max(q for _, q in ratios).bit_length() - 1
+    *units, D_units = (p << k + 1 - q.bit_length() for p, q in ratios)
+    g = len(levels)
+    lo, hi = (sum(map(mul, order, units[g:])) for order in (units[:g], units[g - 1::-1]))
+    return lo <= D_units << k <= hi
+
+
 def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> EquilibriumSolution:
     """Solve sum n_i = n, sum a_i n_i = D for n_i = 1/(exp(-nu + beta a_i) - c).
 
@@ -141,8 +154,9 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     For c < 0 each n_i is below 1/|c|, so a solution needs n <= g/|c| and
     D between the outputs of filling the sectors bottom-up and top-down at
     1/|c| workers each; DomainViolation is raised otherwise.  The fill sums
-    are exact integers in units of 2**-2148, since every finite float is an
-    integer times 2**-1074.  Boundary instances are attempted.
+    are exact integers in units of 2**-2k, 2**k the largest denominator of
+    the levels, fills and D as ratios of integers.  Boundary instances are
+    attempted.
 
     Units: every c is solved in units chosen once, after the feasibility
     checks, which use the caller's.  The levels, D and tol are divided by
@@ -187,11 +201,7 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
         # the k-th sector filled takes fill[k] workers (cap = inf, for subnormal c, is fine)
         filled = [0.0] + [min(n, cap * k) for k in range(1, g + 1)]
         fill = [after - before for before, after in zip(filled, filled[1:])]
-        # x = p/2**k with k <= 1074, so x * 2**1074 is an integer: no D flips by rounding
-        *units, D_units = (p << 1075 - q.bit_length()
-                           for p, q in map(float.as_integer_ratio, (*levels, *fill, D)))
-        lo, hi = (sum(map(mul, order, units[g:])) for order in (units[:g], units[g - 1::-1]))
-        if n > g * cap or not lo <= D_units << 1074 <= hi:
+        if n > g * cap or not _between_fills(levels, fill, D):
             lo, hi = (sum(map(mul, order, fill)) for order in (levels, levels[::-1]))  # inf past range
             raise DomainViolation(
                 f"c = {c} caps each occupation at {cap}, so a solution needs n <= {g * cap} "

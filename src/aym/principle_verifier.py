@@ -58,9 +58,8 @@ _NODES, _SPLIT = np.concatenate((_T48, _T96)), len(_T48)
 
 _STANDARD = make(1.0)  # s = 1 and a0 = 0: t = a, and the displacement is x = t - 1
 _ALPHA_SQ = _STANDARD.alpha ** 2  # 1/4
-_EDGE = _STANDARD.amplitude(_STANDARD.x_min)  # q at the support edge, 2
+_SURFACE = _STANDARD.alpha * _STANDARD.amplitude(_STANDARD.x_min) ** 2  # -q q' at the edge, 2
 _NORMAL_MIN = sys.float_info.min
-_STEP_X_FAULT = "fd_step_x = {} gives a non-finite finite difference for the mean gap D/n - a0 = {}"
 
 
 @dataclass(frozen=True)
@@ -156,34 +155,58 @@ def _rule_sums(integrands, lo: float, scale: float) -> dict[str, tuple[float, fl
                        scale * float(np.dot(_W96, f[_SPLIT:]))) for name, f in values.items()}
 
 
-def _in_units(dist: EpiDistribution, value: float = 1.0, power: float = 2.0,
-              step_x: float | None = None) -> float:
-    """A standard-law value times s^-power, power 2, 2.5 or 3 (by default s^-2 itself);
-    DomainError unless s^-2 is a positive normal float and the product is finite.  The
-    factors lie on one side of 1, so no partial product overflows unless the product does.
-    step_x is the explicit x step of a finite-difference value, which a non-finite value blames."""
+def _fault(dist: EpiDistribution, value: float, step_x: float | None) -> DomainError:
+    """The error for a value out of range: it blames step_x, the explicit x step of a
+    finite-difference value, when the value itself is not finite, else the mean gap."""
+    if step_x is not None and not math.isfinite(value):
+        return DomainError(f"fd_step_x = {step_x} gives a non-finite finite difference "
+                           f"for the mean gap D/n - a0 = {dist.scale}")
+    return DomainError(f"mean gap D/n - a0 = {dist.scale} puts the capacity 1/(D/n - a0)^2 "
+                       "or a verifier value outside the normal float range")
+
+
+def _unit(dist: EpiDistribution, value: float = 1.0,
+          step_x: float | None = None) -> tuple[float, float]:
+    """(1/s, s^-2), formed once per call; the _fault of value and step_x unless s^-2 is a
+    positive normal float.  A call scales each of its values with these two by _in_units."""
     inverse = 1.0 / dist.scale
     capacity = inverse * inverse
-    product = value * capacity * {2.0: 1.0, 2.5: math.sqrt(inverse), 3.0: inverse}[power]
-    if not (_NORMAL_MIN <= capacity < math.inf and math.isfinite(product)):
-        if step_x is not None and not math.isfinite(value):
-            raise DomainError(_STEP_X_FAULT.format(step_x, dist.scale))
-        raise DomainError(f"mean gap D/n - a0 = {dist.scale} puts the capacity 1/(D/n - a0)^2 "
-                          "or a verifier value outside the normal float range")
+    if not _NORMAL_MIN <= capacity < math.inf:
+        raise _fault(dist, value, step_x)
+    return inverse, capacity
+
+
+def _in_units(dist: EpiDistribution, value: float, capacity: float, factor: float = 1.0,
+              step_x: float | None = None) -> float:
+    """A standard-law value times s^-power, power 2, 2.5 or 3: value * capacity * factor,
+    left to right, with capacity = s^-2 and factor 1, sqrt(1/s) or 1/s from _unit; the
+    _fault of value and step_x unless the product is finite.  The factors lie on one
+    side of 1, so no partial product overflows unless the product does."""
+    product = value * capacity * factor
+    if not math.isfinite(product):
+        raise _fault(dist, value, step_x)
     return product
 
 
-def _gated(dist: EpiDistribution, pair: tuple[float, float], tol: float,
+def _scaled(dist: EpiDistribution, value: float, power: float = 2.0,
+            step_x: float | None = None) -> float:
+    """One standard-law value times s^-power, with its own _unit."""
+    inverse, capacity = _unit(dist, value, step_x)
+    return _in_units(dist, value, capacity,
+                     {2.0: 1.0, 2.5: math.sqrt(inverse), 3.0: inverse}[power], step_x)
+
+
+def _gated(dist: EpiDistribution, pair: tuple[float, float], tol: float, capacity: float,
            magnitude: float = 0.0, step_x: float | None = None) -> float:
-    """A standard-law (48-point, 96-point) pair times s^-2, gated with the absolute tol;
-    step_x is the explicit x step of a finite-difference pair, which a non-finite one blames."""
-    capacity = _in_units(dist)
+    """A standard-law (48-point, 96-point) pair times capacity = s^-2, gated with the
+    absolute tol; step_x is the explicit x step of a finite-difference pair, which a
+    non-finite one blames."""
     try:
         return _gate(pair[0] * capacity, pair[1] * capacity, tol, magnitude)
     except QuadratureFailure:
         if step_x is None or all(map(math.isfinite, pair)):
             raise
-        raise DomainError(_STEP_X_FAULT.format(step_x, dist.scale)) from None
+        raise _fault(dist, math.inf, step_x) from None
 
 
 def _quadratures(cfg: NumericsConfig) -> dict[str, tuple[float, float]]:
@@ -268,6 +291,8 @@ def _standard_law(cfg: NumericsConfig, eps: float) -> dict:
 
 def _law(dist: EpiDistribution, cfg: NumericsConfig, eps: float = 0.0) -> dict:
     """_standard_law with cfg's explicit steps over s, eps times s; default steps stay None."""
+    if cfg.fd_step_theta is None and cfg.fd_step_x is None:
+        return _standard_law(cfg, eps * dist.scale)
     steps = {"fd_step_theta": cfg.fd_step_theta, "fd_step_x": cfg.fd_step_x}
     given = {name: step / dist.scale for name, step in steps.items() if step is not None}
     try:
@@ -307,24 +332,25 @@ def _grid_law(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
 
 def fisher_metric_form(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Metric-form channel capacity: integral of (dp/dtheta)^2 / p over the support."""
-    return _gated(dist, _law(dist, cfg)["metric"], cfg.quadrature_tol)
+    return _gated(dist, _law(dist, cfg)["metric"], cfg.quadrature_tol, _unit(dist)[1])
 
 
 def fisher_kinematical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Kinematical-form capacity: integral of (dq/dx)^2 over the displacement support."""
-    return _gated(dist, _law(dist, cfg)["kinematical"], cfg.quadrature_tol, step_x=cfg.fd_step_x)
+    return _gated(dist, _law(dist, cfg)["kinematical"], cfg.quadrature_tol, _unit(dist)[1],
+                  step_x=cfg.fd_step_x)
 
 
 def fisher_statistical(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """Statistical-form capacity: -integral q * d^2 q/dtheta^2 over the support."""
-    return _gated(dist, _law(dist, cfg)["statistical"], cfg.quadrature_tol)
+    return _gated(dist, _law(dist, cfg)["statistical"], cfg.quadrature_tol, _unit(dist)[1])
 
 
 def regularity_residual(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> float:
     """|integral d^2 p/dtheta^2 da|; zero because the support edge is theta-free."""
     # the integral cancels to ~0; gate the quad error against the capacity scale
-    return abs(_gated(dist, _law(dist, cfg)["regularity"], cfg.quadrature_tol,
-                      magnitude=_in_units(dist)))
+    law, capacity = _law(dist, cfg), _unit(dist)[1]
+    return abs(_gated(dist, law["regularity"], cfg.quadrature_tol, capacity, magnitude=capacity))
 
 
 def structural_principle(dist: EpiDistribution,
@@ -334,9 +360,9 @@ def structural_principle(dist: EpiDistribution,
     Q = (1/2) integral (q d^2q/dtheta^2 - (dq/dtheta)^2) da; the capacity I
     is taken from the metric form.  Expected Q = -I.
     """
-    law = _law(dist, cfg)
-    q_value = _gated(dist, law["structural"], cfg.quadrature_tol)
-    return q_value, abs(_gated(dist, law["metric"], cfg.quadrature_tol) + q_value)
+    law, capacity = _law(dist, cfg), _unit(dist)[1]
+    q_value = _gated(dist, law["structural"], cfg.quadrature_tol, capacity)
+    return q_value, abs(_gated(dist, law["metric"], cfg.quadrature_tol, capacity) + q_value)
 
 
 def pointwise_information_density(dist: EpiDistribution,
@@ -344,7 +370,7 @@ def pointwise_information_density(dist: EpiDistribution,
                                   derivative: str = "analytic") -> float:
     """max |k(x)| with k = -(1/2) q q'' + (1/4) q^2 * 2 alpha^2; identically 0."""
     values, step_x = _grid_law(dist, cfg, derivative)
-    return _in_units(dist, values[0], 3.0, step_x)
+    return _scaled(dist, values[0], 3.0, step_x)
 
 
 def generating_equation_residual(dist: EpiDistribution,
@@ -352,7 +378,7 @@ def generating_equation_residual(dist: EpiDistribution,
                                  derivative: str = "fd") -> float:
     """max |q'' - alpha^2 q| over the grid; 0 analytically, O(h^2) under FD."""
     values, step_x = _grid_law(dist, cfg, derivative)
-    return _in_units(dist, values[1], 2.5, step_x)
+    return _scaled(dist, values[1], 2.5, step_x)
 
 
 def euler_lagrange_residual(dist: EpiDistribution,
@@ -369,7 +395,7 @@ def euler_lagrange_residual(dist: EpiDistribution,
     """
     values, step_x = _grid_law(dist, cfg, derivative, perturbation)
     try:
-        return _in_units(dist, values[1], 2.5, step_x)
+        return _scaled(dist, values[1], 2.5, step_x)
     except DomainError:
         with np.errstate(all="ignore"):  # the grid's span and points need no change into t
             if np.isfinite(_grid(cfg, perturbation * dist.scale)["analytic"][0]).all():
@@ -387,7 +413,9 @@ def qtilde_recovered(dist: EpiDistribution,
     normal floats; constant 2*alpha^2 on the solution.
     """
     values, step_x = _grid_law(dist, cfg, derivative)
-    return _in_units(dist, values[2], 2.0, step_x), _in_units(dist, values[3], 2.0, step_x)
+    capacity = _unit(dist, values[2], step_x)[1]
+    return (_in_units(dist, values[2], capacity, step_x=step_x),
+            _in_units(dist, values[3], capacity, step_x=step_x))
 
 
 def boundary_constant(dist: EpiDistribution) -> float:
@@ -395,7 +423,7 @@ def boundary_constant(dist: EpiDistribution) -> float:
 
     The term at the upper (infinite) end vanishes with the amplitude.
     """
-    return _in_units(dist, _STANDARD.alpha * _EDGE * _EDGE)
+    return _scaled(dist, _SURFACE)
 
 
 def boundary_identity_residual(dist: EpiDistribution,
@@ -406,32 +434,35 @@ def boundary_identity_residual(dist: EpiDistribution,
     the residual is pure quadrature error: the check pits the surface term
     c_a against the numerically integrated amplitude norm.
     """
-    law, tol = _law(dist, cfg), cfg.quadrature_tol
-    lhs = _gated(dist, law["dq_sq"], tol)
-    rhs = boundary_constant(dist) - _gated(dist, law["q_d2q"], tol)
+    law, tol, capacity = _law(dist, cfg), cfg.quadrature_tol, _unit(dist)[1]
+    lhs = _gated(dist, law["dq_sq"], tol, capacity)
+    rhs = _in_units(dist, _SURFACE, capacity) - _gated(dist, law["q_d2q"], tol, capacity)
     return abs(lhs - rhs)
 
 
 def verify_all(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) -> PrincipleReport:
     """Evaluate every identity and assemble the report (kappa fixed at 1).
 
-    Every field is read from the standard law's values for cfg; the quadrature gates
-    run in the order metric, structural, statistical, kinematical.  DomainError unless
-    1/s^2 is a positive normal float and every field is finite.
+    Every field is read from the standard law's values for cfg and scaled with one
+    _unit; the quadrature gates run in the order metric, structural, statistical,
+    kinematical.  DomainError unless 1/s^2 is a positive normal float and every field
+    is finite.
     """
-    law, tol = _law(dist, cfg), cfg.quadrature_tol
-    capacity, q_value = _gated(dist, law["metric"], tol), _gated(dist, law["structural"], tol)
-    generating = _in_units(dist, law["fd"][1], 2.5, cfg.fd_step_x)
+    law, tol, step_x = _law(dist, cfg), cfg.quadrature_tol, cfg.fd_step_x
+    inverse, capacity = _unit(dist)
+    metric = _gated(dist, law["metric"], tol, capacity)
+    q_value = _gated(dist, law["structural"], tol, capacity)
+    generating = _in_units(dist, law["fd"][1], capacity, math.sqrt(inverse), step_x)
     return PrincipleReport(
-        fisher_metric=capacity,
-        fisher_statistical=_gated(dist, law["statistical"], tol),
-        fisher_kinematical=_gated(dist, law["kinematical"], tol, step_x=cfg.fd_step_x),
+        fisher_metric=metric,
+        fisher_statistical=_gated(dist, law["statistical"], tol, capacity),
+        fisher_kinematical=_gated(dist, law["kinematical"], tol, capacity, step_x=step_x),
         structural_Q=q_value,
-        structural_residual=abs(capacity + q_value),
-        epi_residual_pointwise=_in_units(dist, law["analytic"][0], 3.0),
+        structural_residual=abs(metric + q_value),
+        epi_residual_pointwise=_in_units(dist, law["analytic"][0], capacity, inverse),
         generating_residual=generating,
         euler_lagrange_residual=generating,  # the same equation at the solution
-        qtilde_value=_in_units(dist, law["analytic"][2]),
-        boundary_constant=boundary_constant(dist),
+        qtilde_value=_in_units(dist, law["analytic"][2], capacity),
+        boundary_constant=_in_units(dist, _SURFACE, capacity),
         kappa=1.0,
     )

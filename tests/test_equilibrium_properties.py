@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from aym import (AymError, DomainViolation, EconomyParams, NoConvergence, solve_boltzmann,
                  solve_generalized)
+from aym.discrete_equilibrium import _between_fills
 
 TOL = 1e-10
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -210,6 +211,47 @@ def test_integer_fill_bounds_decide_as_exact_fractions(instance):
             checked += 1
             assert decided == (n > g * cap or not lo <= Fraction(D) <= hi), D
     assume(checked)
+
+
+def between_fills_in_the_smallest_unit(levels, fill, D):
+    """The reference cap check: every float is an integer times 2**-1074, so the fill
+    sums are exact integers in units of 2**-2148."""
+    g = len(levels)
+    *units, D_units = (p << 1075 - q.bit_length()
+                       for p, q in map(float.as_integer_ratio, (*levels, *fill, D)))
+    lo, hi = (sum(map(mul, order, units[g:])) for order in (units[:g], units[g - 1::-1]))
+    return lo <= D_units << 1074 <= hi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(ladders(), st.sampled_from([-1074, -1060, -1000, 0, 1000]), st.booleans(),
+       st.one_of(st.sampled_from([1.0, 0.5, 3.0, 5e-324]), log_uniform(1e-12, 4.0)),
+       st.floats(0.01, 1.0), st.floats(0.0, 1.0))
+def test_fill_bounds_in_the_largest_denominator_decide_as_in_the_smallest_unit(
+        levels, exponent, from_zero, c_abs, share, u):
+    """The cap check, in units of the largest denominator among the levels, fills and D,
+    decides as the same sums in units of 2**-1074 do.
+
+    Ladders scaled by 2**-1074 (subnormal levels), 2**-1060, 2**-1000, 1 or 2**1000;
+    D at the float nearest each exact fill bound, one ulp either side and a point
+    between.  Where the cap check decides solve_generalized, it follows the same rule.
+    """
+    levels = [math.ldexp(a, exponent) for a in ((0.0, *levels[1:]) if from_zero else levels)]
+    cap = -1.0 / -c_abs  # the fill exactly as the solver forms it
+    g = len(levels)
+    n = share * min(g * cap, 1e300)
+    filled = [0.0] + [min(n, cap * k) for k in range(1, g + 1)]
+    fill = [after - before for before, after in zip(filled, filled[1:])]
+    lo, hi = (sum(map(mul, map(Fraction, order), map(Fraction, fill)))
+              for order in (levels, levels[::-1]))
+    candidates = [*nearest_floats(lo), *nearest_floats(hi),
+                  *nearest_floats(lo + Fraction(u) * (hi - lo))[:1]]
+    for D in candidates:
+        inside = between_fills_in_the_smallest_unit(levels, fill, D)
+        assert _between_fills(levels, fill, D) == inside == (lo <= Fraction(D) <= hi), D
+        decided = rejected(tuple(levels), n, D, -c_abs) if 0 < D < math.inf else None
+        assert decided in (None, n > g * cap or not inside), D
+    assume(candidates)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.laguerre import laggauss
 
 from aym import (
+    AymError,
     DomainError,
     NumericsConfig,
     QuadratureFailure,
@@ -518,6 +519,61 @@ def test_verify_all_reports_or_raises_domain_error_at_every_scale(exponent, a0):
     alpha_sq = dist.alpha ** 2
     assert math.isclose(report.qtilde_value, 2.0 * alpha_sq, rel_tol=1e-15, abs_tol=1e-323)
     assert math.isclose(report.boundary_constant, 8.0 * alpha_sq, rel_tol=1e-15, abs_tol=1e-323)
+
+
+def _first_step_outcome(dist, cfg):
+    """The report's fields from the step functions, called in verify_all's order (the
+    range check and metric gate, the structural gate, the generating residual, the
+    statistical and kinematical gates, then pointwise, qtilde and boundary), or the
+    first error among them as (type, message)."""
+    steps = [
+        ("fisher_metric", lambda: fisher_metric_form(dist, cfg)),
+        ("structural_Q", lambda: structural_principle(dist, cfg)[0]),
+        ("generating_residual", lambda: generating_equation_residual(dist, cfg, "fd")),
+        ("fisher_statistical", lambda: fisher_statistical(dist, cfg)),
+        ("fisher_kinematical", lambda: fisher_kinematical(dist, cfg)),
+        ("epi_residual_pointwise", lambda: pointwise_information_density(dist, cfg)),
+        ("qtilde_value", lambda: qtilde_recovered(dist, cfg)[0]),
+        ("boundary_constant", lambda: boundary_constant(dist)),
+        ("structural_residual", lambda: structural_principle(dist, cfg)[1]),
+        ("euler_lagrange_residual", lambda: euler_lagrange_residual(dist, cfg)),
+    ]
+    fields = {}
+    for name, step in steps:
+        try:
+            fields[name] = step()
+        except AymError as error:
+            return type(error), str(error)
+    return fields
+
+
+# log10(D/n) over the whole float range, a0 at 0, 1 and half the mean, and the default
+# numerics or explicit steps in mean gaps, up to x steps whose differences overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(exponent=st.floats(-300.0, 300.0), a0=st.sampled_from(["0", "1", "half"]),
+       theta_gaps=st.sampled_from([None, 1e-4, 2e-4, 0.01, 0.5]),
+       x_gaps=st.sampled_from([None, 5e-4, 1e-3, 0.1, 1e3, 1e5, 1e9]))
+def test_verify_all_is_its_step_functions_or_their_first_error(exponent, a0, theta_gaps,
+                                                                x_gaps):
+    mean = 10.0 ** exponent
+    a0 = {"0": 0.0, "1": 1.0, "half": mean / 2.0}[a0]
+    try:
+        dist = make(mean, a0)
+        cfg = NumericsConfig(fd_step_theta=None if theta_gaps is None else theta_gaps * dist.scale,
+                             fd_step_x=None if x_gaps is None else x_gaps * dist.scale)
+    except DomainError:  # D/n at a0, or a step past the float range
+        return
+    expected = _first_step_outcome(dist, cfg)
+    try:
+        report = verify_all(dist, cfg)
+    except AymError as error:
+        assert (type(error), str(error)) == expected
+        return
+    assert isinstance(expected, dict), expected
+    fields = report.to_json_dict()
+    assert _bits(fields[name] for name in expected) == _bits(expected.values())
+    assert fields["generating_residual"] == fields["euler_lagrange_residual"]
 
 
 def test_cold_and_warm_cache_give_the_same_bits():
