@@ -296,7 +296,7 @@ def _law(dist: EpiDistribution, cfg: NumericsConfig, eps: float = 0.0) -> dict:
     steps = {"fd_step_theta": cfg.fd_step_theta, "fd_step_x": cfg.fd_step_x}
     given = {name: step / dist.scale for name, step in steps.items() if step is not None}
     try:
-        return _standard_law(replace(cfg, **given) if given else cfg, eps * dist.scale)
+        return _standard_law(replace(cfg, **given), eps * dist.scale)
     except DomainError:
         faults = (_step_fault(name, steps[name], t, dist.scale) for name, t in given.items())
         fault = next(filter(None, faults), None)
