@@ -105,13 +105,18 @@ class Displacement:
 def make(mean_demand: float, a0: float = 0.0) -> EpiDistribution:
     """Build the law for a given demand per worker and minimal productivity.
 
-    Requires mean_demand > a0 >= 0; the decay rate follows from the mean
-    constraint as alpha = 1/(2*(mean_demand - a0)).
+    Requires mean_demand > a0 >= 0 and a mean gap s = mean_demand - a0 whose
+    inverse, the density's peak, is a finite float (s above about 5.6e-309);
+    the decay rate follows from the mean constraint as alpha = 1/(2 s).
     """
     _check_a0(a0)
     if not a0 < mean_demand < math.inf:
         raise DomainError(f"mean demand {mean_demand} must be finite and exceed a0 = {a0}")
-    return EpiDistribution(float(mean_demand), float(a0), 1.0 / (2.0 * (mean_demand - a0)))
+    gap = float(mean_demand) - float(a0)
+    if not (gap and 1.0 / gap < math.inf):
+        raise DomainError(f"mean gap D/n - a0 = {gap!r} is too small: "
+                          "the density's peak 1/(D/n - a0) overflows")
+    return EpiDistribution(float(mean_demand), float(a0), 1.0 / (2.0 * gap))
 
 
 def curve_csv(dist: EpiDistribution, grid) -> str:

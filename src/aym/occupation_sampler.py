@@ -24,7 +24,8 @@ Irreducibility: count_feasible counts the feasible set up to just past
 max_enumeration without listing it; if the count fits, a search over the
 moves from the start state (moves never leave the set) must reach it all.
 The search keys a state by its digits in base n+1, so a move adds a fixed
-delta to the key.
+delta to the key, and it goes breadth first: a state is numbered when first
+reached, and the numbers are the one record of what the search has reached.
 
 A summary keeps what its chain counted (recorded visits per state, steps,
 accepted moves) and derives the rest, so a merge adds integers and is exact.
@@ -32,34 +33,36 @@ accepted moves) and derives the rest, so a merge adds integers and is exact.
 Chains are deterministic given (params, config): the generator is numpy's
 PCG64 seeded with config.seed, recorded in the summary as "numpy:PCG64".
 Pcg64Draws reads its raw 64-bit words in blocks and decodes them exactly as
-numpy.random.Generator does.  A step takes the table index as
-integers(len(table)), a 32-bit half word: the low half of a fresh word, or
-the high half kept from the word before, and one more half per Lemire
-rejection.  Only a move with 0 < w(y)/w(x) < 1 then takes random(), one
-whole word, which leaves a kept half for the next step.  These are the
-words the per-step Generator.integers and Generator.random calls took, so
-every chain is the one those calls gave.  The first block is no longer than
-a chain of config.steps steps can use when no half word is rejected.
+numpy.random.Generator does.  A step takes the table index from
+Pcg64Draws.indices, the draw of integers(len(table)), a 32-bit half word:
+the low half of a fresh word, or the high half kept from the word before,
+and one more half per Lemire rejection.  Only a move with
+0 < w(y)/w(x) < 1 then takes random(), one whole word, which leaves a kept
+half for the next step.  These are the words the per-step
+Generator.integers and Generator.random calls took, so every chain is the
+one those calls gave.  The first block is no longer than a chain of
+config.steps steps can use when no half word is rejected.
 
 Cost.  What a chain takes from its fibre (units, n, demand) and cap alone
 is worked out once per process and kept, as tuples, ints, floats and
 strings, for the last 8 fibres: the move table, the start state, the
 irreducibility label and, when the fibre's count is at most max_enumeration
 and count * len(table) <= _MEMO_BUDGET, the transition table the
-irreducibility search fills as it visits every (state, move) pair.  A slot
-holds the moved state and the acceptance threshold of the move's weight
-ratio, the float t for which u < t exactly when u * den < num on every
-uniform u, so a step is a lookup and one compare, and it draws a word only
-when the ratio is below 1, as the plain loop does.  A chain counts the
-slots it passes once per _PATH_CHUNK steps.  A table takes about 68 B a
-slot, up to 176 B where its ints pass 256, so 8 tables hold about 36 MB
-(92 MB at 176 B a slot).  Every other chain runs the plain loop, whose cost
-per step does not depend on the fibre.
+irreducibility search fills as it visits every (state, move) pair, state
+by state in the order it numbers them.  A slot holds the moved state and
+the acceptance threshold of the move's weight ratio, the float t for which
+u < t exactly when u * den < num on every uniform u, so a step is a lookup
+and one compare, and it draws a word only when the ratio is below 1, as
+the plain loop does.  A chain counts the slots it passes once per
+_PATH_CHUNK steps.  A table takes about 68 B a slot, up to 176 B where its
+ints pass 256, so 8 tables hold about 36 MB (92 MB at 176 B a slot).  Every
+other chain runs the plain loop, whose cost per step does not depend on the
+fibre.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, repeat
@@ -83,20 +86,19 @@ _PATH_CHUNK = 2 ** 16  # steps a table walk records before it counts them
 class Pcg64Draws:
     """Generator(PCG64(seed)).integers(m) and .random() for one bound m, from raw words.
 
-    integers() and random() return what numpy's Generator returns for the
-    same interleaving of integers(m) and random() calls; indices is the
-    iterator whose next item integers() returns.  The words come from
+    next(indices) and random() return what numpy's Generator returns for the
+    same interleaving of integers(m) and random() calls.  The words come from
     PCG64.random_raw in blocks of _RAW_BLOCK, the first of them at most
     first_block long, so memory does not grow with the number of draws and a
     short chain decodes few words.  Each block is decoded the way numpy
     decodes a word (Lemire, ACM TOMACS 29(1), 2019):
 
-    * integers(m) takes 32-bit halves in stream order: the low half of a
-      fresh word, then its high half on the next call.  A half u is rejected,
+    * indices takes 32-bit halves in stream order: the low half of a fresh
+      word, then its high half for the next index.  A half u is rejected,
       and the next half taken, while (u*m) mod 2**32 < (2**32 - m) mod m;
       otherwise the draw is (u*m) >> 32.  When m == 1 nothing is drawn.
     * random() takes the next whole word w as (w >> 11) * 2**-53 and leaves a
-      kept high half for the next integers(m).
+      kept high half for the next index.
     """
 
     def __init__(self, seed: int, m: int, first_block: int = _RAW_BLOCK):
@@ -106,12 +108,11 @@ class Pcg64Draws:
         self._m = np.uint64(m)
         self._threshold = np.uint64((2 ** 32 - m) % m)
         # both read one iterator of decoded words; the generator behind
-        # integers() holds a word's high half until its next call
+        # indices holds a word's high half until its next item is taken
         sizes = chain((min(first_block, _RAW_BLOCK),), repeat(_RAW_BLOCK))
         words = chain.from_iterable(map(self._block, sizes))
         self.random = map(itemgetter(2), words).__next__
         self.indices = repeat(0) if m == 1 else self._halves(words)
-        self.integers = self.indices.__next__
 
     def _block(self, size: int):
         """(low-half draw, high-half draw, uniform) per raw word; a rejected half reads -1."""
@@ -235,10 +236,12 @@ def _fibre_setup(units: tuple[int, ...], n: int, demand: int, max_enumeration: i
     """(table, start, irreducibility, states, transitions): what no seed changes.
 
     table is _move_table(units) and start the first feasible state in walk
-    order.  When the fibre has count <= max_enumeration states and
-    count * len(table) <= _MEMO_BUDGET, the search numbers the states it
-    reaches, start first, and fills transitions, whose slot
-    number * len(table) + move holds (target, threshold): target the moved
+    order.  When the fibre has count <= max_enumeration states, a breadth-first
+    search from start numbers each state as it first reaches it, start 0, and
+    the label says whether it reached all count.  When also
+    count * len(table) <= _MEMO_BUDGET, states lists the reached states and
+    transitions their slots, both in number order: slot
+    number * len(table) + move holds (target, threshold), target the moved
     state's number times len(table), or the state's own when the move would
     empty a sector, and threshold _acceptance_threshold(num, den) of the
     weight ratio num/den, one float per distinct (num, den); otherwise both
@@ -254,49 +257,45 @@ def _fibre_setup(units: tuple[int, ...], n: int, demand: int, max_enumeration: i
     if count > max_enumeration:
         return table, start, IRREDUCIBILITY_UNCHECKED, None, None
     # a state is keyed by its digits in base n+1, so a move adds one fixed delta
-    # to the key, and a state gets a list of its own only when first reached
+    # to the key; the search is breadth first, so states leave the frontier in
+    # the order they were numbered, and a state is built only when first reached
     m = len(table)
     place = [(n + 1) ** k for k in range(len(units))]
     steps = [(i, up, j, down, place[up] + place[down] - place[i] - place[j])
              for i, up, j, down in table]
     key = sum(c * p for c, p in zip(start, place))
-    seen = {key}
-    numbers = {key: 0}  # a filled key's state number times m, in order of first reach
-    states = transitions = None
-    if 0 < count * m <= _MEMO_BUDGET:
-        states, transitions, thresholds = [None] * count, [None] * (count * m), {}
-        span = (n + 2) ** 2
-    frontier = [(list(start), key)]
+    numbers = {key: 0}  # a reached key's state number times m, in order of first reach
+    tabled = 0 < count * m <= _MEMO_BUDGET
+    states, transitions, thresholds, span = [], [], {}, (n + 2) ** 2
+    frontier = deque([(start, key)])
     while frontier:
-        state, key = frontier.pop()
+        state, key = frontier.popleft()
         for i, up, j, down, delta in steps:
-            if state[i] * (state[j] - (i == j)) and key + delta not in seen:
-                seen.add(key + delta)
-                moved = state.copy()
+            if state[i] * (state[j] - (i == j)) and key + delta not in numbers:
+                numbers[key + delta] = len(numbers) * m
+                moved = list(state)
                 moved[i] -= 1
                 moved[up] += 1
                 moved[j] -= 1
                 moved[down] += 1
-                frontier.append((moved, key + delta))
-        if transitions is not None:
+                frontier.append((tuple(moved), key + delta))
+        if tabled:
             at = numbers[key]
-            states[at // m] = tuple(state)
-            for k, (i, up, j, down, delta) in enumerate(steps, at):
+            states.append(state)
+            for i, up, j, down, delta in steps:
                 num = state[i] * (state[j] - (i == j))
                 den = (state[up] + 1) * (state[down] + 1 + (up == down))
-                target = numbers.setdefault(key + delta, len(numbers) * m) if num else at
                 if not 0 < num < den:
                     threshold = _acceptance_threshold(num, den)
                 else:  # one float per distinct (num, den); den < span, so the key is unique
                     threshold = thresholds.get(num * span + den)
                     if threshold is None:
                         threshold = thresholds[num * span + den] = _acceptance_threshold(num, den)
-                transitions[k] = (target, threshold)
-    reached = len(seen)
-    irreducibility = IRREDUCIBILITY_VERIFIED if reached == count else IRREDUCIBILITY_FAILED
-    if transitions is not None:
-        states, transitions = tuple(states[:reached]), tuple(transitions[:reached * m])
-    return table, start, irreducibility, states, transitions
+                transitions.append((numbers[key + delta] if num else at, threshold))
+    irreducibility = IRREDUCIBILITY_VERIFIED if len(numbers) == count else IRREDUCIBILITY_FAILED
+    if not tabled:
+        return table, start, irreducibility, None, None
+    return table, start, irreducibility, tuple(states), tuple(transitions)
 
 
 def _acceptance_threshold(num: int, den: int) -> float:
@@ -321,13 +320,13 @@ def _acceptance_threshold(num: int, den: int) -> float:
 
 def _walk(table, start, config: ChainConfig, draws: Pcg64Draws):
     """(visits by state in first-record order, accepted moves) of one chain."""
-    index, uniform = draws.integers, draws.random
+    uniform = draws.random
     visits: Counter = Counter()
     accepted = 0
     state = list(start)
     record, thin = config.burn_in, config.thin
-    for step in range(config.steps):
-        i, up, j, down = table[index()]
+    for step, k in enumerate(islice(draws.indices, config.steps)):
+        i, up, j, down = table[k]
         num = state[i] * (state[j] - (i == j))
         den = (state[up] + 1) * (state[down] + 1 + (up == down))
         if num and (num >= den or uniform() * den < num):

@@ -184,6 +184,19 @@ def test_verify_extreme_means(capsys, mean, expected):
         assert err.startswith("aym verify: error: mean gap D/n - a0 = "), err
 
 
+# below about 5.6e-309 the density's peak 1/(D/n - a0) overflows: make rejects the law,
+# so no subcommand prints infinite densities, and verify's error now comes from make
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["epi", "--mean-demand", "1e-310", "--grid", "0,1e-310,1"],
+                                  ["overlay", "--d-over-n", "1e-310", "--grid", "0,1"],
+                                  ["verify", "--mean-demand", "1e-310"]],
+                         ids=["epi", "overlay", "verify"])
+def test_a_mean_gap_whose_peak_overflows_exits_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"aym {argv[0]}: error: mean gap D/n - a0 = 1e-310 " in err, err
+
+
 # past about 1,490 mean gaps the amplitude underflows to 0, where 2 q''/q is 0/0; the
 # grid runs in t = a/s, so 1e300 gaps of 1e10 end at 1e300 - 1, inside the float range
 @pytest.mark.filterwarnings("error")

@@ -28,6 +28,24 @@ def test_make_rejects_degenerate_mean():
         make(1.0, -0.5)
 
 
+# 2**-1024 + 2**-1074: the least mean gap s whose inverse, the density's peak, is finite
+LEAST_GAP = float.fromhex("0x0.4000000000001p-1022")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mean", [1e-310, np.float64(1e-310), math.nextafter(LEAST_GAP, 0.0)])
+def test_make_rejects_a_gap_whose_peak_overflows(mean):
+    with pytest.raises(DomainError, match="mean gap"):
+        make(mean)
+
+
+@pytest.mark.filterwarnings("error")
+def test_make_builds_the_least_gap_with_a_finite_peak():
+    assert 1.0 / LEAST_GAP < math.inf and 1.0 / math.nextafter(LEAST_GAP, 0.0) == math.inf
+    dist = make(LEAST_GAP)
+    assert dist.scale == LEAST_GAP and dist.alpha == 0.5 / LEAST_GAP
+
+
 def test_pdf_values():
     dist = make(135.0, 0.0)
     assert dist.pdf(0.0) == pytest.approx(1.0 / 135.0, rel=1e-14)

@@ -36,7 +36,7 @@ def test_decoder_matches_generator_on_random_interleavings(seed, m):
         if calls.random() < 1 / 3:
             assert draws.random() == generator.random(), step
         else:
-            assert draws.integers() == int(generator.integers(m)), step
+            assert next(draws.indices) == int(generator.integers(m)), step
     # the decoder read as many words as the generator, and no half-word more
     assert draws.random() == generator.random()
 
@@ -52,7 +52,7 @@ def test_short_first_block_leaves_the_stream_unchanged(first_block):
             if calls.random() < 1 / 3:
                 assert draws.random() == generator.random(), (trial, step)
             else:
-                assert draws.integers() == int(generator.integers(5 + trial)), (trial, step)
+                assert next(draws.indices) == int(generator.integers(5 + trial)), (trial, step)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -206,6 +206,21 @@ def test_a_verified_fibre_over_the_budget_keeps_no_table():
     assert _fibre_setup(*fibre, 200_000)[2:] == ("verified", None, None)
     # nor does an unchecked fibre, whose count is only a bound
     assert _fibre_setup(*fibre, 1_000)[2:] == ("unchecked", None, None)
+
+
+# levels 1,3,4,6 have 4 moves, and only 1+6 = 3+4 conserves demand at two workers, so the
+# moves reach a part of the 21,001 states: 84,004 slots, past the budget
+DISCONNECTED = EconomyParams((1, 3, 4, 6), 500, 1750)
+
+
+def test_a_failed_fibre_over_the_budget_keeps_no_table(monkeypatch):
+    fibre = lattice_fibre(DISCONNECTED)
+    slots = count_feasible(*fibre, 10 ** 6)[0] * len(_fibre_setup(*fibre, 200_000)[0])
+    assert slots == 21_001 * 4 > occupation_sampler._MEMO_BUDGET
+    assert _fibre_setup(*fibre, 200_000)[2:] == ("failed", None, None)
+    ran = _count_loops(monkeypatch)
+    _assert_same_chain(DISCONNECTED, ChainConfig(2_000, 100, 5, 2))
+    assert ran == {"_walk": 1}
 
 
 TABLED = ("oracle", "small_ladder", "non_uniform")  # the last is not irreducible
