@@ -26,7 +26,7 @@ from .errors import (
     MonotonicityError,
     ParseError,
 )
-from .model_core import _check_a0, _csv_text, _finite_cuts, _text_lines
+from .model_core import _as_float, _check_a0, _csv_text, _finite_cuts, _text_lines
 
 DEFAULT_MIN_P_GT = 1e-6  # log-space leverage guard: drop deeper tail points
 _NO_POINT = (-math.inf, 1.0)  # the point before the first: every valid (a, p_gt) may follow it
@@ -59,10 +59,10 @@ class TailDataset:
     source_label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "cuts", tuple(float(a) for a in self.cuts))
-        object.__setattr__(self, "p_gt", tuple(float(p) for p in self.p_gt))
+        object.__setattr__(self, "cuts", tuple(_as_float(a, "cut") for a in self.cuts))
+        object.__setattr__(self, "p_gt", tuple(_as_float(p, "p_gt") for p in self.p_gt))
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            object.__setattr__(self, "weights", tuple(_as_float(w, "weight") for w in self.weights))
         if len(self.cuts) != len(self.p_gt):
             raise DomainError("cuts and p_gt must have equal length")
         if self.weights is not None and len(self.weights) != len(self.cuts):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model_core import _check_a0, _csv_text, _finite_cuts
+from .model_core import _as_float, _check_a0, _csv_text, _finite_cuts
 
 
 def _like_input(x, val):
@@ -112,11 +112,12 @@ def make(mean_demand: float, a0: float = 0.0) -> EpiDistribution:
     _check_a0(a0)
     if not a0 < mean_demand < math.inf:
         raise DomainError(f"mean demand {mean_demand} must be finite and exceed a0 = {a0}")
-    gap = float(mean_demand) - float(a0)
+    mean = _as_float(mean_demand, "mean demand")
+    gap = mean - float(a0)
     if not (gap and 1.0 / gap < math.inf):
         raise DomainError(f"mean gap D/n - a0 = {gap!r} is too small: "
                           "the density's peak 1/(D/n - a0) overflows")
-    return EpiDistribution(float(mean_demand), float(a0), 1.0 / (2.0 * gap))
+    return EpiDistribution(mean, float(a0), 1.0 / (2.0 * gap))
 
 
 def curve_csv(dist: EpiDistribution, grid) -> str:

@@ -35,6 +35,14 @@ MAX_GRID_POINTS = 10**6
 _CHUNK_ROWS = 4096  # _csv_text: rows formatted at a time, a few hundred kB of text
 
 
+def _as_float(value, name: str) -> float:
+    """float(value); DomainError naming it for an int past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class EconomyParams:
     """Economy description.
@@ -53,13 +61,13 @@ class EconomyParams:
     a0: float | None = None  # None resolves to the smallest level
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(float(a) for a in self.levels))
-        object.__setattr__(self, "n", float(self.n))
-        object.__setattr__(self, "D", float(self.D))
+        object.__setattr__(self, "levels", tuple(_as_float(a, "level") for a in self.levels))
+        object.__setattr__(self, "n", _as_float(self.n, "worker count n"))
+        object.__setattr__(self, "D", _as_float(self.D, "aggregate demand D"))
         if self.a0 is None:
             object.__setattr__(self, "a0", self.levels[0] if self.levels else 0.0)
         else:
-            object.__setattr__(self, "a0", float(self.a0))
+            object.__setattr__(self, "a0", _as_float(self.a0, "minimal productivity a0"))
 
     @property
     def g(self) -> int:
@@ -81,9 +89,11 @@ def make_ladder(a0: float, g: int, n: float, D: float) -> EconomyParams:
 
 
 def _check_a0(a0: float) -> None:
-    """Raise DomainError unless a minimal productivity is finite and >= 0."""
+    """Raise DomainError unless a minimal productivity is finite and >= 0; an int past the
+    float range is not finite here."""
     if not 0 <= a0 < math.inf:
         raise DomainError(f"minimal productivity a0 must be finite and >= 0, got {a0}")
+    _as_float(a0, "minimal productivity a0")
 
 
 def _validate_ladder(params: EconomyParams) -> None:
@@ -164,9 +174,11 @@ class LadderRatio:
 
 
 def _check_ratio(value: float, floor: float = 1.0, name: str = "demand ratio") -> None:
-    """Raise DomainError unless floor < value < inf: r > 1, or r_tilde > 0 with floor 0."""
+    """Raise DomainError unless floor < value < inf: r > 1, or r_tilde > 0 with floor 0; an
+    int past the float range is not finite here."""
     if not floor < value < math.inf:
         raise DomainError(f"{name} must be finite and exceed {floor:g}, got {value}")
+    _as_float(value, name)
 
 
 def ladder_ratio(params: EconomyParams, delta_a: float | None = None) -> LadderRatio:
@@ -180,12 +192,11 @@ def ladder_ratio(params: EconomyParams, delta_a: float | None = None) -> LadderR
     if params.a0 > 0:
         r = mean / params.a0
         _check_ratio(r)
-        width = params.a0 if delta_a is None else float(delta_a)
     else:
         r = None
         if delta_a is None:
             raise DomainError("zero-minimum mode needs an explicit bin width delta_a")
-        width = float(delta_a)
+    width = params.a0 if delta_a is None else _as_float(delta_a, "bin width delta_a")
     if not 0 < width < math.inf:
         raise DomainError(f"bin width delta_a must be positive and finite, got {width}")
     r_tilde = mean / width
@@ -250,10 +261,7 @@ def _json_number(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"economy JSON field {field} must be a number, "
                           f"got {json.dumps(value):.40}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"economy JSON field {field} is too large for a float") from None
+    return _as_float(value, f"economy JSON field {field}")
 
 
 def params_from_json(text: str) -> EconomyParams:

@@ -28,14 +28,17 @@ The family is location-scale, so every identity is evaluated once per numerics
 on the standard law (s = D/n - a0 = 1, a0 = 0) in t = (a - a0)/s, and each value
 is then multiplied by its power of s: s^-2 for the capacities, Q, qtilde, the
 boundary constant and the integral residuals, s^-5/2 for the generating
-residuals, s^-3 for the pointwise density.
+residuals, s^-3 for the pointwise density.  _law maps the steps into t where they
+enter (the defaults are exactly 1e-4 and 1e-3 in t, an explicit step is divided
+by s, and one that leaves no law raises there), so the standard law is cached
+under what it depends on: both steps in t, the grid's points and span, and eps*s.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -92,12 +95,6 @@ class NumericsConfig:
 DEFAULT_NUMERICS = NumericsConfig()
 
 
-def _steps(cfg: NumericsConfig) -> tuple[float, float]:
-    """cfg's (theta, x) steps in t: its own, or the defaults, exactly 1e-4 and 1e-3."""
-    return (1e-4 if cfg.fd_step_theta is None else cfg.fd_step_theta,
-            1e-3 if cfg.fd_step_x is None else cfg.fd_step_x)
-
-
 @dataclass(frozen=True)
 class PrincipleReport:
     """All identity values and residuals for one distribution.
@@ -132,27 +129,17 @@ class PrincipleReport:
         return "".join(f"{name.ljust(width)}  {value:.12e}\n" for name, value in fields.items())
 
 
-def _gate(coarse: float, fine: float, tol: float, magnitude: float = 0.0) -> float:
-    """The 96-point value if within max(tol, 1e-6*max(|fine|, magnitude)) of the 48-point
-    one; magnitude sizes integrals whose true value is (near) zero."""
-    err = abs(fine - coarse)
-    if not (math.isfinite(fine) and err <= max(tol, 1e-6 * max(abs(fine), magnitude))):
-        raise QuadratureFailure(f"quadrature error estimate {err} too large for value {fine}")
-    return fine
+def _rule_sums(integrands) -> dict[str, tuple[float, float]]:
+    """Ungated (48-point, 96-point) integral_0^inf f(t) dt of each f integrands(t) names.
 
-
-def _rule_sums(integrands, lo: float, scale: float) -> dict[str, tuple[float, float]]:
-    """Ungated (48-point, 96-point) integral_lo^inf f(a) da of each f integrands(a) names.
-
-    Each f is exp(-(a - lo)/scale) times a smooth factor.  Fixed Gauss-Laguerre
-    rules (Golub & Welsch 1969) of order 48 and 96 in t = (a - lo)/scale; nodes
-    beyond 60 mean gaps, where pdf would underflow, are dropped with less than
-    e^-60 of the mass.
+    Each f is exp(-t) times a smooth factor.  Fixed Gauss-Laguerre rules (Golub &
+    Welsch 1969) of order 48 and 96; nodes beyond 60 mean gaps, where pdf would
+    underflow, are dropped with less than e^-60 of the mass.
     """
     with np.errstate(all="ignore"):
-        values = integrands(lo + scale * _NODES)
-        return {name: (scale * float(np.dot(_W48, f[:_SPLIT])),
-                       scale * float(np.dot(_W96, f[_SPLIT:]))) for name, f in values.items()}
+        values = integrands(_NODES)
+        return {name: (float(np.dot(_W48, f[:_SPLIT])), float(np.dot(_W96, f[_SPLIT:])))
+                for name, f in values.items()}
 
 
 def _fault(dist: EpiDistribution, value: float, step_x: float | None) -> DomainError:
@@ -198,35 +185,38 @@ def _scaled(dist: EpiDistribution, value: float, power: float = 2.0,
 
 def _gated(dist: EpiDistribution, pair: tuple[float, float], tol: float, capacity: float,
            magnitude: float = 0.0, step_x: float | None = None) -> float:
-    """A standard-law (48-point, 96-point) pair times capacity = s^-2, gated with the
-    absolute tol; step_x is the explicit x step of a finite-difference pair, which a
-    non-finite one blames."""
-    try:
-        return _gate(pair[0] * capacity, pair[1] * capacity, tol, magnitude)
-    except QuadratureFailure:
-        if step_x is None or all(map(math.isfinite, pair)):
-            raise
-        raise _fault(dist, math.inf, step_x) from None
+    """A standard-law (48-point, 96-point) pair times capacity = s^-2: the 96-point value
+    if finite and within max(tol, 1e-6*max(|value|, magnitude)) of the 48-point one, with
+    magnitude sizing integrals whose true value is (near) zero.  Else QuadratureFailure,
+    or the _fault of step_x, the explicit x step of a finite-difference pair, when the
+    pair itself is not finite."""
+    coarse, fine = pair[0] * capacity, pair[1] * capacity
+    err = abs(fine - coarse)
+    if not (math.isfinite(fine) and err <= max(tol, 1e-6 * max(abs(fine), magnitude))):
+        if step_x is not None and not all(map(math.isfinite, pair)):
+            raise _fault(dist, math.inf, step_x)
+        raise QuadratureFailure(f"quadrature error estimate {err} too large for value {fine}")
+    return fine
 
 
-def _quadratures(cfg: NumericsConfig) -> dict[str, tuple[float, float]]:
-    """The standard law's ungated (48-point, 96-point) integrals by name, cfg in t.
+def _quadratures(h: float, h_x: float) -> dict[str, tuple[float, float]]:
+    """The standard law's ungated (48-point, 96-point) integrals by name, steps h and h_x in t.
 
-    The pdfs of the family members at theta - h, theta and theta + h,
-    h = cfg's theta step, are evaluated once for both rules; the support edge
-    a0 is theta-free, so all three share the quadrature nodes.  x = a - 1 is
-    the displacement: (dq/dx)^2 by central differences of cfg's x step, and
-    (q')^2 and q q'' of the boundary identity from q' = -alpha q, q'' = alpha^2 q.
+    The pdfs of the family members at theta - h, theta and theta + h are
+    evaluated once for both rules; the support edge a0 is theta-free, so all
+    three share the quadrature nodes.  x = t - 1 is the displacement: (dq/dx)^2
+    by central differences of step h_x, and (q')^2 and q q'' of the boundary
+    identity from q' = -alpha q, q'' = alpha^2 q.
     """
-    (h, h_x), alpha = _steps(cfg), _STANDARD.alpha
+    alpha = _STANDARD.alpha
     family = (make(1.0 - h), _STANDARD, make(1.0 + h))
 
-    def integrands(a):
-        down, p, up = (member.pdf(a) for member in family)
+    def integrands(t):
+        down, p, up = (member.pdf(t) for member in family)
         qm, q0, qp = (2.0 * np.sqrt(x) for x in (down, p, up))
         dp, dq = (up - down) / (2.0 * h), (qp - qm) / (2.0 * h)
         d2q = (qp - 2.0 * q0 + qm) / (h * h)
-        x = a - 1.0
+        x = t - 1.0
         q_x = _STANDARD.amplitude(x, clipped=False)
         dq_x = (_STANDARD.amplitude(x + h_x, clipped=False)
                 - _STANDARD.amplitude(x - h_x, clipped=False)) / (2.0 * h_x)
@@ -240,7 +230,7 @@ def _quadratures(cfg: NumericsConfig) -> dict[str, tuple[float, float]]:
             "q_d2q": q_x * (alpha * alpha * q_x),
         }
 
-    return _rule_sums(integrands, _STANDARD.a0, _STANDARD.scale)
+    return _rule_sums(integrands)
 
 
 def _trial(q0, x, eps: float):
@@ -248,18 +238,17 @@ def _trial(q0, x, eps: float):
     return q0 * (1.0 + eps * x) if eps else q0
 
 
-def _grid(cfg: NumericsConfig, eps: float = 0.0) -> dict:
-    """The standard law's trial amplitude q (1 + eps x) on the grid, cfg in t (the
-    amplitude itself, bit for bit, at eps = 0), and its q'' per derivative mode:
-    analytic, or by central differences of cfg's x step."""
-    x = np.linspace(_STANDARD.x_min, _STANDARD.x_min + cfg.grid_span_gaps, cfg.grid_points)
+def _grid(h_x: float, points: int, span: float, eps: float = 0.0) -> dict:
+    """The standard law's trial amplitude q (1 + eps x) on points uniform nodes over span
+    mean gaps (the amplitude itself, bit for bit, at eps = 0), and its q'' per derivative
+    mode: analytic, or by central differences of step h_x in t."""
+    x = np.linspace(_STANDARD.x_min, _STANDARD.x_min + span, points)
     base = _STANDARD.amplitude(x, clipped=False)
     q = _trial(base, x, eps)
     # (q0 (1 + eps x))'' = q0'' (1 + eps x) + 2 eps q0' with q0' = -alpha q0
     d2q = _ALPHA_SQ * q - 2.0 * eps * _STANDARD.alpha * base if eps else _ALPHA_SQ * q
-    h = _steps(cfg)[1]
-    up, down = (_trial(_STANDARD.amplitude(y, clipped=False), y, eps) for y in (x + h, x - h))
-    return {"analytic": (q, d2q), "fd": (q, (up - 2.0 * q + down) / (h * h))}
+    up, down = (_trial(_STANDARD.amplitude(y, clipped=False), y, eps) for y in (x + h_x, x - h_x))
+    return {"analytic": (q, d2q), "fd": (q, (up - 2.0 * q + down) / (h_x * h_x))}
 
 
 def _grid_values(q, d2q) -> tuple[float, float, float, float]:
@@ -273,52 +262,43 @@ def _grid_values(q, d2q) -> tuple[float, float, float, float]:
 
 
 @lru_cache(maxsize=4)
-def _standard_law(cfg: NumericsConfig, eps: float) -> dict:
-    """The standard law's values under cfg in t, computed once per numerics: ungated
-    (48-point, 96-point) integrals by name and, per derivative mode, the _grid_values
-    of the trial amplitude q (1 + eps x).  DomainError if 1 - the theta step is 1, so
-    the family members coincide, or if 1 + the x step is 1, so x + h == x at the grid's
-    unit-sized nodes and the x differences read 0."""
-    h, h_x = _steps(cfg)
-    if 1.0 - h == 1.0 or 1.0 + h_x == 1.0:
-        raise DomainError("a finite-difference step is below the float resolution")
+def _standard_law(h: float, h_x: float, points: int, span: float, eps: float) -> dict:
+    """The standard law's values at steps h and h_x in t, computed once per numerics:
+    ungated (48-point, 96-point) integrals by name and, per derivative mode, the
+    _grid_values of the trial amplitude q (1 + eps x) on points nodes over span gaps."""
     with np.errstate(all="ignore"):
-        law = _quadratures(cfg)
-        for derivative, (q, d2q) in _grid(cfg, eps).items():
+        law = _quadratures(h, h_x)
+        for derivative, (q, d2q) in _grid(h_x, points, span, eps).items():
             law[derivative] = _grid_values(q, d2q)
     return law
 
 
-def _law(dist: EpiDistribution, cfg: NumericsConfig, eps: float = 0.0) -> dict:
-    """_standard_law with cfg's explicit steps over s, eps times s; default steps stay None."""
-    if cfg.fd_step_theta is None and cfg.fd_step_x is None:
-        return _standard_law(cfg, eps * dist.scale)
-    steps = {"fd_step_theta": cfg.fd_step_theta, "fd_step_x": cfg.fd_step_x}
-    given = {name: step / dist.scale for name, step in steps.items() if step is not None}
-    try:
-        return _standard_law(replace(cfg, **given), eps * dist.scale)
-    except DomainError:
-        faults = (_step_fault(name, steps[name], t, dist.scale) for name, t in given.items())
-        fault = next(filter(None, faults), None)
-        if fault is None:
-            raise
-        raise DomainError(fault) from None
-
-
-def _step_fault(name: str, step: float, t: float, scale: float) -> str | None:
-    """Why the explicit step, t mean gaps of scale, leaves no standard law to evaluate, or None."""
-    gap = f"the mean gap D/n - a0 = {scale}"
+def _t_step(name: str, step: float, scale: float) -> float:
+    """An explicit step in t, step / scale; DomainError, naming the step in the caller's
+    units, when it leaves no standard law to evaluate."""
+    t = step / scale
     if name == "fd_step_theta" and t >= 1.0:  # the family member at D/n - step has no law
-        return f"{name} = {step} must be below {gap}"
-    if t == math.inf:
-        return f"{name} = {step} is too large for {gap}: step / gap overflows"
-    if t * t == 0.0:
-        return f"{name} = {step} is too small for {gap}: (step / gap)^2 underflows to 0"
-    if name == "fd_step_theta" and 1.0 - t == 1.0:  # the family members coincide
-        return f"{name} = {step} is too small for {gap}: 1 - step / gap rounds to 1"
-    if name == "fd_step_x" and 1.0 + t == 1.0:  # x + step == x: every x difference is 0
-        return f"{name} = {step} is too small for {gap}: 1 + step / gap rounds to 1"
-    return None
+        fault = "must be below {gap}"
+    elif t == math.inf:
+        fault = "is too large for {gap}: step / gap overflows"
+    elif t * t == 0.0:
+        fault = "is too small for {gap}: (step / gap)^2 underflows to 0"
+    elif name == "fd_step_theta" and 1.0 - t == 1.0:  # the family members coincide
+        fault = "is too small for {gap}: 1 - step / gap rounds to 1"
+    elif name == "fd_step_x" and 1.0 + t == 1.0:  # x + step == x: every x difference is 0
+        fault = "is too small for {gap}: 1 + step / gap rounds to 1"
+    else:
+        return t
+    raise DomainError(f"{name} = {step} " + fault.format(gap=f"the mean gap D/n - a0 = {scale}"))
+
+
+def _law(dist: EpiDistribution, cfg: NumericsConfig, eps: float = 0.0) -> dict:
+    """_standard_law at cfg's steps in t, the defaults 1e-4 and 1e-3 or _t_step of an
+    explicit one, theta's first, and at eps times s."""
+    s = dist.scale
+    h = 1e-4 if cfg.fd_step_theta is None else _t_step("fd_step_theta", cfg.fd_step_theta, s)
+    h_x = 1e-3 if cfg.fd_step_x is None else _t_step("fd_step_x", cfg.fd_step_x, s)
+    return _standard_law(h, h_x, cfg.grid_points, cfg.grid_span_gaps, eps * s)
 
 
 def _grid_law(dist: EpiDistribution, cfg: NumericsConfig, derivative: str,
@@ -397,8 +377,10 @@ def euler_lagrange_residual(dist: EpiDistribution,
     try:
         return _scaled(dist, values[1], 2.5, step_x)
     except DomainError:
-        with np.errstate(all="ignore"):  # the grid's span and points need no change into t
-            if np.isfinite(_grid(cfg, perturbation * dist.scale)["analytic"][0]).all():
+        # the grid's span and points need no change into t, and the analytic trial reads no step
+        with np.errstate(all="ignore"):
+            trial = _grid(1e-3, cfg.grid_points, cfg.grid_span_gaps, perturbation * dist.scale)
+            if np.isfinite(trial["analytic"][0]).all():
                 raise
         raise DomainError(f"perturbation = {perturbation} makes the trial amplitude q (1 + eps x) "
                           f"non-finite for the mean gap D/n - a0 = {dist.scale}") from None

@@ -69,3 +69,14 @@ def test_max_abs_next_to_the_stationary_point(r):
     ref = brute_force(r, None)
     assert m.max_abs == ref["max_abs"] > abs(epi_binned_ladder(r, 1) - aym_ladder_pmf(r, 1))
     assert m.max_rel == ref["max_rel"]
+
+
+@pytest.mark.parametrize("r,analytic,kept", [(117.81371006428542, 2682, 2683),
+                                             (3.0599895479448365, 68, 67)])
+def test_max_rel_mask_steps_to_the_float_pmf(r, analytic, kept):
+    # the analytic count of sectors whose pmf is >= 1e-12 is off by one from the float
+    # pmf's count, in each direction: compare() steps the mask's last sector to it
+    count = math.floor(math.log(1e-12 * (r - 1.0)) / math.log((r - 1.0) / r))
+    assert count == analytic
+    assert aym_ladder_pmf(r, kept) >= 1e-12 > aym_ladder_pmf(r, kept + 1)
+    assert compare(r).max_rel == brute_force(r, None)["max_rel"]

@@ -17,6 +17,8 @@ from aym import (
     OccupationVector,
     ParseError,
     TailDataset,
+    closed_form_ladder,
+    compare,
     curve_csv,
     emit_overlay,
     fit_tail,
@@ -209,6 +211,28 @@ def test_every_entry_point_rejects_an_invalid_a0(entry, a0):
     # the error names a0, not the mean or the data it would otherwise be compared with
     with pytest.raises(DomainError, match="a0 must be"):
         A0_ENTRY_POINTS[entry](a0)
+
+
+# every call that once raised an untyped OverflowError for an int past the float range
+PAST_FLOAT_RANGE = 10 ** 400
+OVERFLOWING_INT_CALLS = {
+    "make": lambda: make(PAST_FLOAT_RANGE),
+    "EconomyParams": lambda: EconomyParams((1, 2), PAST_FLOAT_RANGE, 3),
+    "make_ladder-n": lambda: make_ladder(1.0, 3, PAST_FLOAT_RANGE, 5),
+    "make_ladder-a0": lambda: make_ladder(PAST_FLOAT_RANGE, 3, 4, 5),
+    "TailDataset": lambda: TailDataset((1, PAST_FLOAT_RANGE), (0.5, 0.1)),
+    "fit_tail": lambda: fit_tail(TailDataset((1, 2, 3), (0.5, 0.25, 0.125)),
+                                 a0_fixed=PAST_FLOAT_RANGE),
+    "compare": lambda: compare(PAST_FLOAT_RANGE),
+    "closed_form_ladder": lambda: closed_form_ladder(PAST_FLOAT_RANGE, 3, 1),
+    "ladder_ratio": lambda: ladder_ratio(make_ladder(1.0, 3, 4, 8), delta_a=PAST_FLOAT_RANGE),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OVERFLOWING_INT_CALLS))
+def test_an_int_past_the_float_range_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="is too large for a float"):
+        OVERFLOWING_INT_CALLS[call]()
 
 
 def test_occupation_vector_total_and_output():

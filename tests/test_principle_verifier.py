@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from aym import (
     structural_principle,
     verify_all,
 )
-from aym.principle_verifier import DEFAULT_NUMERICS, _gate, _grid, _rule_sums, _standard_law
+from aym.principle_verifier import DEFAULT_NUMERICS, _gated, _grid, _rule_sums, _standard_law
 
 FAMILY = [make(2.0, 0.0), make(2.0, 1.0), make(135.0, 0.0), make(135.0, 1.0),
           make(1000.0, 0.0), make(1000.0, 1.0)]
@@ -214,11 +213,9 @@ def test_numerics_config_validation():
                 NumericsConfig(**{field: value})
 
 
-def test_step_faults_are_worked_out_only_on_the_error_path(monkeypatch):
+def test_step_faults_are_worked_out_only_on_the_error_path():
     # a step that leaves no standard law raises DomainError naming the step in the
-    # caller's units; a valid one, on a cold cache too, never builds that message
-    from aym import principle_verifier
-
+    # caller's units
     dist = make(135.0, 0.0)
     with pytest.raises(DomainError, match=r"^fd_step_theta = 200.0 must be below the mean gap"):
         verify_all(dist, NumericsConfig(fd_step_theta=200.0))
@@ -232,14 +229,19 @@ def test_step_faults_are_worked_out_only_on_the_error_path(monkeypatch):
     with pytest.raises(QuadratureFailure):
         verify_all(make(1.0), NumericsConfig(fd_step_theta=math.nextafter(2.0 ** -54, 1.0)))
 
-    def unexpected(*args):
-        raise AssertionError(f"step fault worked out on valid input {args}")
 
-    monkeypatch.setattr(principle_verifier, "_step_fault", unexpected)
+def test_the_law_is_cached_under_what_it_depends_on():
+    # the quadrature tolerance only gates the law's integrals, so it reads the same law;
+    # a step that leaves no law raises before any law is computed
+    dist = make(135.0, 0.0)
     _standard_law.cache_clear()
-    for cfg in (DEFAULT_NUMERICS, NumericsConfig(fd_step_theta=1e-2, fd_step_x=0.1)):
-        verify_all(dist, cfg)
-        verify_all(dist, cfg)
+    verify_all(dist)
+    verify_all(dist, NumericsConfig(quadrature_tol=1e-10))
+    assert _standard_law.cache_info().misses == 1
+    _standard_law.cache_clear()
+    with pytest.raises(DomainError, match=r"^fd_step_theta = 200.0 must be below"):
+        verify_all(dist, NumericsConfig(fd_step_theta=200.0))
+    assert _standard_law.cache_info().misses == 0
 
 
 def test_non_finite_differences_blame_the_explicit_step():
@@ -292,10 +294,9 @@ def test_grid_points_bounded_before_allocation():
             NumericsConfig(grid_points=points)
 
 
-def _t_numerics(dist, cfg):
-    """cfg in t = (a - a0)/s: explicit steps over the mean gap, default ones left None."""
-    return replace(cfg, **{name: getattr(cfg, name) / dist.scale
-                           for name in ("fd_step_theta", "fd_step_x") if getattr(cfg, name)})
+def _t_step_x(dist, cfg):
+    """cfg's x step in t = (a - a0)/s: 1e-3, or an explicit one over the mean gap."""
+    return cfg.fd_step_x / dist.scale if cfg.fd_step_x else 1e-3
 
 
 def _in_units(dist, value, power=2.0):
@@ -317,7 +318,7 @@ def _t_reference(dist, cfg, derivative, eps):
     q0, q = 2.0 * np.exp(-(x + 1.0) / 2.0), trial(x)
     if derivative == "analytic":
         return q, 0.25 * q - 2.0 * eps_t * 0.5 * q0
-    h = cfg.fd_step_x / dist.scale if cfg.fd_step_x else 1e-3
+    h = _t_step_x(dist, cfg)
     return q, (trial(x + h) - 2.0 * q + trial(x - h)) / (h * h)
 
 
@@ -332,7 +333,7 @@ def test_qtilde_skips_the_nodes_past_the_amplitude_underflow(span):
     # past about 708 mean gaps q/4 is subnormal and past about 1,490 q is 0.0, where
     # 2 q''/q would lose digits or be 0/0 = nan: at every span the mean is exactly 0.5
     dist, cfg = make(1.0, 0.0), NumericsConfig(grid_span_gaps=span)
-    q, d2q = _grid(cfg)["analytic"]
+    q, d2q = _grid(1e-3, cfg.grid_points, cfg.grid_span_gaps)["analytic"]
     assert q[0] > 0.0 and q[-1] < 2.0 ** -1022
     ref_q, ref_d2q = _t_reference(dist, cfg, "analytic", 0.0)
     assert (q.tobytes(), d2q.tobytes()) == (ref_q.tobytes(), ref_d2q.tobytes())
@@ -369,8 +370,9 @@ def test_derivative_mode_validation():
 
 
 def _quad(f, lo, scale, tol):
-    """integral_lo^inf f(a) da through the verifier's two rules and its gate."""
-    return _gate(*_rule_sums(lambda a: {"f": f(a)}, lo, scale)["f"], tol)
+    """integral_lo^inf f(a) da through the verifier's two rules in t = (a - lo)/scale and
+    its gate, scale standing for the capacity."""
+    return _gated(make(1.0), _rule_sums(lambda t: {"f": f(lo + scale * t)})["f"], tol, scale)
 
 
 # integral_0^inf e^{-t} (1 + e^{-delta t}) dt = 1 + 1/(1 + delta): the verifier's
@@ -436,18 +438,18 @@ def test_rule_sums_equal_each_rule_on_its_own_nodes(lo, scale, family, delta):
     def integrands(a):
         return INTEGRAND_FAMILIES[family]((a - lo) / scale, delta)
 
-    sums = _rule_sums(integrands, lo, scale)
+    sums = _rule_sums(lambda t: integrands(lo + scale * t))
     expected = _per_rule_sums(integrands, lo, scale)
     assert list(sums) == list(expected)
     for name, pair in sums.items():
-        assert _bits(pair) == _bits(expected[name]), name
+        assert _bits(scale * value for value in pair) == _bits(expected[name]), name
 
 
 @pytest.mark.parametrize("dist", WIDE, ids=lambda d: f"mean{d.mean_demand:g}-a0{d.a0:g}")
 def test_fd_grid_at_zero_perturbation_is_the_amplitude(dist):
     for cfg in _numerics(dist):
         x = np.linspace(-1.0, -1.0 + cfg.grid_span_gaps, cfg.grid_points)
-        q, d2q = _grid(_t_numerics(dist, cfg))["fd"]
+        q, d2q = _grid(_t_step_x(dist, cfg), cfg.grid_points, cfg.grid_span_gaps)["fd"]
         ref_q, ref_d2q = _t_reference(dist, cfg, "fd", 0.0)
         assert q.tobytes() == (2.0 * np.exp(-(x + 1.0) / 2.0)).tobytes() == ref_q.tobytes()
         assert d2q.tobytes() == ref_d2q.tobytes()
