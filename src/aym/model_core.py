@@ -43,6 +43,18 @@ def _as_float(value, name: str) -> float:
         raise DomainError(f"{name} is too large for a float") from None
 
 
+def _frozen(cls, *values):
+    """cls(*values) for a frozen dataclass whose __init__ only assigns (no __post_init__),
+    values in field order: one __dict__ update in place of an object.__setattr__ a field.
+
+    Worth it for a wide type built on every call, such as the verifier's 11-field report.
+    On CPython 3.11 the constructor is as fast for 6 fields and faster for 3 or 4, and
+    the dict this makes turns each later attribute read into a dict lookup."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return instance
+
+
 @dataclass(frozen=True)
 class EconomyParams:
     """Economy description.

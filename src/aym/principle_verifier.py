@@ -40,13 +40,14 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .epi_distribution import EpiDistribution, make
 from .errors import DomainError, QuadratureFailure
-from .model_core import MAX_GRID_POINTS
+from .model_core import MAX_GRID_POINTS, _as_float, _frozen
 
 _QUAD_SPAN_GAPS = 60.0  # quadrature nodes stop here, in mean gaps; tail mass < 1e-26
 
@@ -72,7 +73,8 @@ class NumericsConfig:
     The one place every verifier step is set, in productivity units; leave a step None
     for the default of 1e-4 mean gaps for theta and 1e-3 for x, exactly 1e-4 and 1e-3
     in t.  The grid covers grid_span_gaps mean gaps (at least 40) from the lower support
-    edge with grid_points uniform nodes, at most MAX_GRID_POINTS.
+    edge with grid_points uniform nodes, an int of at most MAX_GRID_POINTS.  The steps,
+    tolerance and span are stored as floats; an int past the float range is a DomainError.
     """
 
     fd_step_theta: float | None = None
@@ -82,14 +84,22 @@ class NumericsConfig:
     grid_span_gaps: float = 40.0
 
     def __post_init__(self):
+        # each value is stored as a float after its range check, so the message shows it as given
         for name in ("fd_step_theta", "fd_step_x", "quadrature_tol"):
             value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise DomainError(f"{name} must be positive and finite, got {value}")
-        if not 3 <= self.grid_points <= MAX_GRID_POINTS:
-            raise DomainError(f"grid needs 3 to {MAX_GRID_POINTS} points, got {self.grid_points}")
+            if value is not None:
+                if not 0 < value < math.inf:
+                    raise DomainError(f"{name} must be positive and finite, got {value}")
+                object.__setattr__(self, name, _as_float(value, name))
+        points = self.grid_points
+        if isinstance(points, bool) or not isinstance(points, Integral):
+            raise DomainError(f"grid_points must be an int, got {points!r}")
+        if not 3 <= points <= MAX_GRID_POINTS:
+            raise DomainError(f"grid needs 3 to {MAX_GRID_POINTS} points, got {points}")
         if not 40.0 <= self.grid_span_gaps < math.inf:
             raise DomainError(f"grid_span_gaps must be in [40, inf), got {self.grid_span_gaps}")
+        span = _as_float(self.grid_span_gaps, "grid_span_gaps")
+        object.__setattr__(self, "grid_span_gaps", span)
 
 
 DEFAULT_NUMERICS = NumericsConfig()
@@ -428,23 +438,24 @@ def verify_all(dist: EpiDistribution, cfg: NumericsConfig = DEFAULT_NUMERICS) ->
     Every field is read from the standard law's values for cfg and scaled with one
     _unit; the quadrature gates run in the order metric, structural, statistical,
     kinematical.  DomainError unless 1/s^2 is a positive normal float and every field
-    is finite.
+    is finite.  The report is built by model_core._frozen, one dict update.
     """
     law, tol, step_x = _law(dist, cfg), cfg.quadrature_tol, cfg.fd_step_x
     inverse, capacity = _unit(dist)
     metric = _gated(dist, law["metric"], tol, capacity)
     q_value = _gated(dist, law["structural"], tol, capacity)
     generating = _in_units(dist, law["fd"][1], capacity, math.sqrt(inverse), step_x)
-    return PrincipleReport(
-        fisher_metric=metric,
-        fisher_statistical=_gated(dist, law["statistical"], tol, capacity),
-        fisher_kinematical=_gated(dist, law["kinematical"], tol, capacity, step_x=step_x),
-        structural_Q=q_value,
-        structural_residual=abs(metric + q_value),
-        epi_residual_pointwise=_in_units(dist, law["analytic"][0], capacity, inverse),
-        generating_residual=generating,
-        euler_lagrange_residual=generating,  # the same equation at the solution
-        qtilde_value=_in_units(dist, law["analytic"][2], capacity),
-        boundary_constant=_in_units(dist, _SURFACE, capacity),
-        kappa=1.0,
+    return _frozen(  # PrincipleReport's fields in order, fisher_metric to kappa
+        PrincipleReport,
+        metric,
+        _gated(dist, law["statistical"], tol, capacity),
+        _gated(dist, law["kinematical"], tol, capacity, step_x=step_x),
+        q_value,
+        abs(metric + q_value),  # structural_residual
+        _in_units(dist, law["analytic"][0], capacity, inverse),  # epi_residual_pointwise
+        generating,
+        generating,  # euler_lagrange_residual: the same equation at the solution
+        _in_units(dist, law["analytic"][2], capacity),  # qtilde_value
+        _in_units(dist, _SURFACE, capacity),  # boundary_constant
+        1.0,
     )
