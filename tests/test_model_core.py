@@ -1,6 +1,11 @@
+import copy
 import json
 import math
+import pickle
+import re
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,8 +19,10 @@ from aym import (
     EmptyLadder,
     InfeasibleDemand,
     NonMonotoneLevels,
+    NumericsConfig,
     OccupationVector,
     ParseError,
+    PrincipleReport,
     TailDataset,
     closed_form_ladder,
     compare,
@@ -226,6 +233,8 @@ OVERFLOWING_INT_CALLS = {
     "compare": lambda: compare(PAST_FLOAT_RANGE),
     "closed_form_ladder": lambda: closed_form_ladder(PAST_FLOAT_RANGE, 3, 1),
     "ladder_ratio": lambda: ladder_ratio(make_ladder(1.0, 3, 4, 8), delta_a=PAST_FLOAT_RANGE),
+    **{f"NumericsConfig-{field}": lambda field=field: NumericsConfig(**{field: PAST_FLOAT_RANGE})
+       for field in ("fd_step_theta", "fd_step_x", "quadrature_tol", "grid_span_gaps")},
 }
 
 
@@ -233,6 +242,39 @@ OVERFLOWING_INT_CALLS = {
 def test_an_int_past_the_float_range_is_a_domain_error(call):
     with pytest.raises(DomainError, match="is too large for a float"):
         OVERFLOWING_INT_CALLS[call]()
+
+
+# every type model_core._frozen builds in the package; the first test reads the calls
+# from the source, so a new call site fails it until its type is listed here
+FROZEN_TYPES = {"PrincipleReport": PrincipleReport}
+
+
+def test_frozen_builds_only_the_listed_types():
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in Path(model_core.__file__).parent.glob("*.py"))
+    built = re.findall(r"(?<!def )_frozen\(\s*(?:#.*\n\s*)?(\w+)", source)
+    assert built and set(built) == set(FROZEN_TYPES)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TYPES))
+def test_a_frozen_instance_is_the_constructors(name):
+    cls = FROZEN_TYPES[name]
+    assert not hasattr(cls, "__post_init__")  # its __init__ only assigns
+    names = [field.name for field in fields(cls)]
+    values = [k + 0.25 for k in range(len(names))]
+    built, made = model_core._frozen(cls, *values), cls(*values)
+    assert type(built) is cls
+    assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+    assert asdict(built) == asdict(made) and vars(built) == vars(made)
+    assert list(vars(built)) == names
+    assert replace(built, **{names[0]: -1.0}) == replace(made, **{names[0]: -1.0})
+    assert copy.deepcopy(built) == made
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(built, protocol)) == made
+    with pytest.raises(FrozenInstanceError):
+        setattr(built, names[0], 0.0)
+    with pytest.raises(FrozenInstanceError):
+        delattr(built, names[-1])
 
 
 def test_occupation_vector_total_and_output():

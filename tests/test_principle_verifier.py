@@ -213,6 +213,36 @@ def test_numerics_config_validation():
                 NumericsConfig(**{field: value})
 
 
+def test_numerics_config_stores_floats_and_names_an_int_past_the_float_range():
+    # an int step, tolerance or span is stored as its float, and reads the same law
+    ints = NumericsConfig(fd_step_theta=1, fd_step_x=2, quadrature_tol=1, grid_span_gaps=50)
+    floats = NumericsConfig(fd_step_theta=1.0, fd_step_x=2.0, quadrature_tol=1.0,
+                            grid_span_gaps=50.0)
+    assert ints == floats and repr(ints) == repr(floats)
+    assert verify_all(make(135.0), ints) == verify_all(make(135.0), floats)
+    # 10**400 passes 0 < value < inf as an int; it once raised OverflowError at every call
+    for field in ("fd_step_theta", "fd_step_x", "quadrature_tol", "grid_span_gaps"):
+        with pytest.raises(DomainError, match=rf"^{field} is too large for a float$"):
+            NumericsConfig(**{field: 10 ** 400})
+    # a range error shows the value as given
+    with pytest.raises(DomainError, match=r"^fd_step_x must be positive and finite, got -1$"):
+        NumericsConfig(fd_step_x=-1)
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_grid_points_must_be_an_int_in_either_cache_state(cache):
+    # lru_cache keys 4001.0 like 4001: on a warm cache a float count once gave a report,
+    # on a cold one np.linspace raised TypeError
+    _standard_law.cache_clear()
+    if cache == "warm":
+        verify_all(make(135.0))
+    for points in (4001.0, 4001.5, True, "4001", None):
+        with pytest.raises(DomainError, match=r"^grid_points must be an int, got "):
+            verify_all(make(135.0), NumericsConfig(grid_points=points))
+    assert (verify_all(make(135.0), NumericsConfig(grid_points=np.int64(4001)))
+            == verify_all(make(135.0), NumericsConfig(grid_points=4001)))
+
+
 def test_step_faults_are_worked_out_only_on_the_error_path():
     # a step that leaves no standard law raises DomainError naming the step in the
     # caller's units
