@@ -82,7 +82,8 @@ def _cases():
     for gap in GAPS:
         for keywords in _numerics(gap):
             cases.append([gap, 0.0, keywords])
-        # a0 > 0 with the same mean gap: a0 = gap keeps D/n - a0 exact
+        # a0 > 0 with the same mean gap: a0 = gap keeps D/n - a0 exact; the default and
+        # explicit steps, and the first two step faults
         for keywords in _numerics(gap)[:4] + _numerics(gap)[12:14]:
             cases.append([2.0 * gap, gap, keywords])
     cases += [[135.0, 1.0, {}], [1000.0, 1.0, {"grid_points": 1001}]]
@@ -95,16 +96,12 @@ def _cases():
     return cases
 
 
-def _hex(x):
-    return float.hex(x)
-
-
 def _outcome(mean_demand, a0, keywords):
     try:
         report = verify_all(make(mean_demand, a0), NumericsConfig(**keywords))
     except AymError as exc:
         return {"error": type(exc).__name__, "message": str(exc)}
-    return {field.name: _hex(getattr(report, field.name)) for field in fields(PrincipleReport)}
+    return {field.name: getattr(report, field.name).hex() for field in fields(PrincipleReport)}
 
 
 def _record(path):
