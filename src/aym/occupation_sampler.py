@@ -32,8 +32,15 @@ accepted moves) and derives the rest, so a merge adds integers and is exact.
 
 Chains are deterministic given (params, config): the generator is numpy's
 PCG64 seeded with config.seed, recorded in the summary as "numpy:PCG64".
-Pcg64Draws reads its raw 64-bit words in blocks and decodes them exactly as
-numpy.random.Generator does.  A step takes the table index from
+That names the stream, whichever code made its words.  A chain takes them
+from numpy's PCG64.random_raw when numpy is already imported.  Otherwise it
+makes them on Python ints (SeedSequence seeding, the 128-bit LCG step and
+the XSL-RR output) while its word bound, (3 steps + 1) // 2 + 1, plus the
+Python words the process has made stays within _PY_WORD_BUDGET = 90,000,
+about one numpy import's CPU at some 0.7 us a word over numpy's; past that
+it imports numpy.  So a cold `aym sample` of up to 59,999 steps loads no
+numpy.  Pcg64Draws reads its raw 64-bit words in blocks and decodes them
+exactly as numpy.random.Generator does.  A step takes the table index from
 Pcg64Draws.indices, the draw of integers(len(table)), a 32-bit half word:
 the low half of a fresh word, or the high half kept from the word before,
 and one more half per Lemire rejection.  Only a move with
@@ -62,13 +69,12 @@ fibre.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice, permutations, repeat
 from operator import itemgetter
-
-import numpy as np
 
 from .errors import DomainError, NoFeasibleState
 from .lattice import _move_table, count_feasible, lattice_fibre
@@ -81,16 +87,25 @@ IRREDUCIBILITY_UNCHECKED = "unchecked"
 _RAW_BLOCK = 1024  # PCG64 words drawn at a time; a chain holds one decoded block
 _MEMO_BUDGET = 2 ** 16  # most transition slots a fibre keeps; about 68 B a slot, so ~4.4 MB
 _PATH_CHUNK = 2 ** 16  # steps a table walk records before it counts them
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645  # PCG64's 128-bit LCG multiplier
+# Python words a process makes before its chains import numpy: one cold numpy import, about
+# 67 ms of CPU, over the about 0.7 us a Python word and its decode cost beyond numpy's
+_PY_WORD_BUDGET = 90_000
+# the size of each block of Python PCG64 words this process has made; list.append is
+# atomic, so chains in concurrent threads lose no count
+_python_words: list[int] = []
 
 
 class Pcg64Draws:
     """Generator(PCG64(seed)).integers(m) and .random() for one bound m, from raw words.
 
     next(indices) and random() return what numpy's Generator returns for the
-    same interleaving of integers(m) and random() calls.  The words come from
-    PCG64.random_raw in blocks of _RAW_BLOCK, the first of them at most
-    first_block long, so memory does not grow with the number of draws and a
-    short chain decodes few words.  Each block is decoded the way numpy
+    same interleaving of integers(m) and random() calls.  The words come in
+    blocks of _RAW_BLOCK, the first of them at most first_block long, so
+    memory does not grow with the number of draws and a short chain decodes
+    few words.  They come from numpy's PCG64.random_raw, or from _pcg64_words
+    on Python ints, as _numpy_words decides once from first_block, before the
+    first word; both give one stream.  Each block is decoded the way numpy
     decodes a word (Lemire, ACM TOMACS 29(1), 2019):
 
     * indices takes 32-bit halves in stream order: the low half of a fresh
@@ -104,27 +119,14 @@ class Pcg64Draws:
     def __init__(self, seed: int, m: int, first_block: int = _RAW_BLOCK):
         if not 1 <= m < 2 ** 32:
             raise DomainError(f"integers bound must be in [1, 2**32), got {m}")
-        self._bitgen = np.random.PCG64(seed)
-        self._m = np.uint64(m)
-        self._threshold = np.uint64((2 ** 32 - m) % m)
+        blocks = _numpy_blocks if _numpy_words(first_block) else _python_blocks
+        block = blocks(seed, m, (2 ** 32 - m) % m)
         # both read one iterator of decoded words; the generator behind
         # indices holds a word's high half until its next item is taken
         sizes = chain((min(first_block, _RAW_BLOCK),), repeat(_RAW_BLOCK))
-        words = chain.from_iterable(map(self._block, sizes))
+        words = chain.from_iterable(map(block, sizes))
         self.random = map(itemgetter(2), words).__next__
         self.indices = repeat(0) if m == 1 else self._halves(words)
-
-    def _block(self, size: int):
-        """(low-half draw, high-half draw, uniform) per raw word; a rejected half reads -1."""
-        words = self._bitgen.random_raw(size)
-        mask, draws = np.uint64(0xFFFF_FFFF), []
-        for half in (words & mask, words >> np.uint64(32)):
-            scaled = half * self._m
-            draw = (scaled >> np.uint64(32)).astype(np.int64)
-            draw[(scaled & mask) < self._threshold] = -1
-            draws.append(draw.tolist())
-        uniforms = ((words >> np.uint64(11)) * 2.0 ** -53).tolist()
-        return zip(*draws, uniforms)
 
     @staticmethod
     def _halves(words):
@@ -135,9 +137,117 @@ class Pcg64Draws:
                 yield high
 
 
+def _numpy_words(bound: int) -> bool:
+    """Whether a Pcg64Draws that reads about bound words takes them from numpy.
+
+    Yes when numpy is already imported, and when this process's Python words
+    so far plus bound would pass _PY_WORD_BUDGET; then the one numpy import
+    costs less than the Python words it saves.  So a process spends at most
+    about one import's CPU on Python words, however many short chains it runs.
+    """
+    return sys.modules.get("numpy") is not None or sum(_python_words) + bound > _PY_WORD_BUDGET
+
+
+def _numpy_blocks(seed: int, m: int, threshold: int):
+    """A function size -> the next size words of numpy's PCG64(seed), decoded into
+    (low-half draw, high-half draw, uniform) triples; a rejected half reads -1."""
+    import numpy as np
+
+    bitgen, mask = np.random.PCG64(seed), np.uint64(0xFFFF_FFFF)
+    m, threshold = np.uint64(m), np.uint64(threshold)
+
+    def block(size):
+        words = bitgen.random_raw(size)
+        draws = []
+        for half in (words & mask, words >> np.uint64(32)):
+            scaled = half * m
+            draw = (scaled >> np.uint64(32)).astype(np.int64)
+            draw[(scaled & mask) < threshold] = -1
+            draws.append(draw.tolist())
+        uniforms = ((words >> np.uint64(11)) * 2.0 ** -53).tolist()
+        return zip(*draws, uniforms)
+
+    return block
+
+
+def _python_blocks(seed: int, m: int, threshold: int):
+    """_numpy_blocks's function, with the words from _pcg64_words."""
+    words = _pcg64_words(seed)
+
+    def block(size):
+        raw = words(size)
+        return zip([s >> 32 if s & 0xFFFF_FFFF >= threshold else -1
+                    for s in [(w & 0xFFFF_FFFF) * m for w in raw]],
+                   [s >> 32 if s & 0xFFFF_FFFF >= threshold else -1
+                    for s in [(w >> 32) * m for w in raw]],
+                   [(w >> 11) * 2.0 ** -53 for w in raw])
+
+    return block
+
+
+def _pcg64_words(seed: int):
+    """A function size -> the next size words of numpy's PCG64(seed).random_raw, on Python ints.
+
+    PCG64 steps a 128-bit LCG and outputs its state's two halves xored, rotated
+    right by the state's top 6 bits (XSL-RR; M. E. O'Neill, HMC-CS-2014-0905,
+    2014).  The words made count towards _python_words.
+    """
+    last = _pcg64_state(seed)
+
+    def words(size):
+        nonlocal last
+        _python_words.append(size)
+        (state, inc), mult, mask64, mask128 = last, _PCG_MULT, 2 ** 64 - 1, 2 ** 128 - 1
+        out = []
+        for _ in range(size):
+            state = (state * mult + inc) & mask128
+            x = (state >> 64 ^ state) & mask64
+            rot = state >> 122
+            out.append((x >> rot | x << 64 - rot) & mask64)
+        last = state, inc
+        return out
+
+    return words
+
+
+def _pcg64_state(seed: int) -> tuple[int, int]:
+    """(state, increment) of numpy's PCG64(seed), for an int seed in [0, 2**64).
+
+    numpy seeds it through SeedSequence(seed): the seed's 32-bit words, padded
+    with zeros to a pool of 4, are hashed and mixed into the pool.  Then
+    generate_state(4, uint64) hashes the pool, cycled twice, into 8 halves that
+    pair up, low half first, into 4 words: words 0-1 are the initial state and
+    2-3 the stream, which PCG's srandom sets as below.
+    """
+    entropy = [seed >> shift & 0xFFFF_FFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    mix = _hashmix(0x43B0_D7E5, 0x931E_8875)  # numpy's INIT_A and MULT_A
+    pool = [mix(word) for word in entropy + [0] * (4 - len(entropy))]
+    for src, dst in permutations(range(4), 2):  # MIX_MULT_L and MIX_MULT_R below
+        mixed = (0xCA01_F9DD * pool[dst] - 0x4973_F715 * mix(pool[src])) & 0xFFFF_FFFF
+        pool[dst] = mixed ^ mixed >> 16
+    draw = _hashmix(0x8B51_F9DD, 0x58F3_8DED)  # INIT_B and MULT_B
+    halves = [draw(pool[k % 4]) for k in range(8)]
+    words = [halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2)]
+    state, stream = words[0] << 64 | words[1], words[2] << 64 | words[3]
+    inc = (stream << 1 | 1) & (2 ** 128 - 1)
+    return ((inc + state) * _PCG_MULT + inc) & (2 ** 128 - 1), inc
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hash of a 32-bit value, whose constant steps by mult on each call."""
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & 0xFFFF_FFFF
+        value = value * const & 0xFFFF_FFFF
+        return value ^ value >> 16
+    return hashmix
+
+
 @dataclass(frozen=True)
 class ChainConfig:
-    """Metropolis chain parameters; burn_in < steps, thin >= 1."""
+    """Metropolis chain parameters, all ints (a bool or 2.0 is a DomainError); burn_in < steps,
+    thin >= 1 and 0 <= seed < 2**64.  Each is stored as a plain int."""
 
     steps: int
     burn_in: int = 0
@@ -145,6 +255,14 @@ class ChainConfig:
     thin: int = 1
 
     def __post_init__(self):
+        for name in ("steps", "burn_in", "seed", "thin"):
+            value = getattr(self, name)
+            if type(value) is not int:  # numbers loads only for a value that is not a plain int
+                from numbers import Integral  # numpy's integers register here, np.bool_ does not
+
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise DomainError(f"{name} must be an int, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.steps < 1:
             raise DomainError("steps must be positive")
         if not 0 <= self.burn_in < self.steps:
@@ -176,7 +294,7 @@ class SampleSummary:
     steps: int
     accepted: int
     irreducibility: str
-    rng_algorithm = "numpy:PCG64"  # the one generator; see Pcg64Draws
+    rng_algorithm = "numpy:PCG64"  # the stream, whichever source made its words
 
     def __post_init__(self):
         counts = self.visit_counts

@@ -670,8 +670,12 @@ print(json.dumps({"codes": codes, "all": sorted(aym.__all__), "missing": missing
                   "environ_unchanged": dict(os.environ) == environ, "runs": runs}))
 """
 
-# integer and comparison logic only: the exact enumeration, and the solve errors
-# decided from the parameters before the solver's arithmetic starts
+LADDER_LEVELS = ",".join(map(str, range(1, 11)))
+
+# integer and comparison logic only: the exact enumeration, the solve errors
+# decided from the parameters before the solver's arithmetic starts, and chains
+# short enough for the sampler's pure-Python PCG64 words (their word bounds add up
+# to about 41,000 in this one process, against the budget of 90,000)
 NUMPY_FREE_CASES = [
     (["enumerate", "--levels", "1,2,3", "--n", "6", "--D", "13"], 0),
     (["enumerate", "--levels", "1,2,3", "--n", "6", "--D", "13", "--format", "csv"], 0),
@@ -681,6 +685,20 @@ NUMPY_FREE_CASES = [
     (["generalized", "--levels", "1,2,3", "--n", "2", "--D", "2.5", "--c", "-1"], 3),  # below fill
     (["generalized", "--levels", "1,2,3", "--n", "2", "--D", "5.5", "--c", "-1"], 3),  # above fill
     (["solve", "--levels", "0,1,2", "--n", "5e-324", "--D", "5e-324"], 2),  # subnormal n
+    # the benchmark's cold sample, and the smoke step's tabled chain with burn-in and thinning
+    (["sample", "--levels", "1,2,3", "--n", "4", "--D", "8", "--steps", "5000",
+      "--burn-in", "500"], 0),
+    (["sample", "--levels", "1,2,3,4,5", "--n", "7", "--D", "17", "--steps", "20000",
+      "--burn-in", "2000", "--thin", "7", "--seed", "3"], 0),
+    # untabled: a verified fibre over the table budget, and one past the enumeration cap
+    (["sample", "--levels", LADDER_LEVELS, "--n", "8", "--D", "40", "--steps", "200",
+      "--seed", "1"], 0),
+    (["sample", "--levels", LADDER_LEVELS, "--n", "60", "--D", "180", "--steps", "200",
+      "--seed", "1"], 0),
+    (["sample", "--levels", "1,2,3", "--n", "4", "--D", "8", "--steps", "1000", "--seed", "7",
+      "--format", "csv"], 0),
+    (["sample", "--levels", "1,2,3", "--n", "4", "--D", "8", "--steps", "1000",
+      "--seed", "18446744073709551615"], 0),
 ]
 
 
@@ -700,6 +718,43 @@ def test_import_and_usage_paths_load_no_numpy(capsys):
         assert code == expected, err
         # the same bytes as a run with numpy available
         assert [code, out, err] == list(_run(capsys, argv)), argv
+
+
+SOURCE_RUN = """
+import contextlib, io, json, sys
+from aym import occupation_sampler
+from aym.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    made = sum(occupation_sampler._python_words)
+    runs.append([code, out.getvalue(), "numpy" in sys.modules, made])
+print(json.dumps(runs))
+"""
+
+
+def test_a_chain_over_the_word_budget_imports_numpy(capsys):
+    from aym.occupation_sampler import _PY_WORD_BUDGET
+
+    # numpy is installed but not imported: the short chain makes its words in Python, the
+    # one whose word bound (3 steps + 1) // 2 + 1 passes the budget imports numpy, and a
+    # short chain after it takes numpy's words
+    over = 2 * _PY_WORD_BUDGET // 3 + 1
+    assert (3 * over + 1) // 2 + 1 > _PY_WORD_BUDGET
+    oracle = ["sample", "--levels", "1,2,3", "--n", "4", "--D", "8", "--seed", "5"]
+    argvs = [oracle + ["--steps", "1000"], oracle + ["--steps", str(over)],
+             oracle + ["--steps", "1000", "--burn-in", "9"]]
+    proc = _python(SOURCE_RUN, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    made = runs[0][3]
+    assert 0 < made <= _PY_WORD_BUDGET
+    assert [(loaded, words) for _, _, loaded, words in runs] == [(False, made), (True, made),
+                                                                 (True, made)]
+    for argv, (code, out, _, _) in zip(argvs, runs):
+        assert [code, out] == list(_run(capsys, argv)[:2]), argv
 
 
 def test_every_public_name_resolves():

@@ -46,6 +46,29 @@ def test_config_validation():
         ChainConfig(steps=10, seed=-1)
 
 
+# a tabled fibre (its chains walk the transition table) and one past the enumeration cap
+CONFIG_FIBRES = [pytest.param(ORACLE_PARAMS, id="tabled"),
+                 pytest.param(make_ladder(1.0, 10, 60, 180), id="untabled")]
+NOT_INTS = [2.0, True, False, "2", Fraction(2), np.float64(2.0), np.bool_(True), None]
+
+
+@pytest.mark.parametrize("params", CONFIG_FIBRES)
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("field", ["steps", "burn_in", "seed", "thin"])
+def test_a_config_field_that_is_not_an_int_is_a_domain_error(params, field, value):
+    fields = {"steps": 10, "burn_in": 1, "seed": 3, "thin": 2, field: value}
+    with pytest.raises(DomainError, match=field):
+        run_chain(params, ChainConfig(**fields))
+
+
+@pytest.mark.parametrize("params", CONFIG_FIBRES)
+def test_numpy_int_fields_are_stored_as_ints(params):
+    config = ChainConfig(np.int64(200), np.uint8(20), np.uint64(2 ** 64 - 1), np.int32(3))
+    assert config == ChainConfig(200, 20, 2 ** 64 - 1, 3)
+    assert {type(getattr(config, f)) for f in ("steps", "burn_in", "seed", "thin")} == {int}
+    assert run_chain(params, config) == run_chain(params, ChainConfig(200, 20, 2 ** 64 - 1, 3))
+
+
 def _propose(state: OccupationVector, table, rng) -> OccupationVector:
     """One draw of run_chain's proposal: a uniform entry of the move table, or the state
     itself when the table is empty or the drawn move would empty a sector."""

@@ -1,15 +1,18 @@
 """The raw-word decoder against numpy's Generator, and chains against a Generator loop.
 
-Pcg64Draws decodes PCG64.random_raw words the way numpy.random.Generator
-decodes them for integers(m) and random().  The chain consumes the stream
-through it, so its summaries must equal those of the per-step Generator
-loop kept below, which drew each step with Generator.integers and
-Generator.random.
+Pcg64Draws decodes PCG64 words the way numpy.random.Generator decodes them
+for integers(m) and random(), whether the words come from PCG64.random_raw
+or from the module's pure-Python PCG64; the interleaving tests run on both
+sources.  The chain consumes the stream through it, so its summaries must
+equal those of the per-step Generator loop kept below, which drew each step
+with Generator.integers and Generator.random.
 """
 
 import json
 import random
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,15 +22,71 @@ from hypothesis import strategies as st
 from aym import ChainConfig, DomainError, EconomyParams, make_ladder, run_chain
 from aym import occupation_sampler
 from aym.lattice import count_feasible, lattice_fibre
-from aym.occupation_sampler import Pcg64Draws, _RAW_BLOCK, _acceptance_threshold, _fibre_setup
+from aym.occupation_sampler import (Pcg64Draws, _RAW_BLOCK, _acceptance_threshold, _fibre_setup,
+                                    _pcg64_words)
 
 SEEDS = (0, 1, 2 ** 64 - 1)
 BOUNDS = (1, 2, 3, 20, 240, 2 ** 31 + 1, 2 ** 32 - 1)
 
 
+@pytest.fixture(params=["numpy", "python"])
+def source(request, monkeypatch):
+    """Each Pcg64Draws made in the test takes its words from the named source."""
+    monkeypatch.setattr(occupation_sampler, "_numpy_words", lambda bound: request.param == "numpy")
+    return request.param
+
+
+# the seed's 32-bit words and the 64-bit bound: SeedSequence hashes one word or two
+BOUNDARY_SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 64 - 1) | st.integers(0, 2 ** 32 + 5))
+@example(2 ** 32 - 1)
+def test_python_words_are_numpys_words(seed):
+    assert _pcg64_words(seed)(4_096) == np.random.PCG64(seed).random_raw(4_096).tolist()
+
+
+@pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+def test_python_words_are_numpys_words_at_the_seed_boundaries(seed):
+    words = _pcg64_words(seed)
+    raw = np.random.PCG64(seed).random_raw(5_000).tolist()
+    # the state carries over from one call to the next
+    assert words(0) + words(1) + words(4_095) + words(904) == raw
+
+
+def test_the_source_rule(monkeypatch):
+    budget = occupation_sampler._PY_WORD_BUDGET
+    monkeypatch.setattr(occupation_sampler, "_python_words", [])
+    # numpy already imported: numpy words, however short the chain
+    assert occupation_sampler._numpy_words(0) and occupation_sampler._numpy_words(1)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # as when numpy is blocked from import
+    assert not occupation_sampler._numpy_words(budget)
+    assert occupation_sampler._numpy_words(budget + 1)
+    # every Python word made counts against the budget, so many short chains add up
+    _pcg64_words(3)(1_000)
+    assert sum(occupation_sampler._python_words) == 1_000
+    assert not occupation_sampler._numpy_words(budget - 1_000)
+    assert occupation_sampler._numpy_words(budget - 999)
+
+
+def test_concurrent_chains_lose_no_python_word_count(monkeypatch):
+    monkeypatch.setattr(occupation_sampler, "_python_words", [])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(_pcg64_words(seed), size) for seed in range(64)
+                       for size in (1, 7, 100)]
+            made = [len(future.result(timeout=60)) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(occupation_sampler._python_words) == sum(made) == 64 * 108
+
+
 @pytest.mark.parametrize("m", BOUNDS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_decoder_matches_generator_on_random_interleavings(seed, m):
+def test_decoder_matches_generator_on_random_interleavings(source, seed, m):
     # 4 blocks of calls, one in three a random(): about 3 blocks of raw words
     generator = np.random.Generator(np.random.PCG64(seed))
     draws = Pcg64Draws(seed, m)
@@ -41,23 +100,56 @@ def test_decoder_matches_generator_on_random_interleavings(seed, m):
     assert draws.random() == generator.random()
 
 
+class _FixedWords:
+    """A stand-in for numpy's PCG64 whose random_raw returns the given words, then repeats."""
+
+    def __init__(self, words):
+        self._words = words
+
+    def random_raw(self, size):
+        return np.array((self._words * size)[:size], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("m", (3, 2 ** 31 + 1, 2 ** 32 - 1))  # odd, so u -> u * m is a bijection
+@pytest.mark.parametrize("blocks", ("_numpy_blocks", "_python_blocks"))
+def test_each_decoder_rejects_exactly_below_the_threshold(monkeypatch, blocks, m):
+    # halves u with (u * m) mod 2**32 one below the threshold, at it and one above it: only
+    # the first is rejected; the random streams almost never reach these edges
+    threshold = (2 ** 32 - m) % m
+    halves = [(target * pow(m, -1, 2 ** 32)) % 2 ** 32 for target in range(threshold - 1,
+                                                                          threshold + 2)]
+    words = [low | high << 32 for low in halves for high in halves]
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: _FixedWords(words))
+    monkeypatch.setattr(occupation_sampler, "_pcg64_words", lambda seed: lambda size: words[:size])
+
+    def draw(u):
+        return (u * m) >> 32 if (u * m) % 2 ** 32 >= threshold else -1
+
+    want = [(draw(w & 0xFFFF_FFFF), draw(w >> 32), (w >> 11) * 2.0 ** -53) for w in words]
+    assert [d for d, _, _ in want].count(-1) == 3
+    assert list(getattr(occupation_sampler, blocks)(0, m, threshold)(len(words))) == want
+
+
+@pytest.mark.parametrize("m", [None, *BOUNDS])  # None: 5 + trial
 @pytest.mark.parametrize("first_block", (0, 1, 2, 3, 7, 300))
-def test_short_first_block_leaves_the_stream_unchanged(first_block):
+def test_short_first_block_leaves_the_stream_unchanged(source, first_block, m):
     # the interleavings cross the end of the short block on a low or a high half
     for trial in range(8):
+        bound = 5 + trial if m is None else m
         generator = np.random.Generator(np.random.PCG64(trial))
-        draws = Pcg64Draws(trial, 5 + trial, first_block)
+        draws = Pcg64Draws(trial, bound, first_block)
         calls = random.Random(f"{first_block}/{trial}")
         for step in range(first_block + _RAW_BLOCK // 2):
             if calls.random() < 1 / 3:
                 assert draws.random() == generator.random(), (trial, step)
             else:
-                assert next(draws.indices) == int(generator.integers(5 + trial)), (trial, step)
+                assert next(draws.indices) == int(generator.integers(bound)), (trial, step)
 
 
+@pytest.mark.parametrize("m", BOUNDS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_random_alone_is_the_raw_stream(seed):
-    draws = Pcg64Draws(seed, 3)
+def test_random_alone_is_the_raw_stream(source, seed, m):
+    draws = Pcg64Draws(seed, m)
     words = np.random.PCG64(seed).random_raw(3 * _RAW_BLOCK + 5)
     assert [draws.random() for _ in words] == [(int(w) >> 11) * 2.0 ** -53 for w in words]
 
@@ -130,7 +222,7 @@ LONG_CHAINS = [
 
 @pytest.mark.parametrize("params, config", [case[1:] for case in LONG_CHAINS],
                          ids=[case[0] for case in LONG_CHAINS])
-def test_long_chain_equals_generator_loop(params, config):
+def test_long_chain_equals_generator_loop(source, params, config):
     _assert_same_chain(params, config)
 
 
