@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,11 +33,19 @@ EXIT_USAGE = 64
 class _Parser(argparse.ArgumentParser):
     """argparse with the malformed-flag exit code pinned to 64."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, add_flags=None, **kwargs):
         super().__init__(*args, **kwargs)
+        self._add_flags = add_flags  # a subcommand's flags, added before its first parse
         # argparse reads a token that starts with "-" as a value when this matches it; its
         # own pattern misses -1e-3, -inf, -nan and -1,2, which would read as flags
         self._negative_number_matcher = SimpleNamespace(match=_is_float_list)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # the subparsers action hands a subcommand's parser its arguments through this
+        if self._add_flags is not None:
+            add_flags, self._add_flags = self._add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -160,30 +168,28 @@ def _cmd_overlay(args) -> str:
     return aym.emit_overlay(data, args.d_over_n, args.a0, _grid_from_args(args))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="aym", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {aym.__version__}")
-    subs = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
-
-    sub = subs.add_parser("solve", help="Boltzmann equilibrium occupations (JSON)")
+def _solve_flags(sub):
     _add_economy_flags(sub)
     sub.add_argument("--tol", type=float, default=1e-10, help="constraint residual tolerance")
     sub.set_defaults(handler=_cmd_solve, c=0.0)  # solve_boltzmann is the c = 0 solve
 
-    sub = subs.add_parser("generalized", help="generalized-c equilibrium occupations (JSON)")
+
+def _generalized_flags(sub):
     _add_economy_flags(sub)
     sub.add_argument("--c", type=float, required=True,
                      help="occupation-form parameter (0 = Boltzmann, 1 Bose-like, -1 Fermi-like)")
     sub.add_argument("--tol", type=float, default=1e-10, help="constraint residual tolerance")
     sub.set_defaults(handler=_cmd_solve)
 
-    sub = subs.add_parser("epi", help="continuous law curve table a,pdf,tail (CSV)")
+
+def _epi_flags(sub):
     sub.add_argument("--mean-demand", type=float, required=True, help="demand per worker D/n")
     sub.add_argument("--a0", type=float, default=0.0, help="minimal productivity")
     _add_grid_flags(sub)
     sub.set_defaults(handler=_cmd_epi)
 
-    sub = subs.add_parser("verify", help="information-principle residual report (JSON)")
+
+def _verify_flags(sub):
     sub.add_argument("--mean-demand", type=float, required=True, help="demand per worker D/n")
     sub.add_argument("--a0", type=float, default=0.0, help="minimal productivity")
     sub.add_argument("--fd-step-theta", type=float, default=None,
@@ -197,13 +203,15 @@ def build_parser() -> _Parser:
     sub.add_argument("--format", choices=("json", "table"), default="json")
     sub.set_defaults(handler=_cmd_verify)
 
-    sub = subs.add_parser("compare", help="binned-law vs discrete-pmf distances (CSV)")
+
+def _compare_flags(sub):
     sub.add_argument("--r", type=_float_list, required=True,
                      help="comma-separated demand ratios r > 1")
     sub.add_argument("--i-max", type=int, default=None, help="hard cap on the sector index")
     sub.set_defaults(handler=_cmd_compare)
 
-    sub = subs.add_parser("sample", help="Metropolis occupation sampling summary")
+
+def _sample_flags(sub):
     _add_economy_flags(sub)
     sub.add_argument("--steps", type=int, required=True, help="total chain steps")
     sub.add_argument("--burn-in", type=int, default=0)
@@ -212,13 +220,15 @@ def build_parser() -> _Parser:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.set_defaults(handler=_cmd_sample)
 
-    sub = subs.add_parser("enumerate", help="exhaustive feasible occupation vectors")
+
+def _enumerate_flags(sub):
     _add_economy_flags(sub)
     sub.add_argument("--cap", type=int, default=500_000, help="enumeration size cap")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.set_defaults(handler=_cmd_enumerate)
 
-    sub = subs.add_parser("fit", help="fit D/n to a cumulative tail CSV (JSON)")
+
+def _fit_flags(sub):
     sub.add_argument("--data", required=True, metavar="PATH", help="CSV with header a,p_gt")
     sub.add_argument("--a0", type=float, default=0.0, help="fixed minimal productivity")
     sub.add_argument("--fit-a0", action="store_true", help="fit a0 as well (closed-form line fit)")
@@ -226,7 +236,8 @@ def build_parser() -> _Parser:
                      help="drop points with p_gt below this")
     sub.set_defaults(handler=_cmd_fit)
 
-    sub = subs.add_parser("overlay", help="data + model tail columns for plotting (CSV)")
+
+def _overlay_flags(sub):
     sub.add_argument("--data", metavar="PATH", default=None, help="optional CSV with header a,p_gt")
     sub.add_argument("--d-over-n", type=_float_list, required=True,
                      help="comma-separated demand-per-worker values")
@@ -234,10 +245,36 @@ def build_parser() -> _Parser:
     _add_grid_flags(sub)
     sub.set_defaults(handler=_cmd_overlay)
 
-    for name, sub in subs.choices.items():
-        sub.add_argument("--output", metavar="PATH", default=None,
-                         help=f"write the {name} result here instead of stdout "
-                              f"(relative paths resolve under ${OUTPUT_DIR_ENV})")
+
+# name, help line and flags of each subcommand, in the order --help lists them
+_SUBCOMMANDS = (
+    ("solve", "Boltzmann equilibrium occupations (JSON)", _solve_flags),
+    ("generalized", "generalized-c equilibrium occupations (JSON)", _generalized_flags),
+    ("epi", "continuous law curve table a,pdf,tail (CSV)", _epi_flags),
+    ("verify", "information-principle residual report (JSON)", _verify_flags),
+    ("compare", "binned-law vs discrete-pmf distances (CSV)", _compare_flags),
+    ("sample", "Metropolis occupation sampling summary", _sample_flags),
+    ("enumerate", "exhaustive feasible occupation vectors", _enumerate_flags),
+    ("fit", "fit D/n to a cumulative tail CSV (JSON)", _fit_flags),
+    ("overlay", "data + model tail columns for plotting (CSV)", _overlay_flags),
+)
+
+
+def _add_flags(name, add_flags, sub):
+    add_flags(sub)
+    sub.add_argument("--output", metavar="PATH", default=None,
+                     help=f"write the {name} result here instead of stdout "
+                          f"(relative paths resolve under ${OUTPUT_DIR_ENV})")
+
+
+def build_parser() -> _Parser:
+    """The aym parser.  A subcommand's parser gets its flags when argparse first hands
+    it arguments, so a run builds the flags of its own subcommand only."""
+    parser = _Parser(prog="aym", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s {aym.__version__}")
+    subs = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
+    for name, help_line, add_flags in _SUBCOMMANDS:
+        subs.add_parser(name, help=help_line, add_flags=partial(_add_flags, name, add_flags))
     return parser
 
 

@@ -11,6 +11,12 @@ be read off the productivity axis:
 The off-by-one between the two conventions is deliberate and preserved.
 The discrete ladder pmf is P(i) = (1/(r-1)) ((r-1)/r)^i; both families are
 geometric and agree to first order in 1/r.
+
+Each pmf is one kernel on Python floats (math.exp, math.expm1, float **).  A
+scalar i returns the kernel's float; a list or an array i imports numpy and
+maps the same kernel over its entries, so an entry has the bits of the scalar
+call.  compare() evaluates its few candidate sectors as scalars and never
+loads numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .epi_distribution import _like_input
 from .errors import DomainError
 from .model_core import _check_ratio, _csv_text
 
@@ -28,44 +31,69 @@ _TAIL_THRESHOLD = 1e-15  # truncate where both analytic tails drop below this
 _REL_FLOOR = 1e-12  # max_rel skips sectors whose discrete pmf is below this
 
 
+def _at(kernel, ratio: float, i):
+    """kernel(ratio, float(i)) as a Python float for a scalar i.  For a list or an array
+    i, numpy is imported here and the result is a float array of i's shape, the same
+    kernel on each entry, so an entry gives the bits of the scalar call."""
+    ratio = float(ratio)
+    if isinstance(i, (int, float)) or getattr(i, "ndim", None) == 0:
+        return kernel(ratio, float(i))
+    import numpy as np
+
+    i_arr = np.asarray(i, dtype=float)
+    if i_arr.ndim == 0:  # a scalar of another type, such as a Fraction
+        return kernel(ratio, float(i_arr))
+    return np.array([kernel(ratio, x) for x in i_arr.ravel().tolist()]).reshape(i_arr.shape)
+
+
+def _epi_ladder(r: float, x: float) -> float:
+    return -math.expm1(-1.0 / (r - 1.0)) * math.exp(-(x - 1.0) / (r - 1.0))
+
+
+def _epi_zero_min(r_tilde: float, x: float) -> float:
+    return math.expm1(1.0 / r_tilde) * math.exp(-x / r_tilde)
+
+
+def _aym_ladder(r: float, x: float) -> float:
+    return (1.0 / (r - 1.0)) * ((r - 1.0) / r) ** x
+
+
+def _asymptotic_ladder(r: float, x: float) -> float:
+    return (1.0 / r + 1.0 / (2.0 * r * r)) * (math.exp(-x / r) + 1.0 / r)
+
+
+def _asymptotic_zero_min(r_tilde: float, x: float) -> float:
+    return (1.0 / r_tilde + 1.0 / (2.0 * r_tilde * r_tilde)) * math.exp(-x / r_tilde)
+
+
 def epi_binned_ladder(r: float, i):
     """Mass of the continuous law in ladder bin i (width a0), i >= 1."""
     _check_ratio(r)
-    i_arr = np.asarray(i, dtype=float)
-    val = -math.expm1(-1.0 / (r - 1.0)) * np.exp(-(i_arr - 1.0) / (r - 1.0))
-    return _like_input(i_arr, val)
+    return _at(_epi_ladder, r, i)
 
 
 def epi_binned_zero_min(r_tilde: float, i):
     """Mass of the zero-minimum law in bin i (width da), i >= 1."""
     _check_ratio(r_tilde, 0.0, "r_tilde")
-    i_arr = np.asarray(i, dtype=float)
-    val = math.expm1(1.0 / r_tilde) * np.exp(-i_arr / r_tilde)
-    return _like_input(i_arr, val)
+    return _at(_epi_zero_min, r_tilde, i)
 
 
 def aym_ladder_pmf(r: float, i):
     """Probability a random worker sits on ladder rung i in the discrete solution."""
     _check_ratio(r)
-    i_arr = np.asarray(i, dtype=float)
-    val = (1.0 / (r - 1.0)) * ((r - 1.0) / r) ** i_arr
-    return _like_input(i_arr, val)
+    return _at(_aym_ladder, r, i)
 
 
 def asymptotic_ladder_pmf(r: float, i):
     """Large-r form of the binned ladder mass: (1/r + 1/(2r^2)) (e^{-i/r} + 1/r)."""
     _check_ratio(r)
-    i_arr = np.asarray(i, dtype=float)
-    val = (1.0 / r + 1.0 / (2.0 * r * r)) * (np.exp(-i_arr / r) + 1.0 / r)
-    return _like_input(i_arr, val)
+    return _at(_asymptotic_ladder, r, i)
 
 
 def asymptotic_zero_min_pmf(r_tilde: float, i):
     """Large-rt form of the zero-minimum mass: (1/rt + 1/(2rt^2)) e^{-i/rt}."""
     _check_ratio(r_tilde, 0.0, "r_tilde")
-    i_arr = np.asarray(i, dtype=float)
-    val = (1.0 / r_tilde + 1.0 / (2.0 * r_tilde * r_tilde)) * np.exp(-i_arr / r_tilde)
-    return _like_input(i_arr, val)
+    return _at(_asymptotic_zero_min, r_tilde, i)
 
 
 @dataclass(frozen=True)
@@ -144,6 +172,7 @@ def compare(r: float, i_max: int | None = None) -> ComparisonMetrics:
     equal the maxima over all sectors 1..idx taken with the same float pmfs.
     """
     idx = truncation_index(r, i_max)
+    r = float(r)
     u = 1.0 / (r - 1.0)
     g = _u_minus_log1p(u)
     crossing = 1.0 + (math.log1p(u) + _log_mean_decay(u)) / g
@@ -153,31 +182,30 @@ def compare(r: float, i_max: int | None = None) -> ComparisonMetrics:
 
     k = max(1, min(idx, math.floor(crossing)))
     stationary = math.floor(crossing - math.log1p(-g / u) / g)
-    sectors = np.array([1, idx, min(max(stationary, 1), idx), min(stationary + 1, idx)],
-                       dtype=float)
-    max_abs = float(np.abs(epi_binned_ladder(r, sectors) - aym_ladder_pmf(r, sectors)).max())
+    sectors = (1, idx, min(max(stationary, 1), idx), min(stationary + 1, idx))
+    max_abs = max(abs(_epi_ladder(r, x) - _aym_ladder(r, x)) for x in sectors)
 
     # last sector of the max_rel mask: the analytic count for the float base
     # (r-1)/r, then a step or two on the float pmf itself so the mask is the same
     last = math.floor(math.log(_REL_FLOOR * (r - 1.0)) / math.log((r - 1.0) / r))
     last = max(0, min(idx, last))
-    while last < idx and aym_ladder_pmf(r, last + 1) >= _REL_FLOOR:
+    while last < idx and _aym_ladder(r, last + 1) >= _REL_FLOOR:
         last += 1
-    while last >= 1 and aym_ladder_pmf(r, last) < _REL_FLOOR:
+    while last >= 1 and _aym_ladder(r, last) < _REL_FLOOR:
         last -= 1
-    if last == 0:
-        max_rel = math.nan
-    else:
-        sectors = np.array([1, last], dtype=float)
-        p_aym = aym_ladder_pmf(r, sectors)
-        max_rel = float((np.abs(epi_binned_ladder(r, sectors) - p_aym) / p_aym).max())
+
+    def rel(x):  # |P_epi - P_aym| / P_aym at sector x
+        p_aym = _aym_ladder(r, x)
+        return abs(_epi_ladder(r, x) - p_aym) / p_aym
+
+    max_rel = max(rel(1), rel(last)) if last else math.nan
 
     return ComparisonMetrics(
         tv_distance=head(k) - head(idx) / 2.0,
         max_abs=max_abs,
         max_rel=max_rel,
         truncation_index=idx,
-        epi_tail_mass=float(math.exp(-idx / (r - 1.0))),
+        epi_tail_mass=math.exp(-idx / (r - 1.0)),
         aym_tail_mass=math.exp(-idx * math.log1p(u)),
     )
 

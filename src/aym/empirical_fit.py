@@ -9,6 +9,10 @@ tail is a straight line through zero at a = a0,
 so fitting reduces to a closed-form zero-intercept slope in log space.  With
 a0 free the model is the weighted line ln P = slope*a + b with a0 = -b/slope,
 also in closed form, clamped to [0, smallest cut].
+
+Loading, saving and fitting are scalar arithmetic on Python floats (math.log,
+math.fsum) over at most a few dozen points; only emit_overlay, which tabulates
+the model tails, imports numpy.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .epi_distribution import make
 from .errors import (
     DegenerateFit,
     DomainError,
@@ -132,13 +133,43 @@ def save_csv(dataset: TailDataset) -> str:
     return _csv_text(("a", "p_gt", "w")[:len(columns)], columns, ("%.17g",) * len(columns))
 
 
-def _slope_fit(u: np.ndarray, log_p: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """Zero-intercept weighted LS (slope, rss) of log_p on u = a - a0; slope NaN if unpinned."""
-    denom = float((weights * u * u).sum())
+def _fsum(terms) -> float:
+    """math.fsum of the terms, correctly rounded; where a partial sum leaves the float
+    range, their plain float sum instead (inf or nan), which _result_from_slope refuses."""
+    terms = list(terms)
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # a partial sum past the float range, or inf - inf
+        return sum(terms)
+
+
+def _halves(x: float) -> tuple[float, float]:
+    """Veltkamp's split: x = hi + lo, each with at most 26 significant bits, so that a
+    product of two halves is exact."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _slope_fit(u, log_p, weights) -> tuple[float, float]:
+    """Zero-intercept weighted LS (slope, rss) of log_p on u = a - a0; slope NaN if unpinned.
+
+    A residual ln p - slope * x cancels to a few digits near the fitted line, so it
+    subtracts slope * x as the exact sum product + error (Dekker's product of the
+    halves), and the product's rounding does not enter it."""
+    denom = _fsum(w * x * x for w, x in zip(weights, u))
     if denom == 0.0:
         return math.nan, math.inf
-    slope = float((weights * u * log_p).sum()) / denom
-    return slope, float((weights * (log_p - slope * u) ** 2).sum())
+    slope = _fsum(w * x * y for w, x, y in zip(weights, u, log_p)) / denom
+    s_hi, s_lo = _halves(slope)
+    residuals = []
+    for x, y in zip(u, log_p):
+        product = slope * x
+        x_hi, x_lo = _halves(x)
+        error = ((s_hi * x_hi - product) + s_hi * x_lo + s_lo * x_hi) + s_lo * x_lo
+        # a half past the float range (|x| or |slope| above about 1e300): plain product
+        residuals.append((y - product) - error if math.isfinite(error) else y - product)
+    return slope, _fsum(w * (d * d) for w, d in zip(weights, residuals))
 
 
 def fit_tail(data: TailDataset, a0_fixed: float | None = None,
@@ -148,47 +179,53 @@ def fit_tail(data: TailDataset, a0_fixed: float | None = None,
     Points at or below a fixed a0 are excluded (the model tail is 1 there).
     A free a0 is the weighted line's root clamped to [0, smallest cut]: there
     every ln p <= 0 and a - a0 >= 0, so the RSS profile has no interior
-    maximum and the clamp is exact.  At the smallest cut the lowest point
-    stays in with a - a0 = 0 (the limit from the left).
+    maximum and the clamp is exact.  The root a_mean - y_mean/slope lies below
+    the weighted mean cut and falls to -inf as the slope rises to 0, so a line
+    whose float slope is not negative (cuts and logs that differ only in their
+    last digits) clamps to 0.  At the smallest cut the lowest point stays in
+    with a - a0 = 0 (the limit from the left).  Every sum is math.fsum,
+    correctly rounded.
 
     Raises DegenerateFit when the data cannot pin a positive decay scale
-    (constant tails, fewer than two usable points, non-decreasing logs).
+    (constant tails, fewer than two usable points, non-decreasing logs), or
+    when the fitted D/n or the RSS is not a finite float.
     """
     if a0_fixed is not None:
         _check_a0(a0_fixed)
     keep = [j for j, p in enumerate(data.p_gt) if p >= min_p_gt]
     if len(keep) < 2:
         raise DegenerateFit(f"need at least 2 points with p_gt >= {min_p_gt}")
-    cuts = np.asarray([data.cuts[j] for j in keep])
-    p = np.asarray([data.p_gt[j] for j in keep])
-    if p.max() == p.min():
+    cuts = [data.cuts[j] for j in keep]
+    p = [data.p_gt[j] for j in keep]
+    if max(p) == min(p):
         raise DegenerateFit("tail values are constant; no decay scale to fit")
-    weights = (np.asarray([data.weights[j] for j in keep])
-               if data.weights is not None else np.ones(len(keep)))
-    log_p = np.log(p)
+    weights = [data.weights[j] for j in keep] if data.weights is not None else [1.0] * len(keep)
+    log_p = list(map(math.log, p))
 
     if a0_fixed is not None:
-        above = cuts > a0_fixed
-        slope, rss = _slope_fit(cuts[above] - a0_fixed, log_p[above], weights[above])
-        return _result_from_slope(slope, rss, int(above.sum()), a0_fixed)
+        above = [j for j, a in enumerate(cuts) if a > a0_fixed]
+        slope, rss = _slope_fit([cuts[j] - a0_fixed for j in above], [log_p[j] for j in above],
+                                [weights[j] for j in above])
+        return _result_from_slope(slope, rss, len(above), a0_fixed)
 
-    hi = float(cuts.min())
+    hi = min(cuts)
     if hi <= 0:
         return fit_tail(data, a0_fixed=0.0, min_p_gt=min_p_gt)
 
-    total = float(weights.sum())
+    total = _fsum(weights)
     if total == 0.0:
         raise DegenerateFit("all weights are zero")
-    a_mean = float((weights * cuts).sum()) / total
-    y_mean = float((weights * log_p).sum()) / total
-    spread = float((weights * (cuts - a_mean) ** 2).sum())
+    a_mean = _fsum(w * a for w, a in zip(weights, cuts)) / total
+    y_mean = _fsum(w * y for w, y in zip(weights, log_p)) / total
+    centred = [a - a_mean for a in cuts]
+    spread = _fsum(w * (x * x) for w, x in zip(weights, centred))
     if spread == 0.0:
         raise DegenerateFit("a free a0 needs weight on at least two distinct cuts")
-    line_slope = float((weights * (cuts - a_mean) * log_p).sum()) / spread
-    # root of the line: a0 = a_mean - y_mean/slope, +inf as the slope rises to 0
-    a0 = a_mean - y_mean / line_slope if line_slope < 0 else math.inf
+    line_slope = _fsum(w * x * y for w, x, y in zip(weights, centred, log_p)) / spread
+    # the line's root, which falls to -inf as its slope rises to 0
+    a0 = a_mean - y_mean / line_slope if line_slope < 0 else -math.inf
     a0 = min(max(a0, 0.0), hi)
-    slope, rss = _slope_fit(cuts - a0, log_p, weights)
+    slope, rss = _slope_fit([a - a0 for a in cuts], log_p, weights)
     return _result_from_slope(slope, rss, len(cuts), a0)
 
 
@@ -197,7 +234,10 @@ def _result_from_slope(slope: float, rss: float, used: int, a0: float) -> FitRes
         raise DegenerateFit("not enough points above a0 to determine a slope")
     if slope >= 0:
         raise DegenerateFit("tail does not decay; fitted scale would be non-positive")
-    return FitResult(d_over_n=a0 - 1.0 / slope, a0=a0, rss_log=rss, points_used=used)
+    d_over_n = a0 - 1.0 / slope
+    if not (math.isfinite(d_over_n) and math.isfinite(rss)):
+        raise DegenerateFit(f"fitted D/n {d_over_n} or log RSS {rss} is not a finite float")
+    return FitResult(d_over_n=d_over_n, a0=a0, rss_log=rss, points_used=used)
 
 
 def emit_overlay(data: TailDataset | None, d_over_n_values, a0: float, grid) -> str:
@@ -207,6 +247,10 @@ def emit_overlay(data: TailDataset | None, d_over_n_values, a0: float, grid) -> 
     column is empty where no datum exists.  One tail column per requested
     D/n value, sorted ascending, named tail_<value>.
     """
+    import numpy as np
+
+    from .epi_distribution import make
+
     grid = _finite_cuts(grid)
     values = sorted(float(v) for v in d_over_n_values)
     dists = [make(v, a0) for v in values]

@@ -672,10 +672,10 @@ print(json.dumps({"codes": codes, "all": sorted(aym.__all__), "missing": missing
 
 LADDER_LEVELS = ",".join(map(str, range(1, 11)))
 
-# integer and comparison logic only: the exact enumeration, the solve errors
-# decided from the parameters before the solver's arithmetic starts, and chains
-# short enough for the sampler's pure-Python PCG64 words (their word bounds add up
-# to about 41,000 in this one process, against the budget of 90,000)
+# the exact enumeration, the solve errors decided from the parameters before the
+# solver's arithmetic starts, chains short enough for the sampler's pure-Python PCG64
+# words (their word bounds add up to about 41,000 in this one process, against the
+# budget of 90,000), and compare and fit, which run on Python floats
 NUMPY_FREE_CASES = [
     (["enumerate", "--levels", "1,2,3", "--n", "6", "--D", "13"], 0),
     (["enumerate", "--levels", "1,2,3", "--n", "6", "--D", "13", "--format", "csv"], 0),
@@ -699,19 +699,41 @@ NUMPY_FREE_CASES = [
       "--format", "csv"], 0),
     (["sample", "--levels", "1,2,3", "--n", "4", "--D", "8", "--steps", "1000",
       "--seed", "18446744073709551615"], 0),
+    (["compare", "--r", "1.000001,1.5,10,123.456,1e4,9.87654321e6,1e9,3e15"], 0),
+    (["compare", "--r", "2,100,1e6", "--i-max", "40"], 0),
+    (["compare", "--r", "1e17"], 2),  # r/(r-1) rounds to 1
+    (["fit", "--data", str(BUNDLED_CSV), "--a0", "0"], 0),
+    (["fit", "--data", str(BUNDLED_CSV), "--fit-a0"], 0),
+    (["fit", "--data", "WEIGHTED_CSV", "--fit-a0"], 0),
+    (["fit", "--data", "WEIGHTED_CSV", "--a0", "2.5", "--min-p-gt", "0.05"], 0),
+    (["fit", "--data", "MALFORMED_CSV"], 2),
 ]
+WEIGHTED_CSV = "a,p_gt,w\n# noisy tail, D/n about 60, a0 about 4\n5,0.98,1\n12,0.86,2.5\n" \
+               "30,0.62,0.5\n55,0.4,1\n90,0.21,3\n140,0.085,0\n"
+MALFORMED_CSV = "a,p_gt\n1,0.5\n2,0.25,7\n"
 
 
-def test_import_and_usage_paths_load_no_numpy(capsys):
-    proc = _python(NUMPY_FREE_RUN, json.dumps([argv for argv, _ in NUMPY_FREE_CASES]))
+def _numpy_free_cases(tmp_path):
+    """NUMPY_FREE_CASES with each CSV placeholder written under tmp_path."""
+    files = {}
+    for name, text in (("WEIGHTED_CSV", WEIGHTED_CSV), ("MALFORMED_CSV", MALFORMED_CSV)):
+        files[name] = tmp_path / f"{name.lower()}.csv"
+        files[name].write_text(text, encoding="utf-8")
+    return [([str(files.get(token, token)) for token in argv], code)
+            for argv, code in NUMPY_FREE_CASES]
+
+
+def test_import_and_usage_paths_load_no_numpy(capsys, tmp_path):
+    cases = _numpy_free_cases(tmp_path)
+    proc = _python(NUMPY_FREE_RUN, json.dumps([argv for argv, _ in cases]))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().split("\n")[-1])
     assert report["codes"] == [0, 0, 64]
     assert report["all"] == PUBLIC_NAMES
     assert "no_such_name" in report["missing"]
     assert report["environ_unchanged"]
-    assert len(report["runs"]) == len(NUMPY_FREE_CASES)
-    for (argv, expected), (code, out, err, loaded, own) in zip(NUMPY_FREE_CASES, report["runs"]):
+    assert len(report["runs"]) == len(cases)
+    for (argv, expected), (code, out, err, loaded, own) in zip(cases, report["runs"]):
         assert loaded == [], argv
         if argv[0] == "enumerate":  # these run first, so no solve has loaded the solver yet
             assert "aym.lattice" in own and "aym.discrete_equilibrium" not in own, own

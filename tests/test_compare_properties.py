@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aym import aym_ladder_pmf, compare, epi_binned_ladder
+from aym import (asymptotic_ladder_pmf, asymptotic_zero_min_pmf, aym_ladder_pmf, compare,
+                 epi_binned_ladder, epi_binned_zero_min)
 from aym.discretization_compare import truncation_index
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -80,3 +81,26 @@ def test_max_rel_mask_steps_to_the_float_pmf(r, analytic, kept):
     assert count == analytic
     assert aym_ladder_pmf(r, kept) >= 1e-12 > aym_ladder_pmf(r, kept + 1)
     assert compare(r).max_rel == brute_force(r, None)["max_rel"]
+
+
+# each pmf with the floor its ratio must exceed: r > 1, r_tilde > 0
+PMFS = [(epi_binned_ladder, 1.0), (epi_binned_zero_min, 0.0), (aym_ladder_pmf, 1.0),
+        (asymptotic_ladder_pmf, 1.0), (asymptotic_zero_min_pmf, 0.0)]
+
+
+@PROPERTY_SETTINGS
+@given(pmf=st.sampled_from(PMFS),
+       excess=st.floats(math.log(1e-6), math.log(1e9)).map(math.exp),
+       i=st.lists(st.integers(1, 10**7) | st.floats(1.0, 1e7), min_size=1, max_size=8))
+def test_a_scalar_a_list_and_an_array_entry_give_one_float(pmf, excess, i):
+    # one kernel per pmf: a list or an array maps the scalar kernel over its entries
+    func, floor = pmf
+    ratio = floor + excess
+    scalars = [func(ratio, x) for x in i]
+    assert all(type(value) is float for value in scalars)
+    assert [func(ratio, np.float64(x)) for x in i] == scalars
+    assert [func(ratio, np.asarray(x, dtype=float)) for x in i] == scalars  # 0-d arrays
+    assert func(ratio, i).tolist() == scalars
+    assert func(ratio, np.asarray(i, dtype=float)).tolist() == scalars
+    column = func(ratio, np.asarray(i, dtype=float)[:, None])
+    assert column.shape == (len(i), 1) and column.ravel().tolist() == scalars

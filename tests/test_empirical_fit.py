@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aym import (
@@ -251,10 +251,18 @@ def _grid_rss(cuts, log_p, weights, a0_grid):
 @given(mean_gap=st.floats(0.5, 1e3), a0_share=st.floats(0.0, 0.95),
        spans=st.lists(st.floats(0.01, 10.0), min_size=2, max_size=15, unique=True),
        noisy=st.booleans(), weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# two spans one ulp apart: at mean gap 1 they round to one cut, and at this gap the two
+# cuts and the two tail values each lie one ulp apart, so the line's float slope is 0
+@example(mean_gap=1.0, a0_share=0.5, spans=[0.010000000000000002, 0.01], noisy=False,
+         weighted=False, seed=0)
+@example(mean_gap=25.534474827391833, a0_share=0.5, spans=[0.010000000000000002, 0.01],
+         noisy=False, weighted=False, seed=0)
 def test_free_a0_rss_is_minimal_over_a_grid(mean_gap, a0_share, spans, noisy, weighted, seed):
     # exact tails, or tails with 5% log-normal noise made non-increasing again
     a0_true = a0_share * mean_gap / (1.0 - a0_share)
     cuts = a0_true + mean_gap * np.sort(np.asarray(spans))
+    for j in range(1, cuts.size):  # spans that round to one cut: lift it to the next float
+        cuts[j] = max(cuts[j], np.nextafter(cuts[j - 1], np.inf))
     rng = np.random.default_rng(seed)
     p = np.exp(-(cuts - a0_true) / mean_gap)
     if noisy:
@@ -273,6 +281,31 @@ def test_free_a0_rss_is_minimal_over_a_grid(mean_gap, a0_share, spans, noisy, we
     # slack for float rounding only: relative 1e-12, absolute 1e-20 of sum w ln^2 p
     slack = 1e-12 * grid.min() + 1e-20 * float((weights * log_p ** 2).sum())
     assert result.rss_log <= grid.min() + slack
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(cuts=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6,
+                     unique=True),
+       tails=st.lists(st.floats(5e-324, 1.0), min_size=6, max_size=6),
+       weights=st.none() | st.lists(st.floats(0.0, 1.7976931348623157e308), min_size=6,
+                                    max_size=6),
+       a0=st.none() | st.floats(0.0, 1e300), min_p_gt=st.sampled_from([0.0, 1e-6]))
+# weights near the float maximum, whose sums overflow; a slope near 1e-316, whose D/n does
+@example(cuts=[1.0, 2.0], tails=[0.5, 0.25] + [1.0] * 4, weights=[1e308] * 6, a0=None,
+         min_p_gt=1e-6)
+@example(cuts=[1e300, 1.5e300], tails=[0.9999999999999999, 0.9999999999999998] + [1.0] * 4,
+         weights=[5e-324] * 6, a0=0.0, min_p_gt=1e-6)
+def test_any_finite_tail_fits_to_finite_floats_or_a_typed_error(cuts, tails, weights, a0,
+                                                                  min_p_gt):
+    cuts = sorted(cuts)
+    p_gt = sorted(tails[:len(cuts)], reverse=True)
+    data = TailDataset(tuple(cuts), tuple(p_gt),
+                       None if weights is None else tuple(weights[:len(cuts)]))
+    try:
+        result = fit_tail(data, a0_fixed=a0, min_p_gt=min_p_gt)
+    except DegenerateFit:
+        return
+    assert all(map(math.isfinite, (result.d_over_n, result.a0, result.rss_log))), result
 
 
 def test_fit_robust_to_lognormal_noise():
