@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import DomainError, DomainViolation, InfeasibleDemand, NoConvergence
-from .model_core import EconomyParams, _check_ratio, validate
+from .model_core import EconomyParams, _as_int, _check_ratio, validate
 
 _DEFAULT_TOL = 1e-10
 
@@ -184,6 +184,7 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
     sum a_i n_i and pull beta off its root.  The floors follow the current
     iterate; the reported residuals are the true values.
     """
+    max_iter = _as_int(max_iter, "max_iter")
     if not 0 <= tol < math.inf:  # max(nan, floor) is nan, which no residual meets
         raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
     params = validate(params)
@@ -265,8 +266,7 @@ def _solve(params: EconomyParams, c: float, tol: float, max_iter: int) -> Equili
         """(nu, N, S) at the inner root, S the sum of the second row."""
         z = -beta * a
         # the levels rise, so -beta a_i peaks at an end level (rounding keeps the order)
-        z_max = (-beta * (a_1 if beta >= 0 else a_g) if math.isfinite(beta)
-                 else float(np.maximum.reduce(z)))
+        z_max = -beta * (a_1 if beta >= 0 else a_g)
         d = z_max - z
         x = 0.0
         if tangent:  # start on the root's tangent in beta: dnu/dbeta = m_w at fixed sum n_i

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model_core import _check_ratio, _csv_text
+from .model_core import _as_int, _check_ratio, _csv_text
 
 _TAIL_THRESHOLD = 1e-15  # truncate where both analytic tails drop below this
 _REL_FLOOR = 1e-12  # max_rel skips sectors whose discrete pmf is below this
@@ -129,9 +129,10 @@ def truncation_index(r: float, i_max: int | None = None) -> int:
     while max(math.exp(-idx / (r - 1.0)), math.exp(-idx * log_ratio)) > _TAIL_THRESHOLD:
         idx += 1
     if i_max is not None:
-        if int(i_max) < 1:
+        i_max = _as_int(i_max, "i_max")
+        if i_max < 1:
             raise DomainError(f"i_max must be at least 1, got {i_max}")
-        idx = min(idx, int(i_max))
+        idx = min(idx, i_max)
     return idx
 
 

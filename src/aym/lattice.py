@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, InfeasibleDemand, InstanceTooLarge
-from .model_core import (EconomyParams, OccupationVector, _csv_text, _state_text,
+from .model_core import (EconomyParams, OccupationVector, _as_int, _csv_text, _state_text,
                          _validate_ladder, validate)
 
 _LATTICE_REL_TOL = 1e-9  # integer_lattice: how close, relatively, a value must be to a fraction
@@ -323,6 +323,7 @@ def enumerate_feasible(params: EconomyParams, max_vectors: int = 500_000) -> Enu
     Determinism: vectors are emitted in lexicographically increasing order
     of counts.
     """
+    max_vectors = _as_int(max_vectors, "max_vectors")
     if max_vectors < 0:
         raise DomainError(f"enumeration cap must be non-negative, got {max_vectors}")
     if params.n == 0:

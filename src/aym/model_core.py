@@ -43,6 +43,15 @@ def _as_float(value, name: str) -> float:
         raise DomainError(f"{name} is too large for a float") from None
 
 
+def _as_int(value, name: str) -> int:
+    """value as a plain int: an int or a numpy integer; a bool, 2.0 or a str is a DomainError."""
+    if type(value) is not int:
+        from numbers import Integral  # loaded only for a value that is not a plain int
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise DomainError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def _frozen(cls, *values):
     """cls(*values) for a frozen dataclass whose __init__ only assigns (no __post_init__),
     values in field order: one __dict__ update in place of an object.__setattr__ a field.
@@ -92,9 +101,10 @@ class EconomyParams:
 
 
 def make_ladder(a0: float, g: int, n: float, D: float) -> EconomyParams:
-    """Arithmetic-ladder economy with levels a_i = i*a0 for i = 1..g."""
+    """Arithmetic-ladder economy with levels a_i = i*a0 for i = 1..g, g an int or numpy integer."""
     if not 0 < a0 < math.inf:
         raise DomainError(f"ladder step a0 must be positive and finite, got {a0}")
+    g = _as_int(g, "sector count g")
     if g < 1:
         raise EmptyLadder("ladder needs at least one sector")
     return EconomyParams(tuple(i * a0 for i in range(1, g + 1)), n, D, a0)
@@ -152,7 +162,11 @@ class OccupationVector:
     def __post_init__(self):
         coerced = []
         for k in self.counts:
-            if int(k) != k:
+            try:
+                integral = int(k) == k
+            except (ValueError, OverflowError):  # nan and inf have no int
+                integral = False
+            if not integral:
                 raise DomainError(f"occupation counts must be integers, got {k}")
             if k < 0:
                 raise DomainError(f"occupation counts must be non-negative, got {k}")

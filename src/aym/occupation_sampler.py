@@ -78,7 +78,7 @@ from operator import itemgetter
 
 from .errors import DomainError, NoFeasibleState
 from .lattice import _move_table, count_feasible, lattice_fibre
-from .model_core import EconomyParams, _csv_text, _state_text
+from .model_core import EconomyParams, _as_int, _csv_text, _state_text
 
 IRREDUCIBILITY_VERIFIED = "verified"
 IRREDUCIBILITY_FAILED = "failed"
@@ -246,8 +246,8 @@ def _hashmix(const: int, mult: int):
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Metropolis chain parameters, all ints (a bool or 2.0 is a DomainError); burn_in < steps,
-    thin >= 1 and 0 <= seed < 2**64.  Each is stored as a plain int."""
+    """Metropolis chain parameters, ints by model_core._as_int's rule (a numpy integer is one,
+    a bool or 2.0 a DomainError); burn_in < steps, thin >= 1, 0 <= seed < 2**64.  Stored as ints."""
 
     steps: int
     burn_in: int = 0
@@ -256,13 +256,7 @@ class ChainConfig:
 
     def __post_init__(self):
         for name in ("steps", "burn_in", "seed", "thin"):
-            value = getattr(self, name)
-            if type(value) is not int:  # numbers loads only for a value that is not a plain int
-                from numbers import Integral  # numpy's integers register here, np.bool_ does not
-
-                if isinstance(value, bool) or not isinstance(value, Integral):
-                    raise DomainError(f"{name} must be an int, got {value!r}")
-                object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.steps < 1:
             raise DomainError("steps must be positive")
         if not 0 <= self.burn_in < self.steps:
@@ -286,8 +280,8 @@ class SampleSummary:
     feasible set has at most max_enumeration states, "unchecked" when it has
     more (an honest warning flag: connectivity was not tested, not failed).
     A summary with no visits, a count that is not a positive int, states of
-    unequal length, steps < 1, accepted outside [0, steps] or another label
-    is a DomainError.
+    unequal length, steps or accepted not an int, steps < 1, accepted outside
+    [0, steps] or another label is a DomainError.
     """
 
     visit_counts: dict[tuple[int, ...], int]
@@ -304,6 +298,8 @@ class SampleSummary:
             raise DomainError("visit counts must be positive ints")
         if len(set(map(len, counts))) != 1:
             raise DomainError("visited states must all have one sector count")
+        for name in ("steps", "accepted"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.steps < 1:
             raise DomainError(f"steps must be at least 1, got {self.steps}")
         if not 0 <= self.accepted <= self.steps:
@@ -493,6 +489,7 @@ def run_chain(params: EconomyParams, config: ChainConfig,
     give a bit-identical summary.  A negative max_enumeration is a
     DomainError.
     """
+    max_enumeration = _as_int(max_enumeration, "max_enumeration")
     if max_enumeration < 0:
         raise DomainError(f"enumeration cap must be non-negative, got {max_enumeration}")
     table, start, irreducibility, states, transitions = _fibre_setup(*lattice_fibre(params),

@@ -40,14 +40,13 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .epi_distribution import EpiDistribution, make
 from .errors import DomainError, QuadratureFailure
-from .model_core import MAX_GRID_POINTS, _as_float, _frozen
+from .model_core import MAX_GRID_POINTS, _as_float, _as_int, _frozen
 
 _QUAD_SPAN_GAPS = 60.0  # quadrature nodes stop here, in mean gaps; tail mass < 1e-26
 
@@ -91,11 +90,9 @@ class NumericsConfig:
                 if not 0 < value < math.inf:
                     raise DomainError(f"{name} must be positive and finite, got {value}")
                 object.__setattr__(self, name, _as_float(value, name))
-        points = self.grid_points
-        if isinstance(points, bool) or not isinstance(points, Integral):
-            raise DomainError(f"grid_points must be an int, got {points!r}")
-        if not 3 <= points <= MAX_GRID_POINTS:
-            raise DomainError(f"grid needs 3 to {MAX_GRID_POINTS} points, got {points}")
+        object.__setattr__(self, "grid_points", _as_int(self.grid_points, "grid_points"))
+        if not 3 <= self.grid_points <= MAX_GRID_POINTS:
+            raise DomainError(f"grid needs 3 to {MAX_GRID_POINTS} points, got {self.grid_points}")
         if not 40.0 <= self.grid_span_gaps < math.inf:
             raise DomainError(f"grid_span_gaps must be in [40, inf), got {self.grid_span_gaps}")
         span = _as_float(self.grid_span_gaps, "grid_span_gaps")

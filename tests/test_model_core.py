@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aym import (
+    ChainConfig,
     DomainError,
     EconomyParams,
     EmptyLadder,
@@ -23,11 +24,13 @@ from aym import (
     OccupationVector,
     ParseError,
     PrincipleReport,
+    SampleSummary,
     TailDataset,
     closed_form_ladder,
     compare,
     curve_csv,
     emit_overlay,
+    enumerate_feasible,
     fit_tail,
     integer_lattice,
     ladder_ratio,
@@ -36,9 +39,13 @@ from aym import (
     make_ladder,
     params_from_json,
     params_to_json,
+    run_chain,
+    solve_boltzmann,
+    solve_generalized,
     validate,
 )
 from aym import model_core
+from aym.discretization_compare import truncation_index
 from aym.model_core import _csv_text
 
 
@@ -244,6 +251,64 @@ def test_an_int_past_the_float_range_is_a_domain_error(call):
         OVERFLOWING_INT_CALLS[call]()
 
 
+# every integer argument: (the name its error gives, the call that passes value there, a
+# valid int, the field that stores it or None); model_core._as_int is the one rule for all
+FIBRE_19 = EconomyParams((1, 2, 3, 4, 5), 7, 17)  # 19 feasible vectors, one connected fibre
+INT_ARGUMENTS = {
+    **{f"ChainConfig-{field}": (field, lambda v, f=field: ChainConfig(**{"steps": 10, f: v}), 1,
+                                field) for field in ("steps", "burn_in", "seed", "thin")},
+    "NumericsConfig-grid_points": ("grid_points", lambda v: NumericsConfig(grid_points=v), 50,
+                                   "grid_points"),
+    "SampleSummary-steps": ("steps", lambda v: SampleSummary({(1, 2): 1}, v, 0, "verified"), 3,
+                            "steps"),
+    "SampleSummary-accepted": ("accepted",
+                               lambda v: SampleSummary({(1, 2): 1}, 3, v, "verified"), 1,
+                               "accepted"),
+    "enumerate_feasible": ("max_vectors",
+                           lambda v: enumerate_feasible(FIBRE_19, max_vectors=v), 100, None),
+    "run_chain": ("max_enumeration",
+                  lambda v: run_chain(FIBRE_19, ChainConfig(10), max_enumeration=v), 100, None),
+    "truncation_index": ("i_max", lambda v: truncation_index(10.0, i_max=v), 5, None),
+    "compare": ("i_max", lambda v: compare(10.0, i_max=v), 5, None),
+    "solve_boltzmann": ("max_iter", lambda v: solve_boltzmann(FIBRE_19, max_iter=v), 200, None),
+    "solve_generalized": ("max_iter", lambda v: solve_generalized(FIBRE_19, 0.5, max_iter=v),
+                          200, None),
+    "make_ladder": ("sector count g", lambda v: make_ladder(1.0, v, 10, 15), 3, None),
+}
+NOT_INTS = {"True": True, "np.True_": np.bool_(True), "2.0": 2.0, "nan": math.nan,
+            "inf": math.inf, "str": "3", "None": None}
+NOT_INT_CASES = [pytest.param(argument, value, id=f"{argument}-{label}")
+                 for argument in sorted(INT_ARGUMENTS) for label, value in NOT_INTS.items()
+                 if not (value is None and INT_ARGUMENTS[argument][0] == "i_max")]  # no cap
+
+
+@pytest.mark.parametrize("argument,value", NOT_INT_CASES)
+def test_every_integer_argument_takes_only_an_int(argument, value):
+    name, call, _, _ = INT_ARGUMENTS[argument]
+    with pytest.raises(DomainError, match=re.escape(f"{name} must be an int, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("argument", sorted(INT_ARGUMENTS))
+def test_every_integer_argument_takes_a_numpy_integer_as_its_int(argument):
+    _, call, valid, field = INT_ARGUMENTS[argument]
+    from_numpy, from_int = call(np.int64(valid)), call(valid)
+    assert repr(from_numpy) == repr(from_int)
+    if field is not None:
+        assert type(getattr(from_numpy, field)) is int and getattr(from_numpy, field) == valid
+
+
+def test_a_nan_cap_is_refused_not_read_as_a_tiny_one():
+    # a nan cap never saturated count_feasible: enumerate_feasible listed 1 of the 19
+    # vectors, and run_chain labelled the connected fibre "failed"
+    assert len(enumerate_feasible(FIBRE_19).vectors) == 19
+    assert run_chain(FIBRE_19, ChainConfig(10)).irreducibility == "verified"
+    with pytest.raises(DomainError, match="max_vectors must be an int, got nan"):
+        enumerate_feasible(FIBRE_19, max_vectors=math.nan)
+    with pytest.raises(DomainError, match="max_enumeration must be an int, got nan"):
+        run_chain(FIBRE_19, ChainConfig(10), max_enumeration=math.nan)
+
+
 # every type model_core._frozen builds in the package; the first test reads the calls
 # from the source, so a new call site fails it until its type is listed here
 FROZEN_TYPES = {"PrincipleReport": PrincipleReport}
@@ -288,6 +353,18 @@ def test_occupation_vector_rejects_negative_and_fractional():
         OccupationVector((1, -1))
     with pytest.raises(DomainError):
         OccupationVector((1.5, 0))
+
+
+@pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_occupation_vector_rejects_a_count_with_no_int_value(count):
+    with pytest.raises(DomainError, match=f"occupation counts must be integers, got {count}"):
+        OccupationVector((1, count))
+
+
+def test_occupation_vector_takes_an_integral_float_as_its_int():
+    # the rule is an integral value, not an int: a solver's rounded occupations are floats
+    counts = OccupationVector((2.0, np.float64(1.0), np.int64(3))).counts
+    assert counts == (2, 1, 3) and set(map(type, counts)) == {int}
 
 
 def test_occupation_vector_output_length_mismatch():
